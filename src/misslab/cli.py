@@ -17,17 +17,16 @@ import sys
 
 import numpy as np
 
-from ._rng import child_seed
 from .data import (ColumnSchema, from_matrix, load_matrix_csv, load_scaler,
-                   save_csv, save_scaler, split_indices)
+                   save_csv, save_scaler)
 from .gmm import load_model, save_model, write_search_table
 from .imputers import METHODS, ImputerSpec, run_imputer, save_imputation
 from .metrics import regression_metrics_masked
 from .missingness import MissingnessSpec, induce_missingness, save_induced
-from .nnet import MlpSpec, TrainConfig, predict_mlp, save_history_csv, train_mlp
-from .pipeline import (ConfigError, PreparedSource, draw_samples, emit_report,
-                       fit_generator, load_report_json, parse_config,
-                       prepare_source, run_pipeline, save_report_json)
+from .pipeline import (ConfigError, PreparedSource, emit_report, fit_generator,
+                       label_pool, load_report_json, parse_config,
+                       prepare_source, run_pipeline, save_pool,
+                       save_report_json, write_plot_tables)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -91,40 +90,9 @@ def cmd_synth(args) -> int:
     src = PreparedSource(clean=from_matrix(x_orig, y_orig), scaler=scaler,
                          x_orig=x_orig, y_orig=y_orig, names=meta["names"],
                          schema_w=schema_w)
-    master = cfg.master_seed
-    x_synth, comp = draw_samples(generator, src, cfg.synth_n, "synth", master)
-    x_reserve, _ = draw_samples(generator, src, cfg.reserve_n, "reserve", master)
-
-    split = split_indices(x_orig.shape[0], [0.8, 0.2], child_seed(master, "gensplit"))
-    target_gen = train_mlp(
-        from_matrix(x_orig[split[0]], y_orig[split[0]]),
-        from_matrix(x_orig[split[1]], y_orig[split[1]]),
-        MlpSpec(hidden_layers=list(cfg.classifier_hidden),
-                dropout_rate=cfg.classifier_dropout),
-        TrainConfig(max_epochs=cfg.generator_epochs,
-                    patience=cfg.generator_patience,
-                    batch_size=cfg.classifier_batch,
-                    learning_rate=cfg.classifier_lr,
-                    seed=child_seed(master, "target-gen")))
-    _, y_synth = predict_mlp(target_gen, x_synth)
-    _, y_reserve = predict_mlp(target_gen, x_reserve)
-
-    names = meta["names"]
-    save_csv(os.path.join(out, "synthetic.csv"),
-             np.column_stack([x_synth, y_synth.astype(np.float64)]),
-             names + ["label"])
-    save_csv(os.path.join(out, "reserved.csv"),
-             np.column_stack([x_reserve, y_reserve.astype(np.float64)]),
-             names + ["label"])
-    save_history_csv(os.path.join(out, "target_history.csv"),
-                     target_gen.training_history)
-    ids, counts = np.unique(comp, return_counts=True)
-    with open(os.path.join(out, "generator_components.csv"), "w",
-              encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["component", "count"])
-        for i, c in zip(ids, counts):
-            writer.writerow([int(i), int(c)])
+    pool = label_pool(cfg, src, generator)
+    save_pool(out, pool, src.names)
+    write_plot_tables(out, pool.plot_rows())
     print(f"sampled {cfg.synth_n} + {cfg.reserve_n} reserved rows -> {out}/")
     return EXIT_OK
 

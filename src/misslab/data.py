@@ -8,7 +8,7 @@ with 1 exactly where the data cell is missing and 0 where it is observed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,7 +216,6 @@ def save_mask_csv(path, mask: np.ndarray, names: list[str] | None = None) -> Non
 
 def load_matrix_csv(path) -> np.ndarray:
     """Read a headered CSV as a bare data matrix (empty field = missing)."""
-    schema_free = None
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except FileNotFoundError:
@@ -224,7 +223,6 @@ def load_matrix_csv(path) -> np.ndarray:
     with fh:
         reader = csv.reader(fh)
         header = next(reader)
-        schema_free = [ColumnSchema(h.strip()) for h in header]
         rows = []
         for i, rec in enumerate(reader):
             row = []
@@ -232,7 +230,7 @@ def load_matrix_csv(path) -> np.ndarray:
                 cell = cell.strip()
                 row.append(np.nan if cell == "" else float(cell))
             rows.append(row)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(schema_free))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +239,10 @@ def load_matrix_csv(path) -> np.ndarray:
 
 def drop_incomplete_rows(d: Dataset) -> Dataset:
     """Keep only rows with zero missing cells (complete-case filter)."""
-    complete = ~self_or(d.mask)
+    complete = ~d.mask.astype(bool).any(axis=1)
     if not complete.any():
         raise ValueError("every row has at least one missing cell; nothing left")
     return d.take_rows(np.flatnonzero(complete))
-
-
-def self_or(mask: np.ndarray) -> np.ndarray:
-    return np.asarray(mask, dtype=bool).any(axis=1)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,7 @@ def information_criteria(log_likelihood: float, n_rows: int, n_params: int) -> t
     """
     aic = (-2.0 / n_rows) * log_likelihood + 2.0 * (n_params / n_rows)
     bic = -2.0 * log_likelihood + np.log(n_rows) * n_params
-    return aic, bic
+    return float(aic), float(bic)
 
 
 def _full_covs(model: GmmModel) -> np.ndarray:
@@ -254,20 +254,6 @@ def fit_em(data: np.ndarray, k: int, kind: str, cfg: GmmConfig | None = None) ->
                        iterations=iterations, converged=converged,
                        param_count=n_params, ll_trace=trace)
     return model, report
-
-
-def score_model(model: GmmModel, data: np.ndarray) -> FitReport:
-    """Log likelihood plus AIC/BIC of fixed parameters on a dataset."""
-    x = validate_matrix(data)
-    if np.isnan(x).any():
-        raise ValueError("scoring requires fully observed data")
-    if x.shape[1] != model.dims:
-        raise ValueError(f"data has {x.shape[1]} columns, model expects {model.dims}")
-    ll = total_log_likelihood(model, x)
-    n_params = param_count(model.k, model.dims, model.kind)
-    aic, bic = information_criteria(ll, x.shape[0], n_params)
-    return FitReport(log_likelihood=ll, aic=aic, bic=bic, iterations=0,
-                     converged=True, param_count=n_params)
 
 
 @dataclass

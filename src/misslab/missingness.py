@@ -11,14 +11,14 @@ bisection so the expected masked fraction equals the requested degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import bisect
 from scipy.special import expit
 
 from ._rng import rng_for
-from .data import Dataset, apply_mask, mask_of, save_csv, save_mask_csv, validate_matrix
+from .data import apply_mask, mask_of, save_csv, save_mask_csv, validate_matrix
 
 SCHEMES = ("MCAR", "MAR", "MNAR")
 
@@ -125,18 +125,6 @@ def induce_missingness(truth: np.ndarray, spec: MissingnessSpec, seed: int) -> I
                           spec=spec, seed=seed)
 
 
-def induce_on_dataset(ds: Dataset, spec: MissingnessSpec, seed: int) -> InducedDataset:
-    """Induce over a dataset's features; the separate target vector is never
-    masked, which realizes protect_target for datasets carrying one."""
-    if not spec.protect_target and ds.target is not None:
-        raise ValueError(
-            "protect_target=False needs the target packed as a feature column; "
-            "datasets with a separate target vector always protect it")
-    if ds.mask.any():
-        raise ValueError("dataset already has missing cells")
-    return induce_missingness(ds.features, spec, seed)
-
-
 def combine_recovered(holed: np.ndarray, model_output: np.ndarray,
                       mask: np.ndarray) -> np.ndarray:
     """Observed cells from holed, masked cells from model_output.
@@ -157,16 +145,6 @@ def combine_recovered(holed: np.ndarray, model_output: np.ndarray,
     out = holed.copy()
     out[hidden] = model_output[hidden]
     return out
-
-
-def missingness_summary(d) -> dict:
-    """Overall and per-column missing fractions of a Dataset or matrix."""
-    mask = d.mask if isinstance(d, Dataset) else mask_of(d)
-    mask = np.asarray(mask, dtype=np.float64)
-    return {
-        "overall": float(mask.mean()) if mask.size else 0.0,
-        "per_column": mask.mean(axis=0),
-    }
 
 
 def save_induced(stem: str, induced: InducedDataset,

@@ -10,15 +10,12 @@ needs no rescaling) is applied to the last hidden layer only.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import rng_for
 from .data import Dataset, validate_matrix
-
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -220,9 +217,12 @@ class MlpModel:
     best_valid_loss: float = np.inf
 
 
-def _accuracy(net: FeedForward, x: np.ndarray, y: np.ndarray) -> float:
-    probs = _sigmoid(net.logits(x).ravel())
-    return float(np.mean((probs >= 0.5).astype(np.float64) == y))
+def _loss_and_accuracy(net: FeedForward, x: np.ndarray,
+                       y: np.ndarray) -> tuple[float, float]:
+    """Cross entropy and 0.5-threshold accuracy from one forward pass."""
+    z = net.logits(x).ravel()
+    accuracy = float(np.mean((_sigmoid(z) >= 0.5).astype(np.float64) == y))
+    return _bce_with_logits(z, y), accuracy
 
 
 def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
@@ -262,10 +262,9 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
             _, gw, gb = net.loss_and_grads(x[idx], y[idx], train=True,
                                            rng=dropout_rng)
             net.apply_grads(gw, gb, cfg.learning_rate)
-        train_loss = net.loss(x, y)
-        valid_loss = net.loss(xv, yv)
-        model.training_history.append(
-            (train_loss, valid_loss, _accuracy(net, x, y), _accuracy(net, xv, yv)))
+        train_loss, train_acc = _loss_and_accuracy(net, x, y)
+        valid_loss, valid_acc = _loss_and_accuracy(net, xv, yv)
+        model.training_history.append((train_loss, valid_loss, train_acc, valid_acc))
         if valid_loss < model.best_valid_loss:
             model.best_valid_loss = valid_loss
             model.best_epoch = epoch
@@ -290,38 +289,3 @@ def predict_mlp(model: MlpModel, data: np.ndarray) -> tuple[np.ndarray, np.ndarr
             f"data has {x.shape[1]} columns, model expects {model.net.layer_sizes[0]}")
     probs = _sigmoid(model.net.logits(x).ravel())
     return probs, (probs >= 0.5).astype(np.int64)
-
-
-def save_checkpoint(path, net: FeedForward) -> None:
-    """Versioned .npz with the architecture header and all weights."""
-    payload = {
-        "version": np.array([CHECKPOINT_VERSION]),
-        "layer_sizes": np.array(net.layer_sizes),
-        "output": np.array([net.output]),
-        "dropout_rate": np.array([net.dropout_rate]),
-    }
-    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
-        payload[f"w{i}"] = w
-        payload[f"b{i}"] = b
-    np.savez(path, **payload)
-
-
-def load_checkpoint(path) -> FeedForward:
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["version"][0])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        sizes = [int(s) for s in data["layer_sizes"]]
-        net = FeedForward(sizes, output=str(data["output"][0]),
-                          dropout_rate=float(data["dropout_rate"][0]))
-        net.weights = [data[f"w{i}"].astype(np.float64) for i in range(len(sizes) - 1)]
-        net.biases = [data[f"b{i}"].astype(np.float64) for i in range(len(sizes) - 1)]
-    return net
-
-
-def save_history_csv(path, history: list[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "valid_loss", "train_acc", "valid_acc"])
-        for epoch, row in enumerate(history, start=1):
-            writer.writerow([epoch] + [repr(float(v)) for v in row])

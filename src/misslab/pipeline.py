@@ -9,13 +9,16 @@ derived from one master seed, so a run is a pure function of its config.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy
 
 from . import __version__
 from ._rng import child_seed, rng_for
@@ -24,11 +27,13 @@ from .data import (ColumnSchema, Dataset, drop_incomplete_rows, extract_target,
                    fit_minmax, from_matrix, load_csv, save_csv, scaler_transform,
                    split_indices, conform_to_schema)
 from .forest import ForestSpec
-from .gmm import GmmConfig, GmmModel, sample, select_generator, write_search_table
-from .imputers import DaeSpec, ImputerSpec, pool_copies, run_imputer
+from .gmm import (COVARIANCE_KINDS, GmmConfig, GmmModel, sample, select_generator,
+                  write_search_table)
+from .imputers import METHODS, DaeSpec, ImputerSpec, pool_copies, run_imputer
 from .metrics import (classification_metrics, regression_metrics_masked,
-                      silhouette_samples, silhouette_score, rand_index)
-from .missingness import MissingnessSpec, induce_missingness
+                      silhouette_samples, rand_index)
+from .metrics import silhouette_score  # noqa: F401 - perfbench/tracer.py wraps it
+from .missingness import SCHEMES, MissingnessSpec, induce_missingness
 from .nnet import MlpSpec, TrainConfig, predict_mlp, train_mlp
 from .resampling import ResampleSpec, smote_enn
 
@@ -45,58 +50,66 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 1."""
 
 
+def _key(name: str, default, alias: str = ""):
+    """An ExperimentConfig field read from the dotted config key `name`
+    (and from `alias`, when given)."""
+    metadata = {"key": name, "alias": alias}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class ExperimentConfig:
-    input_kind: str = "builtin"            # builtin | csv
-    input_path: str = ""
-    input_target: str = ""
-    schema_path: str = ""
-    builtin_rows: int = 2500
-    builtin_features: int = 10
-    builtin_components: int = 3
-    gmm_k_range: list[int] = field(default_factory=lambda: [1, 2, 3, 4, 5])
-    gmm_kinds: list[str] = field(default_factory=lambda: ["spherical", "diagonal"])
-    gmm_criterion: str = "bic"
-    gmm_max_iter: int = 200
-    gmm_restarts: int = 3
-    synth_n: int = 20000
-    reserve_n: int = 5000
-    scheme: str = "MCAR"
-    degrees: list[float] = field(default_factory=lambda: [0.1, 0.2, 0.3, 0.4])
-    protect_target: bool = True
-    mar_drivers: list[int] = field(default_factory=list)
-    imputers: list[str] = field(default_factory=lambda: ["mean", "knn", "mice",
-                                                         "missforest", "dae"])
-    knn_k: int = 5
-    copies: int = 5
-    mice_sweeps: int = 10
-    mice_noise: bool = True
-    mice_ridge: float = 0.0
-    missforest_max_sweeps: int = 3
-    missforest_trees: int = 20
-    missforest_max_depth: int = 8
-    missforest_min_leaf: int = 5
-    dae_epochs: int = 100
-    dae_patience: int = 20
-    dae_corruption: float = 0.2
-    dae_batch: int = 64
-    dae_lr: float = 0.01
-    classifier_hidden: list[int] = field(default_factory=lambda: [20, 20])
-    classifier_dropout: float = 0.2
-    classifier_epochs: int = 100
-    classifier_patience: int = 10
-    classifier_batch: int = 64
-    classifier_lr: float = 0.01
-    generator_epochs: int = 50
-    generator_patience: int = 10
-    clusters: list[int] = field(default_factory=lambda: [2, 3, 4])
-    clustering_degree: float = 0.3
-    repetitions: int = 10
-    smote_k: int = 5
-    enn_k: int = 3
-    resample_ratio: float = 1.0
-    master_seed: int = 0
-    output_dir: str = "run-output"
+    input_kind: str = _key("input.kind", "builtin")      # builtin | csv
+    input_path: str = _key("input.path", "")
+    input_target: str = _key("input.target", "")
+    schema_path: str = _key("input.schema", "")
+    builtin_rows: int = _key("builtin.rows", 2500)
+    builtin_features: int = _key("builtin.features", 10)
+    builtin_components: int = _key("builtin.components", 3)
+    gmm_k_range: list[int] = _key("gmm.k_range", [1, 2, 3, 4, 5])
+    gmm_kinds: list[str] = _key("gmm.kinds", ["spherical", "diagonal"])
+    gmm_criterion: str = _key("gmm.criterion", "bic")
+    gmm_max_iter: int = _key("gmm.max_iter", 200)
+    gmm_restarts: int = _key("gmm.restarts", 3)
+    synth_n: int = _key("synth.n", 20000)
+    reserve_n: int = _key("synth.reserve", 5000)
+    scheme: str = _key("missing.scheme", "MCAR")
+    degrees: list[float] = _key("missing.degrees", [0.1, 0.2, 0.3, 0.4])
+    protect_target: bool = _key("missing.protect_target", True)
+    mar_drivers: list[int] = _key("missing.mar_drivers", [])
+    imputers: list[str] = _key("imputers", ["mean", "knn", "mice", "missforest", "dae"])
+    knn_k: int = _key("knn.k", 5)
+    copies: int = _key("copies", 5, alias="mice.copies")
+    mice_sweeps: int = _key("mice.sweeps", 10)
+    mice_noise: bool = _key("mice.noise", True)
+    mice_ridge: float = _key("mice.ridge", 0.0)
+    missforest_max_sweeps: int = _key("missforest.max_sweeps", 3)
+    missforest_trees: int = _key("missforest.trees", 20)
+    missforest_max_depth: int = _key("missforest.max_depth", 8)
+    missforest_min_leaf: int = _key("missforest.min_leaf", 5)
+    dae_epochs: int = _key("dae.epochs", 100)
+    dae_patience: int = _key("dae.patience", 20)
+    dae_corruption: float = _key("dae.corruption", 0.2)
+    dae_batch: int = _key("dae.batch", 64)
+    dae_lr: float = _key("dae.lr", 0.01)
+    classifier_hidden: list[int] = _key("classifier.hidden", [20, 20])
+    classifier_dropout: float = _key("classifier.dropout", 0.2)
+    classifier_epochs: int = _key("classifier.epochs", 100)
+    classifier_patience: int = _key("classifier.patience", 10)
+    classifier_batch: int = _key("classifier.batch", 64)
+    classifier_lr: float = _key("classifier.lr", 0.01)
+    generator_epochs: int = _key("generator.epochs", 50)
+    generator_patience: int = _key("generator.patience", 10)
+    clusters: list[int] = _key("clusters", [2, 3, 4])
+    clustering_degree: float = _key("clustering.degree", 0.3)
+    repetitions: int = _key("repetitions", 10)
+    smote_k: int = _key("resample.smote_k", 5)
+    enn_k: int = _key("resample.enn_k", 3)
+    resample_ratio: float = _key("resample.ratio", 1.0)
+    master_seed: int = _key("seed", 0)
+    output_dir: str = _key("output", "run-output")
 
     def validate(self) -> None:
         if self.input_kind not in ("builtin", "csv"):
@@ -111,6 +124,10 @@ class ExperimentConfig:
             raise ConfigError("repetitions must be at least 1")
         if not self.imputers:
             raise ConfigError("imputers must name at least one method")
+        _check_names("imputers", [m.lower() for m in self.imputers], METHODS)
+        _check_names("gmm.kinds", self.gmm_kinds, COVARIANCE_KINDS)
+        _check_names("gmm.criterion", [self.gmm_criterion], ("aic", "bic"))
+        _check_names("missing.scheme", [self.scheme.upper()], SCHEMES)
         if not self.protect_target:
             raise ConfigError(
                 "missing.protect_target=false is not runnable end to end: "
@@ -120,6 +137,12 @@ class ExperimentConfig:
             raise ConfigError("missing.scheme=mar requires missing.mar_drivers")
         if self.synth_n < 10 or self.reserve_n < 10:
             raise ConfigError("synth.n and synth.reserve must each be at least 10")
+
+
+def _check_names(key: str, names: list[str], known: tuple) -> None:
+    unknown = [n for n in names if n not in known]
+    if unknown:
+        raise ConfigError(f"{key}: unknown name(s) {unknown}; expected one of {known}")
 
 
 def _parse_list(value: str, cast) -> list:
@@ -135,59 +158,30 @@ def _parse_bool(value: str) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
-# Dotted config key -> (ExperimentConfig attribute, parser).
-_CONFIG_KEYS = {
-    "input.kind": ("input_kind", str),
-    "input.path": ("input_path", str),
-    "input.target": ("input_target", str),
-    "input.schema": ("schema_path", str),
-    "builtin.rows": ("builtin_rows", int),
-    "builtin.features": ("builtin_features", int),
-    "builtin.components": ("builtin_components", int),
-    "gmm.k_range": ("gmm_k_range", lambda v: _parse_list(v, int)),
-    "gmm.kinds": ("gmm_kinds", lambda v: _parse_list(v, str)),
-    "gmm.criterion": ("gmm_criterion", str),
-    "gmm.max_iter": ("gmm_max_iter", int),
-    "gmm.restarts": ("gmm_restarts", int),
-    "synth.n": ("synth_n", int),
-    "synth.reserve": ("reserve_n", int),
-    "missing.scheme": ("scheme", str),
-    "missing.degrees": ("degrees", lambda v: _parse_list(v, float)),
-    "missing.protect_target": ("protect_target", _parse_bool),
-    "missing.mar_drivers": ("mar_drivers", lambda v: _parse_list(v, int)),
-    "imputers": ("imputers", lambda v: _parse_list(v, str)),
-    "knn.k": ("knn_k", int),
-    "copies": ("copies", int),
-    "mice.copies": ("copies", int),
-    "mice.sweeps": ("mice_sweeps", int),
-    "mice.noise": ("mice_noise", _parse_bool),
-    "mice.ridge": ("mice_ridge", float),
-    "missforest.max_sweeps": ("missforest_max_sweeps", int),
-    "missforest.trees": ("missforest_trees", int),
-    "missforest.max_depth": ("missforest_max_depth", int),
-    "missforest.min_leaf": ("missforest_min_leaf", int),
-    "dae.epochs": ("dae_epochs", int),
-    "dae.patience": ("dae_patience", int),
-    "dae.corruption": ("dae_corruption", float),
-    "dae.batch": ("dae_batch", int),
-    "dae.lr": ("dae_lr", float),
-    "classifier.hidden": ("classifier_hidden", lambda v: _parse_list(v, int)),
-    "classifier.dropout": ("classifier_dropout", float),
-    "classifier.epochs": ("classifier_epochs", int),
-    "classifier.patience": ("classifier_patience", int),
-    "classifier.batch": ("classifier_batch", int),
-    "classifier.lr": ("classifier_lr", float),
-    "generator.epochs": ("generator_epochs", int),
-    "generator.patience": ("generator_patience", int),
-    "clusters": ("clusters", lambda v: _parse_list(v, int)),
-    "clustering.degree": ("clustering_degree", float),
-    "repetitions": ("repetitions", int),
-    "resample.smote_k": ("smote_k", int),
-    "resample.enn_k": ("enn_k", int),
-    "resample.ratio": ("resample_ratio", float),
-    "seed": ("master_seed", int),
-    "output": ("output_dir", str),
-}
+_SCALAR_PARSERS = {str: str, int: int, float: float, bool: _parse_bool}
+
+
+def _parser(annotation):
+    """Value parser for a field's type: a scalar, or a list of scalars."""
+    if typing.get_origin(annotation) is list:
+        item = _SCALAR_PARSERS[typing.get_args(annotation)[0]]
+        return lambda value: _parse_list(value, item)
+    return _SCALAR_PARSERS[annotation]
+
+
+def _config_keys() -> dict:
+    types = typing.get_type_hints(ExperimentConfig)
+    keys = {}
+    for f in dataclasses.fields(ExperimentConfig):
+        entry = (f.name, _parser(types[f.name]))
+        keys[f.metadata["key"]] = entry
+        if f.metadata["alias"]:
+            keys[f.metadata["alias"]] = entry
+    return keys
+
+
+# Dotted config key -> (ExperimentConfig attribute, parser), from the fields.
+_CONFIG_KEYS = _config_keys()
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -218,10 +212,9 @@ def parse_config(path) -> ExperimentConfig:
 
 def load_schema_file(path) -> list[ColumnSchema]:
     """Schema CSV: name,kind,lower,upper,missing_codes ('|'-separated)."""
-    import csv as _csv
     schema = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         for row in reader:
             codes = frozenset(float(c) for c in (row.get("missing_codes") or "").split("|") if c)
             schema.append(ColumnSchema(
@@ -278,15 +271,35 @@ def _fmt(v) -> str:
 
 
 def _write_rows(path, header: list[str], rows: list[list]) -> None:
-    import csv as _csv
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = _csv.writer(fh)
+            writer = csv.writer(fh)
             writer.writerow(header)
             for row in rows:
                 writer.writerow([_fmt(v) for v in row])
     except OSError as exc:
         raise OSError(f"cannot write report file {path}: {exc}") from exc
+
+
+# Plot payload key -> (file name, header) of the table it is written to.
+PLOT_TABLES = {
+    "component_counts": ("generator_components.csv", ["component", "count"]),
+    "target_history": ("target_history.csv",
+                       ["epoch", "train_loss", "valid_loss", "train_acc", "valid_acc"]),
+    "silhouette_samples": ("silhouette_samples.csv",
+                           ["method", "clusters", "cluster", "value"]),
+}
+
+
+def write_plot_tables(out_dir, plot: dict) -> list[str]:
+    """Write each plot payload in `plot` as its table; returns the paths."""
+    written = []
+    for key, rows in plot.items():
+        name, header = PLOT_TABLES[key]
+        path = os.path.join(out_dir, name)
+        _write_rows(path, header, rows)
+        written.append(path)
+    return written
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -364,18 +377,8 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
                 long_rows)
     written.append(path)
 
-    for name, header, rows in (
-        ("generator_components.csv", ["component", "count"],
-         report.plot.get("component_counts", [])),
-        ("target_history.csv",
-         ["epoch", "train_loss", "valid_loss", "train_acc", "valid_acc"],
-         report.plot.get("target_history", [])),
-        ("silhouette_samples.csv", ["method", "clusters", "cluster", "value"],
-         report.plot.get("silhouette_samples", [])),
-    ):
-        path = os.path.join(out_dir, name)
-        _write_rows(path, header, rows)
-        written.append(path)
+    written += write_plot_tables(
+        out_dir, {key: report.plot.get(key, []) for key in PLOT_TABLES})
 
     manifest_path = os.path.join(out_dir, "manifest.json")
     with open(manifest_path, "w", encoding="utf-8") as fh:
@@ -464,9 +467,8 @@ def prepare_source(cfg: ExperimentConfig) -> PreparedSource:
     else:
         schema = load_schema_file(cfg.schema_path) if cfg.schema_path else None
         if schema is None:
-            import csv as _csv
             with open(cfg.input_path, "r", encoding="utf-8", newline="") as fh:
-                header = next(_csv.reader(fh))
+                header = next(csv.reader(fh))
             schema = [ColumnSchema(h.strip()) for h in header]
         loaded = load_csv(cfg.input_path, schema)
         original = extract_target(loaded, cfg.input_target)
@@ -497,6 +499,65 @@ def draw_samples(generator: GmmModel, src: PreparedSource, n: int, label: str,
     return scaler_transform(src.scaler, back, "forward"), comp
 
 
+@dataclass
+class LabeledPool:
+    """The synthetic working pool and the reserve, labeled by the target
+    generator."""
+
+    x_synth: np.ndarray
+    y_synth: np.ndarray
+    x_reserve: np.ndarray
+    y_reserve: np.ndarray
+    components: np.ndarray         # mixture component of each pool row
+    history: list[tuple]           # target generator, one row per epoch
+
+    def plot_rows(self) -> dict:
+        """The pool's plot payloads, keyed as in PLOT_TABLES."""
+        ids, counts = np.unique(self.components, return_counts=True)
+        return {
+            "component_counts": [[int(c), int(n)] for c, n in zip(ids, counts)],
+            "target_history": [[i + 1] + [float(v) for v in row]
+                               for i, row in enumerate(self.history)],
+        }
+
+
+def label_pool(cfg: ExperimentConfig, src: PreparedSource,
+               generator: GmmModel) -> LabeledPool:
+    """Steps 3-4: sample the pool and the reserve, then label both with an
+    MLP (the target generator) trained on the clean source."""
+    master = cfg.master_seed
+    x_synth, components = draw_samples(generator, src, cfg.synth_n, "synth", master)
+    x_reserve, _ = draw_samples(generator, src, cfg.reserve_n, "reserve", master)
+    train_idx, valid_idx = split_indices(src.x_orig.shape[0], [0.8, 0.2],
+                                         child_seed(master, "gensplit"))
+    target_gen = train_mlp(
+        from_matrix(src.x_orig[train_idx], src.y_orig[train_idx]),
+        from_matrix(src.x_orig[valid_idx], src.y_orig[valid_idx]),
+        MlpSpec(hidden_layers=list(cfg.classifier_hidden),
+                dropout_rate=cfg.classifier_dropout),
+        TrainConfig(max_epochs=cfg.generator_epochs,
+                    patience=cfg.generator_patience,
+                    batch_size=cfg.classifier_batch,
+                    learning_rate=cfg.classifier_lr,
+                    seed=child_seed(master, "target-gen")))
+    _, y_synth = predict_mlp(target_gen, x_synth)
+    _, y_reserve = predict_mlp(target_gen, x_reserve)
+    return LabeledPool(x_synth=x_synth, y_synth=y_synth.astype(np.float64),
+                       x_reserve=x_reserve, y_reserve=y_reserve.astype(np.float64),
+                       components=components, history=target_gen.training_history)
+
+
+def save_pool(out_dir, pool: LabeledPool, names: list[str]) -> dict[str, str]:
+    """Write the labeled pool and reserve as synthetic.csv and reserved.csv;
+    returns {file name: path}."""
+    paths = {}
+    for fname, x, y in (("synthetic.csv", pool.x_synth, pool.y_synth),
+                        ("reserved.csv", pool.x_reserve, pool.y_reserve)):
+        paths[fname] = os.path.join(out_dir, fname)
+        save_csv(paths[fname], np.column_stack([x, y]), names + ["label"])
+    return paths
+
+
 def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     cfg.validate()
     started = time.time()
@@ -512,33 +573,16 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 
     master = cfg.master_seed
 
-    # Steps 1-3: source data, scaling, mixture search, synthetic sampling.
+    # Steps 1-4: source data, scaling, mixture search, the labeled pool.
     src = prepare_source(cfg)
-    clean, scaler = src.clean, src.scaler
+    clean = src.clean
     x_orig, y_orig, names = src.x_orig, src.y_orig, src.names
     generator, gen_report, search_table = fit_generator(cfg, src)
     write_search_table(os.path.join(out_dir, "gmm_search.csv"), search_table)
 
-    x_synth, comp_synth = draw_samples(generator, src, cfg.synth_n, "synth", master)
-    x_reserve, _ = draw_samples(generator, src, cfg.reserve_n, "reserve", master)
-
-    # Step 4: target generator labels both synthetic sets.
-    gen_split = split_indices(clean.rows, [0.8, 0.2], child_seed(master, "gensplit"))
-    gen_train = from_matrix(x_orig[gen_split[0]], y_orig[gen_split[0]])
-    gen_valid = from_matrix(x_orig[gen_split[1]], y_orig[gen_split[1]])
-    target_gen = train_mlp(
-        gen_train, gen_valid,
-        MlpSpec(hidden_layers=list(cfg.classifier_hidden),
-                dropout_rate=cfg.classifier_dropout),
-        TrainConfig(max_epochs=cfg.generator_epochs,
-                    patience=cfg.generator_patience,
-                    batch_size=cfg.classifier_batch,
-                    learning_rate=cfg.classifier_lr,
-                    seed=child_seed(master, "target-gen")))
-    _, y_synth = predict_mlp(target_gen, x_synth)
-    _, y_reserve = predict_mlp(target_gen, x_reserve)
-    y_synth = y_synth.astype(np.float64)
-    y_reserve = y_reserve.astype(np.float64)
+    pool = label_pool(cfg, src, generator)
+    x_synth, y_synth = pool.x_synth, pool.y_synth
+    x_reserve, y_reserve = pool.x_reserve, pool.y_reserve
 
     # Rebalanced variant of the clean original subset.
     resample_spec = ResampleSpec(smote_k=cfg.smote_k, enn_k=cfg.enn_k,
@@ -553,15 +597,9 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         "original": 10 ** 9 + np.arange(clean.rows),
     }
 
-    persisted = {}
-    for fname, matrix, mnames in (
-        ("clean.csv", clean.features, names),
-        ("synthetic.csv", np.column_stack([x_synth, y_synth]), names + ["label"]),
-        ("reserved.csv", np.column_stack([x_reserve, y_reserve]), names + ["label"]),
-    ):
-        path = os.path.join(out_dir, fname)
-        save_csv(path, matrix, mnames)
-        persisted[fname] = path
+    persisted = {"clean.csv": os.path.join(out_dir, "clean.csv")}
+    save_csv(persisted["clean.csv"], clean.features, names)
+    persisted.update(save_pool(out_dir, pool, names))
 
     cells: list[dict] = []
     direct_cells: list[dict] = []
@@ -658,12 +696,12 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
             try:
                 km = fit_kmeans(data, k, child_seed(master, "cluster", method, k))
                 labels = assign_kmeans(km, data)
+                per_sample = silhouette_samples(data, labels)
                 clustering_rows.append({
                     "method": method, "clusters": k,
-                    "rand": rand_index(labels, comp_synth),
-                    "silhouette": silhouette_score(data, labels),
+                    "rand": rand_index(labels, pool.components),
+                    "silhouette": float(np.mean(per_sample)),
                 })
-                per_sample = silhouette_samples(data, labels)
                 for cluster_id in range(k):
                     for v in per_sample[labels == cluster_id]:
                         silhouette_rows.append([method, k, cluster_id, float(v)])
@@ -672,8 +710,6 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                                  "repetition": 0, "stage": "cluster",
                                  "error": f"{type(exc).__name__}: {exc}"})
 
-    comp_ids, comp_counts = np.unique(comp_synth, return_counts=True)
-    import scipy
     manifest = {
         "version": __version__,
         "numpy": np.__version__,
@@ -692,19 +728,12 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         "started_unix": started,
         "finished_unix": time.time(),
     }
-    history = [[i + 1] + [float(v) for v in row]
-               for i, row in enumerate(target_gen.training_history)]
     report = RunReport(
         manifest=manifest,
         cells=cells,
         direct_cells=direct_cells,
         clustering_rows=clustering_rows,
         failures=failures,
-        plot={
-            "component_counts": [[int(c), int(n)] for c, n in
-                                 zip(comp_ids, comp_counts)],
-            "target_history": history,
-            "silhouette_samples": silhouette_rows,
-        },
+        plot={**pool.plot_rows(), "silhouette_samples": silhouette_rows},
     )
     return report

@@ -153,6 +153,17 @@ def test_genfit_then_synth(tmp_path, capsys):
     assert sum(int(r.split(",")[1]) for r in counts[1:]) == 150
 
 
+def test_synth_artifacts_match_run(tmp_path):
+    staged, full = tmp_path / "staged", tmp_path / "full"
+    staged_cfg = str(write_cfg(tmp_path, staged, name="staged.cfg"))
+    assert main(["genfit", "--config", staged_cfg]) == 0
+    assert main(["synth", "--config", staged_cfg]) == 0
+    assert main(["run", "--config", str(write_cfg(tmp_path, full))]) == 0
+    for name in ("synthetic.csv", "reserved.csv", "target_history.csv",
+                 "generator_components.csv", "gmm_search.csv"):
+        assert (staged / name).read_bytes() == (full / name).read_bytes(), name
+
+
 def test_synth_without_genfit_artifacts(tmp_path, capsys):
     cfg = write_cfg(tmp_path, tmp_path / "empty-stage")
     assert main(["synth", "--config", str(cfg)]) == 1
@@ -190,6 +201,15 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unknown key" in err
+
+
+def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
+    out = tmp_path / "never"
+    cfg = write_cfg(tmp_path, out, extra="imputers = mean, mcie")
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'mcie'" in err
+    assert not out.exists()
 
 
 def test_cell_failures_exit_two(tmp_path, capsys):

@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from misslab.data import from_matrix, load_matrix_csv, mask_of
+from misslab.data import load_matrix_csv, mask_of
 from misslab.missingness import (
     MissingnessSpec,
     combine_recovered,
     induce_missingness,
-    induce_on_dataset,
-    missingness_summary,
     save_induced,
 )
 
@@ -141,16 +139,6 @@ def test_calibrated_schemes_hit_requested_degree():
         assert abs(realized - 0.3) < 0.02, scheme
 
 
-def test_induce_on_dataset_protects_separate_target():
-    feats = uniform_matrix(20, (100, 4))
-    target = (feats[:, 0] > 0.5).astype(float)
-    ds = from_matrix(feats, target=target)
-    out = induce_on_dataset(ds, MissingnessSpec("MCAR", 0.4), seed=21)
-    assert out.mask.shape == feats.shape
-    with pytest.raises(ValueError, match="protect"):
-        induce_on_dataset(ds, MissingnessSpec("MCAR", 0.4, protect_target=False), seed=21)
-
-
 # ---------------------------------------------------------------------------
 # Recovery combination
 # ---------------------------------------------------------------------------
@@ -196,33 +184,8 @@ def test_combine_rejects_shape_and_mask_disagreement():
 
 
 # ---------------------------------------------------------------------------
-# Summary and persistence
+# Persistence
 # ---------------------------------------------------------------------------
-
-def test_summary_238_of_1000_cells():
-    rng = np.random.default_rng(26)
-    x = rng.random((100, 10))
-    flat = np.zeros(1000, dtype=bool)
-    flat[rng.choice(1000, size=238, replace=False)] = True
-    holed = x.copy()
-    holed.ravel()[flat] = NAN
-    summary = missingness_summary(from_matrix(holed))
-    assert summary["overall"] == 0.238
-
-
-def test_summary_fully_observed_is_zero():
-    summary = missingness_summary(from_matrix(np.ones((4, 3))))
-    assert summary["overall"] == 0.0
-    assert (summary["per_column"] == 0.0).all()
-
-
-def test_summary_one_fully_masked_column():
-    x = np.ones((5, 4))
-    x[:, 2] = NAN
-    summary = missingness_summary(x)
-    assert summary["per_column"][2] == 1.0
-    assert summary["overall"] == 0.25
-
 
 def test_save_induced_round_trip(tmp_path):
     x = uniform_matrix(27, (30, 4))

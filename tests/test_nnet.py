@@ -9,10 +9,7 @@ from misslab.nnet import (
     MlpSpec,
     TrainConfig,
     gradient_check,
-    load_checkpoint,
     predict_mlp,
-    save_checkpoint,
-    save_history_csv,
     train_mlp,
 )
 
@@ -191,39 +188,3 @@ def test_predict_rejects_bad_input():
         predict_mlp(model, np.zeros((2, 9)))
     with pytest.raises(ValueError, match="fully observed"):
         predict_mlp(model, np.array([[1.0, np.nan, 0.0]]))
-
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-def test_checkpoint_round_trip_preserves_logits(tmp_path):
-    net = FeedForward([4, 7, 3, 1], output="sigmoid-binary", dropout_rate=0.2, seed=6)
-    x = np.random.default_rng(19).normal(size=(10, 4))
-    path = tmp_path / "net.npz"
-    save_checkpoint(path, net)
-    back = load_checkpoint(path)
-    assert back.layer_sizes == net.layer_sizes
-    assert np.array_equal(back.logits(x), net.logits(x))
-
-
-def test_checkpoint_version_is_enforced(tmp_path):
-    net = FeedForward([2, 2, 1], seed=7)
-    path = tmp_path / "net.npz"
-    save_checkpoint(path, net)
-    with np.load(path, allow_pickle=False) as data:
-        payload = {k: data[k] for k in data.files}
-    payload["version"] = np.array([999])
-    np.savez(path, **payload)
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(path)
-
-
-def test_history_csv_columns(tmp_path):
-    history = [(0.7, 0.8, 0.5, 0.4), (0.6, 0.7, 0.6, 0.5)]
-    path = tmp_path / "history.csv"
-    save_history_csv(path, history)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "epoch,train_loss,valid_loss,train_acc,valid_acc"
-    assert lines[1].startswith("1,")
-    assert len(lines) == 3

@@ -1,14 +1,19 @@
 """End-to-end runner tests at desk scale, plus config parsing."""
 
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from misslab.pipeline import (BASELINE_METHOD, EVAL_COLUMNS, ConfigError,
-                              ExperimentConfig, RunReport, builtin_source,
-                              emit_report, load_report_json, parse_config,
-                              prepare_source, run_pipeline, save_report_json)
+from misslab.pipeline import (_CONFIG_KEYS, BASELINE_METHOD, EVAL_COLUMNS,
+                              ConfigError, ExperimentConfig, LabeledPool,
+                              RunReport, builtin_source, emit_report,
+                              load_report_json, parse_config, prepare_source,
+                              run_pipeline, save_report_json, write_plot_tables)
+
+DOCS_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "config.md"
 
 ACCURACY_HEADER = ("method,missing_pct," + ",".join(EVAL_COLUMNS) + ","
                    + ",".join(f"{c}_std" for c in EVAL_COLUMNS))
@@ -43,6 +48,7 @@ def test_config_overrides(tmp_path):
         "imputers = mean, dae",
         "classifier.hidden = 16, 8",
         "mice.noise = false",
+        "mice.copies = 3",
         "synth.n = 50        # inline comment",
         "synth.reserve = 25",
         "seed = 42",
@@ -56,6 +62,7 @@ def test_config_overrides(tmp_path):
     assert cfg.imputers == ["mean", "dae"]
     assert cfg.classifier_hidden == [16, 8]
     assert cfg.mice_noise is False
+    assert cfg.copies == 3
     assert cfg.synth_n == 50
     assert cfg.reserve_n == 25
     assert cfg.master_seed == 42
@@ -112,6 +119,10 @@ def test_bool_values_parse_loosely(tmp_path):
     {"scheme": "mar", "mar_drivers": []},
     {"synth_n": 5},
     {"reserve_n": 9},
+    {"imputers": ["mean", "mcie"]},
+    {"gmm_kinds": ["spherical", "diagonl"]},
+    {"gmm_criterion": "aicc"},
+    {"scheme": "mcr"},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -121,6 +132,18 @@ def test_validate_rejects(overrides):
 
 def test_validate_accepts_mar_with_drivers():
     ExperimentConfig(scheme="mar", mar_drivers=[0, 1]).validate()
+
+
+def test_validate_accepts_imputer_names_in_any_case():
+    ExperimentConfig(imputers=["Mean", "KNN"]).validate()
+
+
+def test_docs_list_exactly_the_config_keys():
+    text = DOCS_CONFIG.read_text(encoding="utf-8")
+    keys_section = text.split("\n## Keys\n", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `([^`]+)` \|", keys_section, re.M))
+    documented |= set(re.findall(r"alias `([^`]+)`", keys_section))
+    assert documented == set(_CONFIG_KEYS)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +260,7 @@ def test_run_manifest_contents(desk_run):
     assert man["n_failures"] == 0
     assert man["clustering_degree"] == 0.3
     assert man["config"]["missing.degrees"] == repr(cfg.degrees)
+    assert set(man["config"]) == set(_CONFIG_KEYS)
     for path in man["artifacts"].values():
         assert os.path.exists(path)
 
@@ -293,6 +317,21 @@ def test_emit_report_missing_pct_is_degree_times_100(desk_run, tmp_path):
     emit_report(report, tmp_path)
     pcts = {row.split(",")[1] for row in read_lines(tmp_path / "accuracy.csv")[1:]}
     assert pcts == {"0.0", "10.0", "30.0"}
+
+
+def test_history_csv_columns(tmp_path):
+    pool = LabeledPool(x_synth=np.zeros((3, 2)), y_synth=np.zeros(3),
+                       x_reserve=np.zeros((1, 2)), y_reserve=np.zeros(1),
+                       components=np.array([1, 0, 1]),
+                       history=[(0.7, 0.8, 0.5, 0.4), (0.6, 0.7, 0.6, 0.5)])
+    write_plot_tables(tmp_path, pool.plot_rows())
+    assert read_lines(tmp_path / "target_history.csv") == [
+        "epoch,train_loss,valid_loss,train_acc,valid_acc",
+        "1,0.7,0.8,0.5,0.4",
+        "2,0.6,0.7,0.6,0.5",
+    ]
+    assert read_lines(tmp_path / "generator_components.csv") == [
+        "component,count", "0,1", "1,2"]
 
 
 def test_emit_report_refuses_empty():
