@@ -10,15 +10,14 @@ with recorded cell failures.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
 import numpy as np
 
-from .data import (ColumnSchema, from_matrix, load_matrix_csv, load_scaler,
-                   save_csv, save_scaler)
+from .data import (ColumnSchema, from_matrix, load_csv, load_scaler, save_csv,
+                   save_scaler)
 from .gmm import load_model, save_model, write_search_table
 from .imputers import METHODS, ImputerSpec, run_imputer, save_imputation
 from .metrics import regression_metrics_masked
@@ -31,11 +30,6 @@ from .pipeline import (ConfigError, PreparedSource, emit_report, fit_generator,
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CELL_FAILURES = 2
-
-
-def _csv_header(path) -> list[str]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return [h.strip() for h in next(csv.reader(fh))]
 
 
 def _ensure_dir(path) -> None:
@@ -83,7 +77,7 @@ def cmd_synth(args) -> int:
     scaler = load_scaler(os.path.join(out, "scaler.npz"))
     with open(os.path.join(out, "meta.json"), "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    clean = load_matrix_csv(os.path.join(out, "clean_scaled.csv"))
+    clean = load_csv(os.path.join(out, "clean_scaled.csv")).features
     x_orig, y_orig = clean[:, :-1], clean[:, -1]
     schema_w = [ColumnSchema(c["name"], c["kind"], c["lower"], c["upper"])
                 for c in meta["schema"]]
@@ -98,8 +92,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    matrix = load_matrix_csv(args.input)
-    names = _csv_header(args.input)
+    data = load_csv(args.input)
+    matrix, names = data.features, data.column_names()
     drivers = tuple(int(t) for t in args.drivers.split(",") if t.strip()) \
         if args.drivers else ()
     spec = MissingnessSpec(scheme=args.scheme, degree=args.degree,
@@ -112,8 +106,8 @@ def cmd_induce(args) -> int:
 
 
 def cmd_impute(args) -> int:
-    matrix = load_matrix_csv(args.input)
-    names = _csv_header(args.input)
+    data = load_csv(args.input)
+    matrix, names = data.features, data.column_names()
     spec = ImputerSpec(kind=args.method, knn_k=args.k, copies=args.copies,
                        sweeps=args.sweeps, noise=not args.no_noise,
                        max_sweeps=args.max_sweeps, ridge=args.ridge,
@@ -125,9 +119,9 @@ def cmd_impute(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    truth = load_matrix_csv(args.truth)
-    imputed = load_matrix_csv(args.imputed)
-    mask = load_matrix_csv(args.mask).astype(np.uint8)
+    truth = load_csv(args.truth).features
+    imputed = load_csv(args.imputed).features
+    mask = load_csv(args.mask).features.astype(np.uint8)
     metrics = regression_metrics_masked(truth, imputed, mask)
     text = json.dumps(metrics, indent=2)
     if args.out:

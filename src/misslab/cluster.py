@@ -8,6 +8,7 @@ import numpy as np
 
 from ._rng import rng_for
 from .data import validate_matrix
+from .neighbors import squared_distances
 
 MAX_LLOYD_ITERATIONS = 300
 
@@ -19,17 +20,6 @@ class KMeansModel:
     inertia: float
     # Inertia after each Lloyd update; non-increasing by construction.
     inertia_trace: list[float] = field(default_factory=list)
-
-
-def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, rows of x against rows of centers."""
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(centers * centers, axis=1)[None, :]
-        - 2.0 * (x @ centers.T)
-    )
-    # The expansion can go slightly negative for coincident points.
-    return np.maximum(d2, 0.0)
 
 
 def kmeans_plus_plus(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

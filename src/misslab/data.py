@@ -8,6 +8,7 @@ with 1 exactly where the data cell is missing and 0 where it is observed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,10 +146,11 @@ def extract_target(d: Dataset, name: str) -> Dataset:
 # CSV ingestion and persistence
 # ---------------------------------------------------------------------------
 
-def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
+def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
     """Load a UTF-8 comma-separated file against a declared schema.
 
-    The header row must match the schema names in order. Empty fields and
+    The header row must match the schema names in order; without a schema,
+    every header name becomes a plain continuous column. Empty fields and
     declared missing codes become missing cells; everything else must parse
     as a finite number.
     """
@@ -162,6 +164,8 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: file is empty, expected a header row") from None
+        if schema is None:
+            schema = [ColumnSchema(h.strip()) for h in header]
         names = [c.name for c in schema]
         if [h.strip() for h in header] != names:
             raise ValueError(
@@ -171,11 +175,11 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
             if len(rec) != len(schema):
                 raise ValueError(
                     f"{path}: row {i + 1} has {len(rec)} fields, expected {len(schema)}")
-            row = np.empty(len(schema))
-            for j, (cell, col) in enumerate(zip(rec, schema)):
+            row = []
+            for cell, col in zip(rec, schema):
                 cell = cell.strip()
                 if cell == "":
-                    row[j] = np.nan
+                    row.append(np.nan)
                     continue
                 try:
                     value = float(cell)
@@ -183,10 +187,10 @@ def load_csv(path, schema: list[ColumnSchema]) -> Dataset:
                     raise ValueError(
                         f"{path}: unparseable cell at row {i + 1}, "
                         f"column {col.name!r}: {cell!r}") from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ValueError(
                         f"{path}: non-finite cell at row {i + 1}, column {col.name!r}")
-                row[j] = np.nan if value in col.missing_codes else value
+                row.append(np.nan if value in col.missing_codes else value)
             rows.append(row)
     features = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
     return Dataset(features, mask_of(features), None, list(schema))
@@ -212,25 +216,6 @@ def save_mask_csv(path, mask: np.ndarray, names: list[str] | None = None) -> Non
         writer.writerow(names)
         for row in mask:
             writer.writerow([str(int(v)) for v in row])
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Read a headered CSV as a bare data matrix (empty field = missing)."""
-    try:
-        fh = open(path, "r", encoding="utf-8", newline="")
-    except FileNotFoundError:
-        raise FileNotFoundError(f"input file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = []
-        for i, rec in enumerate(reader):
-            row = []
-            for j, cell in enumerate(rec):
-                cell = cell.strip()
-                row.append(np.nan if cell == "" else float(cell))
-            rows.append(row)
-    return np.array(rows, dtype=np.float64).reshape(len(rows), len(header))
 
 
 # ---------------------------------------------------------------------------

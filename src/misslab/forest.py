@@ -1,9 +1,5 @@
-"""Random forests over CART trees grown with variance-reduction splits.
-
-Both modes grow the same regression trees on numeric targets; mode changes
-only how trees aggregate: regression averages leaf means, classification
-lets each tree vote (leaf mean >= 0.5) and takes the majority, ties to 1.
-"""
+"""Random forests over CART trees grown with variance-reduction splits;
+a forest predicts the mean of its trees' leaf means."""
 
 from __future__ import annotations
 
@@ -20,8 +16,7 @@ class ForestSpec:
     n_trees: int = 100
     max_depth: int | None = None        # None = grow until pure; 0 = stump
     min_samples_leaf: int = 1
-    feature_subsample: float | None = None   # None = sqrt(d) or d/3 by mode
-    mode: str = "regression"
+    feature_subsample: float | None = None   # None = d/3
     seed: int = 0
 
     def __post_init__(self):
@@ -29,8 +24,6 @@ class ForestSpec:
             raise ValueError("n_trees must be at least 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
-        if self.mode not in ("regression", "classification"):
-            raise ValueError("mode must be 'regression' or 'classification'")
 
 
 class _Tree:
@@ -160,8 +153,6 @@ def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> For
 
     if spec.feature_subsample is not None:
         m_feats = int(round(spec.feature_subsample * d))
-    elif spec.mode == "classification":
-        m_feats = int(round(np.sqrt(d)))
     else:
         m_feats = int(round(d / 3.0))
     m_feats = min(d, max(1, m_feats))
@@ -183,14 +174,11 @@ def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> For
 
 
 def predict_forest(model: ForestModel, data: np.ndarray) -> np.ndarray:
-    """Mean of tree outputs (regression) or majority vote (classification)."""
+    """Mean of the tree outputs."""
     x = validate_matrix(data)
     if np.isnan(x).any():
         raise ValueError("forest prediction requires fully observed data")
     if x.shape[0] == 0:
         return np.empty(0)
     per_tree = np.stack([tree.predict(x) for tree in model.trees])
-    if model.spec.mode == "classification":
-        votes = (per_tree >= 0.5).mean(axis=0)
-        return (votes >= 0.5).astype(np.float64)
     return per_tree.mean(axis=0)

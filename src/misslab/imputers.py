@@ -17,6 +17,7 @@ from ._rng import child_seed, rng_for
 from .data import mask_of, save_csv, validate_matrix
 from .forest import ForestSpec, predict_forest, train_forest
 from .missingness import combine_recovered
+from .neighbors import CHUNK, nearest, partial_distances
 from .nnet import FeedForward
 
 METHODS = ("mean", "knn", "mice", "missforest", "dae")
@@ -73,28 +74,6 @@ def impute_mean(holed: np.ndarray, names: list[str] | None = None) -> Imputation
 # KNN with partial distances
 # ---------------------------------------------------------------------------
 
-def _partial_distances(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distances from `rows` to every row over mutually observed coordinates.
-
-    dist(i, j) = sqrt( d / n_shared * sum_shared (x_i - x_j)^2 ), infinite
-    when the rows share no observed coordinate, and to itself.
-    """
-    d = x.shape[1]
-    observed = (~np.isnan(x)).astype(np.float64)
-    x0 = np.where(np.isnan(x), 0.0, x)
-    sq = x0 * x0
-    a = sq[rows] @ observed.T
-    b = observed[rows] @ sq.T
-    g = x0[rows] @ x0.T
-    shared = observed[rows] @ observed.T
-    raw = np.maximum(a + b - 2.0 * g, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(shared > 0, raw * (d / np.maximum(shared, 1.0)), np.inf)
-    dist = np.sqrt(scaled)
-    dist[np.arange(rows.size), rows] = np.inf
-    return dist
-
-
 def impute_knn(holed: np.ndarray, k: int = 5,
                names: list[str] | None = None) -> ImputationResult:
     """Fill each missing cell with the mean of that column over the k nearest
@@ -110,26 +89,26 @@ def impute_knn(holed: np.ndarray, k: int = 5,
     out = x.copy()
     missing = np.isnan(x)
     need_rows = np.flatnonzero(missing.any(axis=1))
-    if need_rows.size == 0:
-        return ImputationResult("knn", [out],
-                                [{"sweeps_run": 0, "convergence_trace": []}])
-    dist = _partial_distances(x, need_rows)
-    observed = ~missing
-    for pos, i in enumerate(need_rows):
-        for j in np.flatnonzero(missing[i]):
-            candidates = np.flatnonzero(observed[:, j])
-            if candidates.size == 0:
-                out[i, j] = means[j]
+    donors = [np.flatnonzero(~missing[:, j]) for j in range(x.shape[1])]
+    for start in range(0, need_rows.size, CHUNK):
+        rows = need_rows[start:start + CHUNK]
+        dist = partial_distances(x, rows)
+        for j, cand in enumerate(donors):
+            takers = np.flatnonzero(missing[rows, j])
+            if takers.size == 0:
                 continue
-            cd = dist[pos, candidates]
-            finite = np.isfinite(cd)
-            if not finite.any():
-                out[i, j] = means[j]
-                continue
-            candidates = candidates[finite]
-            cd = cd[finite]
-            order = np.argsort(cd, kind="stable")[:k]
-            out[i, j] = float(np.mean(x[candidates[order], j]))
+            cd = dist[np.ix_(takers, cand)]
+            order = nearest(cd, k)
+            # Infinite distances sort last, so finite neighbours come first.
+            # Averaging rows in groups of equal count m keeps the summation
+            # order of a one-cell np.mean; rows with m = 0 keep the column mean.
+            finite = np.isfinite(np.take_along_axis(cd, order, axis=1)).sum(axis=1)
+            values = x[cand[order], j]
+            filled = np.full(takers.size, means[j])
+            for m in np.unique(finite[finite > 0]):
+                hit = finite == m
+                filled[hit] = np.mean(values[hit, :m], axis=1)
+            out[rows[takers], j] = filled
     return ImputationResult("knn", [out],
                             [{"sweeps_run": 0, "convergence_trace": []}])
 
@@ -212,8 +191,7 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
     over the previous sweep; the state before the worsening sweep is
     returned. max_sweeps = 0 leaves the column-mean initialization.
     """
-    forest = forest or ForestSpec(n_trees=20, max_depth=8, min_samples_leaf=5,
-                                  mode="regression")
+    forest = forest or ForestSpec(n_trees=20, max_depth=8, min_samples_leaf=5)
     x = validate_matrix(holed)
     missing = np.isnan(x)
     current = _mean_filled(x, names)
@@ -228,8 +206,7 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
                 obs_rows = ~missing[:, j]
                 others = np.delete(np.arange(x.shape[1]), j)
                 spec = dataclasses.replace(
-                    forest, mode="regression",
-                    seed=child_seed(seed, "missforest", sweep, int(j)))
+                    forest, seed=child_seed(seed, "missforest", sweep, int(j)))
                 model = train_forest(current[obs_rows][:, others],
                                      x[obs_rows, j], spec)
                 current[np.ix_(~obs_rows, [j])] = predict_forest(

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import validate_matrix
+from .neighbors import CHUNK, squared_distances
 
 LOG_LOSS_EPS = 1e-15
 MAPE_GUARD = 1e-8
-_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -94,15 +94,6 @@ def regression_metrics_masked(truth: np.ndarray, imputed: np.ndarray,
             "n_cells": int(y.size), "n_guarded": n_guarded}
 
 
-def _pairwise_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d2 = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    return np.sqrt(np.maximum(d2, 0.0))
-
-
 def silhouette_samples(data: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Per-sample (b - a) / max(a, b) with Euclidean distances.
 
@@ -125,9 +116,9 @@ def silhouette_samples(data: np.ndarray, labels: np.ndarray) -> np.ndarray:
     onehot[np.arange(n), dense] = 1.0
 
     scores = np.empty(n)
-    for start in range(0, n, _CHUNK):
-        rows = slice(start, min(start + _CHUNK, n))
-        dist = _pairwise_distances(x[rows], x)         # (chunk, n)
+    for start in range(0, n, CHUNK):
+        rows = slice(start, min(start + CHUNK, n))
+        dist = np.sqrt(squared_distances(x[rows], x))  # (chunk, n)
         cluster_sums = dist @ onehot                   # (chunk, k)
         own = dense[rows]
         own_count = counts[own]

@@ -137,6 +137,12 @@ class ExperimentConfig:
             raise ConfigError("missing.scheme=mar requires missing.mar_drivers")
         if self.synth_n < 10 or self.reserve_n < 10:
             raise ConfigError("synth.n and synth.reserve must each be at least 10")
+        if self.knn_k < 1:
+            raise ConfigError("knn.k must be at least 1")
+        if self.copies < 1:
+            raise ConfigError("copies must be at least 1")
+        if any(not 2 <= k <= self.synth_n for k in self.clusters):
+            raise ConfigError(f"clusters must each lie in [2, synth.n={self.synth_n}]")
 
 
 def _check_names(key: str, names: list[str], known: tuple) -> None:
@@ -428,8 +434,7 @@ def _imputer_spec(cfg: ExperimentConfig, method: str, seed: int) -> ImputerSpec:
         max_sweeps=cfg.missforest_max_sweeps,
         forest=ForestSpec(n_trees=cfg.missforest_trees,
                           max_depth=cfg.missforest_max_depth,
-                          min_samples_leaf=cfg.missforest_min_leaf,
-                          mode="regression"),
+                          min_samples_leaf=cfg.missforest_min_leaf),
         dae=DaeSpec(corruption_rate=cfg.dae_corruption, epochs=cfg.dae_epochs,
                     batch_size=cfg.dae_batch, learning_rate=cfg.dae_lr,
                     patience=cfg.dae_patience),
@@ -466,10 +471,6 @@ def prepare_source(cfg: ExperimentConfig) -> PreparedSource:
                                      cfg.builtin_components, cfg.master_seed)
     else:
         schema = load_schema_file(cfg.schema_path) if cfg.schema_path else None
-        if schema is None:
-            with open(cfg.input_path, "r", encoding="utf-8", newline="") as fh:
-                header = next(csv.reader(fh))
-            schema = [ColumnSchema(h.strip()) for h in header]
         loaded = load_csv(cfg.input_path, schema)
         original = extract_target(loaded, cfg.input_target)
     clean = drop_incomplete_rows(original)

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .cluster import squared_distances
 from .data import Dataset, from_matrix
+from .neighbors import kneighbors
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,8 @@ def smote_oversample(d: Dataset, spec: ResampleSpec) -> Dataset:
 
     x_min = d.features[minority]
     k_eff = min(spec.smote_k, minority.size - 1)
-    d2 = squared_distances(x_min, x_min)
-    np.fill_diagonal(d2, np.inf)
     # k_eff nearest minority neighbors per minority point, ties by index.
-    neighbor_idx = np.argsort(d2, axis=1, kind="stable")[:, :k_eff]
+    neighbor_idx = kneighbors(x_min, k_eff)
 
     rng = rng_for(spec.seed, "smote")
     bases = rng.integers(0, minority.size, size=needed)
@@ -82,9 +80,7 @@ def enn_undersample(d: Dataset, spec: ResampleSpec) -> Dataset:
     n = d.rows
     if n < spec.enn_k + 1:
         raise ValueError(f"need more than enn_k={spec.enn_k} samples, have {n}")
-    d2 = squared_distances(d.features, d.features)
-    np.fill_diagonal(d2, np.inf)
-    neighbor_idx = np.argsort(d2, axis=1, kind="stable")[:, :spec.enn_k]
+    neighbor_idx = kneighbors(d.features, spec.enn_k)
     disagree = (d.target[neighbor_idx] != d.target[:, None]).sum(axis=1)
     # Strict majority of neighbors disagreeing removes the sample.
     keep = disagree <= spec.enn_k / 2.0

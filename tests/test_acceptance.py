@@ -225,7 +225,7 @@ def test_criterion_06_observed_preservation(acceptance_log):
                     kind=method, knn_k=3, copies=2, sweeps=3, noise=True,
                     max_sweeps=1,
                     forest=ForestSpec(n_trees=5, max_depth=4,
-                                      min_samples_leaf=2, mode="regression"),
+                                      min_samples_leaf=2),
                     dae=DaeSpec(epochs=25, patience=25, batch_size=8,
                                 learning_rate=0.05),
                     seed=child_seed(6, method, t))
@@ -294,7 +294,7 @@ def test_criterion_08_trend_reproduction(acceptance_log):
                     filled20["missforest"] = pool_copies(impute_missforest(
                         induced.holed, max_sweeps=2,
                         forest=ForestSpec(n_trees=10, max_depth=7,
-                                          min_samples_leaf=5, mode="regression"),
+                                          min_samples_leaf=5),
                         seed=child_seed(8, "impute", "missforest", s)))
                     filled20["dae"] = pool_copies(impute_dae(
                         induced.holed,
@@ -381,8 +381,7 @@ def test_criterion_10_clustering_sanity(acceptance_log):
                                             noise=True, seed=child_seed(10, "mice"))),
             "missforest": pool_copies(impute_missforest(
                 induced.holed, max_sweeps=1,
-                forest=ForestSpec(n_trees=8, max_depth=6, min_samples_leaf=5,
-                                  mode="regression"),
+                forest=ForestSpec(n_trees=8, max_depth=6, min_samples_leaf=5),
                 seed=child_seed(10, "missforest"))),
             "dae": pool_copies(impute_dae(induced.holed,
                                           DaeSpec(epochs=80, patience=20),

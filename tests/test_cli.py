@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from misslab.cli import main
-from misslab.data import load_matrix_csv, save_csv
+from misslab.data import load_csv, save_csv
 from misslab._rng import rng_for
 
 
@@ -61,8 +61,8 @@ def test_induce_impute_evaluate_round_trip(tmp_path, capsys):
                  "--scheme", "mcar", "--degree", "0.3", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "masked" in out and f"{stem}.holed.csv" in out
-    holed = load_matrix_csv(f"{stem}.holed.csv")
-    mask = load_matrix_csv(f"{stem}.mask.csv")
+    holed = load_csv(f"{stem}.holed.csv").features
+    mask = load_csv(f"{stem}.mask.csv").features
     assert set(np.unique(mask)) <= {0.0, 1.0}
     assert np.array_equal(np.isnan(holed), mask == 1.0)
     assert np.array_equal(holed[mask == 0.0], matrix[mask == 0.0])
@@ -73,7 +73,7 @@ def test_induce_impute_evaluate_round_trip(tmp_path, capsys):
     imputed_path = f"{istem}.imputed.mean.0.csv"
     assert os.path.exists(imputed_path)
     assert os.path.exists(f"{istem}.imputed.mean.diagnostics.json")
-    imputed = load_matrix_csv(imputed_path)
+    imputed = load_csv(imputed_path).features
     assert not np.isnan(imputed).any()
     assert np.array_equal(imputed[mask == 0.0], matrix[mask == 0.0])
 
@@ -95,7 +95,7 @@ def test_induce_mar_skips_driver_column(tmp_path):
     assert main(["induce", "--input", str(data_path), "--out", stem,
                  "--scheme", "mar", "--degree", "0.2", "--seed", "2",
                  "--drivers", "0"]) == 0
-    mask = load_matrix_csv(f"{stem}.mask.csv")
+    mask = load_csv(f"{stem}.mask.csv").features
     assert mask[:, 0].sum() == 0.0
     assert mask[:, 1:].sum() > 0.0
 
@@ -120,6 +120,20 @@ def test_evaluate_missing_input_is_validation_error(tmp_path, capsys):
                  "--mask", str(tmp_path / "nope.csv")])
     assert code == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("text, where", [
+    ("c0,c1,c2\n1,2,3\n4,5\n", "row 2 has 2 fields, expected 3"),
+    ("c0,c1,c2\n1,2,3\n4,x,6\n", "row 2, column 'c1'"),
+    ("", "file is empty"),
+], ids=["ragged-row", "text-cell", "empty-file"])
+def test_induce_bad_csv_exits_one_naming_the_place(tmp_path, capsys, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    assert main(["induce", "--input", str(path), "--out", str(tmp_path / "h"),
+                 "--degree", "0.2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and where in err
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +226,26 @@ def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cell_failures_exit_two(tmp_path, capsys):
-    # More clusters than synthetic rows: every clustering cell fails, the
-    # classification grid still completes, and the run reports partial results.
+@pytest.mark.parametrize("extra", ["knn.k = 0", "copies = 0", "clusters = 1",
+                                   "clusters = 2, 500"])
+def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
+    out = tmp_path / "never"
+    cfg = write_cfg(tmp_path, out, extra=extra)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and extra.split(" =")[0] in err
+    assert not out.exists()
+
+
+def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
+    # Every clustering cell fails, the classification grid still completes,
+    # and the run reports partial results.
+    def broken_kmeans(*args, **kwargs):
+        raise ValueError("injected k-means fault")
+
+    monkeypatch.setattr("misslab.pipeline.fit_kmeans", broken_kmeans)
     out = tmp_path / "partial"
-    cfg = write_cfg(tmp_path, out, extra="clusters = 500")
+    cfg = write_cfg(tmp_path, out)
     assert main(["run", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert "FAILED" in captured.err and "[cluster]" in captured.err

@@ -14,7 +14,6 @@ from misslab.data import (
     fit_minmax,
     from_matrix,
     load_csv,
-    load_matrix_csv,
     load_scaler,
     mask_of,
     save_csv,
@@ -143,6 +142,14 @@ def test_load_csv_header_mismatch(tmp_path):
         load_csv(p, [ColumnSchema("a")])
 
 
+def test_load_csv_without_schema_takes_continuous_columns_from_header(tmp_path):
+    p = write(tmp_path / "t.csv", "a, b\n1,\n3,4\n")
+    d = load_csv(p)
+    assert d.column_names() == ["a", "b"]
+    assert all(c.kind == "continuous" for c in d.schema)
+    assert d.mask.tolist() == [[0, 1], [0, 0]]
+
+
 def test_load_csv_unparseable_cell_reports_row_and_column(tmp_path):
     p = write(tmp_path / "t.csv", "a,b\n1,2\n1,zap\n")
     with pytest.raises(ValueError, match="row 2.*'b'"):
@@ -164,7 +171,7 @@ def test_mask_csv_round_trip(tmp_path):
     mask = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     p = tmp_path / "m.mask.csv"
     save_mask_csv(p, mask)
-    back = load_matrix_csv(p)
+    back = load_csv(p).features
     assert np.array_equal(back.astype(np.uint8), mask)
 
 

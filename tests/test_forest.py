@@ -11,8 +11,6 @@ def test_spec_validation():
         ForestSpec(n_trees=0)
     with pytest.raises(ValueError, match="min_samples_leaf"):
         ForestSpec(min_samples_leaf=0)
-    with pytest.raises(ValueError, match="mode"):
-        ForestSpec(mode="ranking")
 
 
 def test_constant_targets_predict_that_constant():
@@ -64,30 +62,6 @@ def test_fixed_seed_identical_predictions():
     other = ForestSpec(n_trees=20, max_depth=8, seed=8)
     c = predict_forest(train_forest(x, y, other), x)
     assert not np.array_equal(a, c)
-
-
-def test_classification_separable_blobs():
-    rng = np.random.default_rng(5)
-    x = np.vstack([rng.normal(-3.0, 0.5, size=(100, 2)),
-                   rng.normal(3.0, 0.5, size=(100, 2))])
-    y = np.concatenate([np.zeros(100), np.ones(100)])
-    spec = ForestSpec(n_trees=15, max_depth=6, mode="classification", seed=5)
-    model = train_forest(x, y, spec)
-    pred = predict_forest(model, x)
-    assert np.array_equal(pred, y)
-    assert pred.dtype.kind in "fi"
-
-
-def test_classification_vote_ties_go_to_one():
-    # A depth-0 stump votes via its leaf mean; an exact 0.5 mean must land on 1.
-    x = np.zeros((4, 2))
-    y = np.array([0.0, 0.0, 1.0, 1.0])
-    spec = ForestSpec(n_trees=1, max_depth=0, mode="classification", seed=6)
-    model = train_forest(x, y, spec)
-    assert (predict_forest(model, x) == 1.0).all()
-    below = np.array([0.0, 0.0, 0.0, 1.0])
-    model = train_forest(x, below, spec)
-    assert (predict_forest(model, x) == 0.0).all()
 
 
 def test_empty_data_and_mismatched_targets_error():

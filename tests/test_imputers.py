@@ -120,6 +120,22 @@ def test_knn_matches_brute_force_oracle_exactly():
         assert np.array_equal(got, want), f"trial {trial}"
 
 
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_knn_across_chunk_boundaries_matches_brute_force(monkeypatch, k):
+    # Three rows per distance slab, so every matrix spans several slabs;
+    # integer values tie many distances, and heavy masking leaves rows
+    # with no comparable neighbour.
+    monkeypatch.setattr("misslab.imputers.CHUNK", 3)
+    rng = np.random.default_rng(k)
+    for trial in range(20):
+        x = rng.integers(0, 3, size=(17, 4)).astype(np.float64)
+        holed = x.copy()
+        holed[rng.random(x.shape) < 0.45] = NAN
+        holed[0] = x[0]                # keep every column observed somewhere
+        got = impute_knn(holed, k=k).copies[0]
+        assert np.array_equal(got, brute_force_knn(holed, k=k)), f"trial {trial}"
+
+
 def test_knn_identity_on_fully_observed():
     x = np.random.default_rng(2).random((8, 3))
     assert np.array_equal(impute_knn(x, k=2).copies[0], x)

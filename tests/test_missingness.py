@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from misslab.data import load_matrix_csv, mask_of
+from misslab.data import load_csv, mask_of
 from misslab.missingness import (
     MissingnessSpec,
     combine_recovered,
@@ -192,7 +192,7 @@ def test_save_induced_round_trip(tmp_path):
     induced = induce_missingness(x, MissingnessSpec("MCAR", 0.3), seed=28)
     holed_path, mask_path = save_induced(str(tmp_path / "exp"), induced)
     assert holed_path.endswith(".holed.csv") and mask_path.endswith(".mask.csv")
-    holed = load_matrix_csv(holed_path)
-    mask = load_matrix_csv(mask_path).astype(np.uint8)
+    holed = load_csv(holed_path).features
+    mask = load_csv(mask_path).features.astype(np.uint8)
     assert np.array_equal(mask_of(holed), induced.mask)
     assert np.array_equal(mask, induced.mask)

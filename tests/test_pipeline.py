@@ -123,6 +123,10 @@ def test_bool_values_parse_loosely(tmp_path):
     {"gmm_kinds": ["spherical", "diagonl"]},
     {"gmm_criterion": "aicc"},
     {"scheme": "mcr"},
+    {"knn_k": 0},
+    {"copies": 0},
+    {"clusters": [1, 2]},
+    {"synth_n": 150, "clusters": [2, 151]},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -367,13 +371,16 @@ def test_report_json_round_trip(desk_run, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
-def test_failed_cells_recorded_not_fatal(tmp_path):
+def test_failed_cells_recorded_not_fatal(tmp_path, monkeypatch):
+    def broken_imputer(*args, **kwargs):
+        raise ValueError("injected imputer fault")
+
+    monkeypatch.setattr("misslab.pipeline.run_imputer", broken_imputer)
     cfg = desk_config(tmp_path / "broken")
     cfg.imputers = ["knn"]
     cfg.degrees = [0.2]
     cfg.repetitions = 1
-    cfg.knn_k = 0                      # invalid: every imputer cell fails
-    report = run_pipeline(cfg)
+    report = run_pipeline(cfg)         # every imputer cell fails
     assert [c["method"] for c in report.cells] == [BASELINE_METHOD]
     stages = {f["stage"] for f in report.failures}
     assert stages == {"impute+classify", "cluster"}
