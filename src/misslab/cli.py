@@ -32,13 +32,9 @@ EXIT_VALIDATION = 1
 EXIT_CELL_FAILURES = 2
 
 
-def _ensure_dir(path) -> None:
-    os.makedirs(path, exist_ok=True)
-
-
 def cmd_genfit(args) -> int:
     cfg = parse_config(args.config)
-    _ensure_dir(cfg.output_dir)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     src = prepare_source(cfg)
     generator, report, table = fit_generator(cfg, src)
     write_search_table(os.path.join(cfg.output_dir, "gmm_search.csv"), table)

@@ -42,10 +42,6 @@ class ColumnSchema:
         object.__setattr__(self, "missing_codes", frozenset(self.missing_codes))
 
 
-def binary_column(name: str) -> ColumnSchema:
-    return ColumnSchema(name, "binary", 0.0, 1.0)
-
-
 def validate_matrix(m: np.ndarray) -> np.ndarray:
     """Coerce to a 2-D float64 matrix; values must be finite or nan."""
     m = np.asarray(m, dtype=np.float64)
@@ -194,6 +190,39 @@ def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
             rows.append(row)
     features = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
     return Dataset(features, mask_of(features), None, list(schema))
+
+
+def load_schema_file(path) -> list[ColumnSchema]:
+    """Schema CSV: name,kind,lower,upper,missing_codes ('|'-separated).
+
+    A bad file raises ValueError naming the file, the row (counting data
+    rows from 1) and the column.
+    """
+    schema = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if "name" not in (reader.fieldnames or []):
+            raise ValueError(f"{path}: schema header has no 'name' column, "
+                             f"found {reader.fieldnames}")
+        for i, row in enumerate(reader, start=1):
+            lower = _schema_number(path, i, "lower", row.get("lower") or "-inf")
+            upper = _schema_number(path, i, "upper", row.get("upper") or "inf")
+            codes = [_schema_number(path, i, "missing_codes", c)
+                     for c in (row.get("missing_codes") or "").split("|") if c]
+            try:
+                schema.append(ColumnSchema(row["name"] or "", row.get("kind") or "continuous",
+                                           lower, upper, frozenset(codes)))
+            except ValueError as exc:      # names the column already
+                raise ValueError(f"{path}: row {i}: {exc}") from None
+    return schema
+
+
+def _schema_number(path, row: int, column: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{path}: unparseable number at row {row}, "
+                         f"column {column!r}: {text!r}") from None
 
 
 def save_csv(path, matrix: np.ndarray, names: list[str] | None = None) -> None:

@@ -234,7 +234,6 @@ class DaeSpec:
     batch_size: int = 64
     learning_rate: float = 0.01
     patience: int = 20
-    holdout_fraction: float = 0.1
 
     def __post_init__(self):
         if not 0.0 < self.corruption_rate < 1.0:
@@ -270,7 +269,7 @@ def impute_dae(holed: np.ndarray, spec: DaeSpec | None = None,
                                 [{"sweeps_run": 0, "convergence_trace": []}])
 
     hold_rng = rng_for(seed, "dae", "holdout")
-    holdout = (hold_rng.random((n, d)) < spec.holdout_fraction) & observed
+    holdout = (hold_rng.random((n, d)) < 0.1) & observed
     if not holdout.any():
         first = np.argwhere(observed)[0]
         holdout[first[0], first[1]] = True

@@ -94,6 +94,14 @@ def _calibrated_probs(z: np.ndarray, degree: float) -> np.ndarray:
     return expit(z + b)
 
 
+def check_drivers(drivers: list[int], d: int) -> None:
+    """Raise ValueError unless MAR can mask a d-column table with `drivers`."""
+    if any(j < 0 or j >= d for j in drivers):
+        raise ValueError(f"driver column out of range for {d} columns: {drivers}")
+    if len(drivers) >= d:
+        raise ValueError("MAR needs at least one non-driver column to mask")
+
+
 def induce_missingness(truth: np.ndarray, spec: MissingnessSpec, seed: int) -> InducedDataset:
     """Mask cells of a fully observed matrix under the given scheme and degree."""
     x = validate_matrix(truth)
@@ -107,10 +115,7 @@ def induce_missingness(truth: np.ndarray, spec: MissingnessSpec, seed: int) -> I
         mask = (draws < spec.degree).astype(np.uint8)
     elif spec.scheme == "MAR":
         drivers = list(spec.mar_drivers)
-        if any(j < 0 or j >= d for j in drivers):
-            raise ValueError(f"driver column out of range for {d} columns: {drivers}")
-        if len(drivers) >= d:
-            raise ValueError("MAR needs at least one non-driver column to mask")
+        check_drivers(drivers, d)
         score = np.mean([_standardize(x[:, j]) for j in drivers], axis=0)
         p_row = _calibrated_probs(score, spec.degree)
         mask = (draws < p_row[:, None]).astype(np.uint8)

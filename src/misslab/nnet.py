@@ -22,18 +22,12 @@ from .data import Dataset, validate_matrix
 class MlpSpec:
     hidden_layers: list[int] = field(default_factory=lambda: [20, 20])
     dropout_rate: float = 0.2
-    activation: str = "relu"
-    output: str = "sigmoid-binary"
 
     def __post_init__(self):
         if any(w <= 0 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be positive")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.activation != "relu":
-            raise ValueError("only relu hidden activations are supported")
-        if self.output not in ("sigmoid-binary", "linear"):
-            raise ValueError("output must be 'sigmoid-binary' or 'linear'")
 
 
 @dataclass
@@ -42,7 +36,6 @@ class TrainConfig:
     batch_size: int = 64
     learning_rate: float = 0.01
     patience: int = 20
-    checkpoint_best: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -230,8 +223,8 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
     """Binary classifier trained with early stopping on validation loss.
 
     Stops once validation loss has failed to improve for `patience`
-    consecutive epochs; with checkpoint_best the returned weights are those
-    of the best validation epoch.
+    consecutive epochs; the returned weights are those of the best
+    validation epoch.
     """
     spec = spec or MlpSpec()
     cfg = cfg or TrainConfig()
@@ -274,8 +267,7 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
             since_best += 1
             if since_best >= cfg.patience:
                 break
-    if cfg.checkpoint_best:
-        net.restore(best_snap)
+    net.restore(best_snap)
     return model
 
 

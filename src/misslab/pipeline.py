@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import time
+import traceback
 import typing
 from dataclasses import dataclass, field
 
@@ -24,8 +25,8 @@ from . import __version__
 from ._rng import child_seed, rng_for
 from .cluster import assign_kmeans, fit_kmeans
 from .data import (ColumnSchema, Dataset, drop_incomplete_rows, extract_target,
-                   fit_minmax, from_matrix, load_csv, save_csv, scaler_transform,
-                   split_indices, conform_to_schema)
+                   fit_minmax, from_matrix, load_csv, load_schema_file, save_csv,
+                   scaler_transform, split_indices, conform_to_schema)
 from .forest import ForestSpec
 from .gmm import (COVARIANCE_KINDS, GmmConfig, GmmModel, sample, select_generator,
                   write_search_table)
@@ -33,8 +34,8 @@ from .imputers import METHODS, DaeSpec, ImputerSpec, pool_copies, run_imputer
 from .metrics import (classification_metrics, regression_metrics_masked,
                       silhouette_samples, rand_index)
 from .metrics import silhouette_score  # noqa: F401 - perfbench/tracer.py wraps it
-from .missingness import SCHEMES, MissingnessSpec, induce_missingness
-from .nnet import MlpSpec, TrainConfig, predict_mlp, train_mlp
+from .missingness import SCHEMES, MissingnessSpec, check_drivers, induce_missingness
+from .nnet import MlpModel, MlpSpec, TrainConfig, predict_mlp, train_mlp
 from .resampling import ResampleSpec, smote_enn
 
 EVAL_COLUMNS = ("training", "validation", "synthetic", "testing", "original",
@@ -111,7 +112,10 @@ class ExperimentConfig:
     master_seed: int = _key("seed", 0)
     output_dir: str = _key("output", "run-output")
 
-    def validate(self) -> None:
+    def validate(self, columns: int | None = None) -> None:
+        """Raise ConfigError naming the first bad key. `columns` is the source
+        table's width, which a csv input knows only once read; the MAR
+        drivers are checked against it (builtin: builtin.features)."""
         if self.input_kind not in ("builtin", "csv"):
             raise ConfigError(f"input.kind must be builtin or csv, got {self.input_kind!r}")
         if self.input_kind == "csv" and not self.input_path:
@@ -143,6 +147,17 @@ class ExperimentConfig:
             raise ConfigError("copies must be at least 1")
         if any(not 2 <= k <= self.synth_n for k in self.clusters):
             raise ConfigError(f"clusters must each lie in [2, synth.n={self.synth_n}]")
+        if self.classifier_patience > self.classifier_epochs:
+            raise ConfigError("classifier.patience must not exceed classifier.epochs")
+        if self.generator_patience > self.generator_epochs:
+            raise ConfigError("generator.patience must not exceed generator.epochs")
+        if self.input_kind == "builtin":
+            columns = self.builtin_features
+        if columns is not None and self.scheme.upper() == "MAR":
+            try:
+                check_drivers(self.mar_drivers, columns)
+            except ValueError as exc:
+                raise ConfigError(f"missing.mar_drivers: {exc}") from None
 
 
 def _check_names(key: str, names: list[str], known: tuple) -> None:
@@ -214,21 +229,6 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     cfg.validate()
     return cfg
-
-
-def load_schema_file(path) -> list[ColumnSchema]:
-    """Schema CSV: name,kind,lower,upper,missing_codes ('|'-separated)."""
-    schema = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            codes = frozenset(float(c) for c in (row.get("missing_codes") or "").split("|") if c)
-            schema.append(ColumnSchema(
-                name=row["name"], kind=row.get("kind") or "continuous",
-                lower=float(row.get("lower") or "-inf"),
-                upper=float(row.get("upper") or "inf"),
-                missing_codes=codes))
-    return schema
 
 
 # ---------------------------------------------------------------------------
@@ -313,76 +313,60 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std())
 
 
+def _group(rows: list[dict], *keys: str) -> dict[tuple, list[dict]]:
+    """Rows bucketed by their values at `keys`, buckets in first-seen order."""
+    groups: dict[tuple, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(tuple(row[k] for k in keys), []).append(row)
+    return groups
+
+
+DIRECT_METRICS = ("rmse", "r2", "mape")
+
+
 def emit_report(report: RunReport, out_dir) -> list[str]:
     """Write the report tables; returns the written paths."""
     if not report.cells:
         raise ValueError("report has no cells; refusing to emit empty tables")
     os.makedirs(out_dir, exist_ok=True)
-    written = []
+    tables = {}
 
-    # Group classification cells by (method, degree) preserving first-seen order.
-    grouped: dict[tuple, list[dict]] = {}
-    for cell in report.cells:
-        grouped.setdefault((cell["method"], cell["degree"]), []).append(cell)
-
-    for table, prefix in (("accuracy", "accuracy"), ("loss", "loss")):
-        header = (["method", "missing_pct"] + list(EVAL_COLUMNS)
-                  + [f"{c}_std" for c in EVAL_COLUMNS])
+    by_degree = _group(report.cells, "method", "degree")
+    for table in ("accuracy", "loss"):
         rows = []
-        for (method, degree), cells in grouped.items():
-            means, stds = [], []
-            for col in EVAL_COLUMNS:
-                m, s = _mean_std([c[f"{table}_{col}"] for c in cells])
-                means.append(m)
-                stds.append(s)
-            rows.append([method, degree * 100.0] + means + stds)
-        path = os.path.join(out_dir, f"{prefix}.csv")
-        _write_rows(path, header, rows)
-        written.append(path)
+        for (method, degree), cells in by_degree.items():
+            stats = [_mean_std([c[f"{table}_{col}"] for c in cells]) for col in EVAL_COLUMNS]
+            rows.append([method, degree * 100.0] + [m for m, _ in stats]
+                        + [s for _, s in stats])
+        tables[table] = (["method", "missing_pct"] + list(EVAL_COLUMNS)
+                         + [f"{c}_std" for c in EVAL_COLUMNS], rows)
 
-    path = os.path.join(out_dir, "clustering.csv")
-    _write_rows(path, ["method", "clusters", "rand", "silhouette"],
-                [[r["method"], r["clusters"], r["rand"], r["silhouette"]]
-                 for r in report.clustering_rows])
-    written.append(path)
+    tables["clustering"] = (["method", "clusters", "rand", "silhouette"],
+                            [[r["method"], r["clusters"], r["rand"], r["silhouette"]]
+                             for r in report.clustering_rows])
 
-    direct_grouped: dict[tuple, list[dict]] = {}
-    for cell in report.direct_cells:
-        direct_grouped.setdefault((cell["method"], cell["degree"]), []).append(cell)
-    rows = []
-    for (method, degree), cells in direct_grouped.items():
-        rows.append([method, degree * 100.0,
-                     _mean_std([c["rmse"] for c in cells])[0],
-                     _mean_std([c["r2"] for c in cells])[0],
-                     _mean_std([c["mape"] for c in cells])[0]])
-    path = os.path.join(out_dir, "direct.csv")
-    _write_rows(path, ["method", "missing_pct", "rmse", "r2", "mape"], rows)
-    written.append(path)
+    tables["direct"] = (["method", "missing_pct", *DIRECT_METRICS], [
+        [method, degree * 100.0] + [float(np.mean([c[m] for c in cells]))
+                                    for m in DIRECT_METRICS]
+        for (method, degree), cells in _group(report.direct_cells, "method", "degree").items()])
 
     # Long-format per-repetition metric rows.
-    long_rows = []
     scheme = report.manifest.get("config", {}).get("missing.scheme", "MCAR")
-    for cell in report.cells:
-        for table in ("accuracy", "loss"):
-            for col in EVAL_COLUMNS:
-                long_rows.append([cell["method"], scheme, cell["degree"],
-                                  cell["repetition"], f"{table}_{col}",
-                                  cell[f"{table}_{col}"]])
-    per_rep: dict[tuple, dict[str, list[float]]] = {}
-    for cell in report.direct_cells:
-        key = (cell["method"], cell["degree"], cell["repetition"])
-        bucket = per_rep.setdefault(key, {"rmse": [], "r2": [], "mape": []})
-        for m in ("rmse", "r2", "mape"):
-            bucket[m].append(cell[m])
-    for (method, degree, rep), bucket in per_rep.items():
-        for m, vals in bucket.items():
-            long_rows.append([method, scheme, degree, rep, m,
-                              float(np.mean(vals))])
-    path = os.path.join(out_dir, "metrics.csv")
-    _write_rows(path, ["method", "scheme", "degree", "repetition", "metric", "value"],
-                long_rows)
-    written.append(path)
+    long_rows = [[cell["method"], scheme, cell["degree"], cell["repetition"],
+                  f"{table}_{col}", cell[f"{table}_{col}"]]
+                 for cell in report.cells for table in ("accuracy", "loss")
+                 for col in EVAL_COLUMNS]
+    for (method, degree, rep), cells in _group(report.direct_cells, "method", "degree",
+                                               "repetition").items():
+        long_rows += [[method, scheme, degree, rep, m, float(np.mean([c[m] for c in cells]))]
+                      for m in DIRECT_METRICS]
+    tables["metrics"] = (["method", "scheme", "degree", "repetition", "metric", "value"],
+                         long_rows)
 
+    written = []
+    for name, (header, rows) in tables.items():
+        written.append(os.path.join(out_dir, f"{name}.csv"))
+        _write_rows(written[-1], header, rows)
     written += write_plot_tables(
         out_dir, {key: report.plot.get(key, []) for key in PLOT_TABLES})
 
@@ -425,31 +409,29 @@ def _working_schema(schema: list[ColumnSchema], mins: np.ndarray,
 
 def _imputer_spec(cfg: ExperimentConfig, method: str, seed: int) -> ImputerSpec:
     return ImputerSpec(
-        kind=method,
-        knn_k=cfg.knn_k,
-        copies=cfg.copies,
-        sweeps=cfg.mice_sweeps,
-        noise=cfg.mice_noise,
-        ridge=cfg.mice_ridge,
-        max_sweeps=cfg.missforest_max_sweeps,
-        forest=ForestSpec(n_trees=cfg.missforest_trees,
-                          max_depth=cfg.missforest_max_depth,
+        kind=method, knn_k=cfg.knn_k, copies=cfg.copies, sweeps=cfg.mice_sweeps,
+        noise=cfg.mice_noise, ridge=cfg.mice_ridge, max_sweeps=cfg.missforest_max_sweeps,
+        forest=ForestSpec(n_trees=cfg.missforest_trees, max_depth=cfg.missforest_max_depth,
                           min_samples_leaf=cfg.missforest_min_leaf),
         dae=DaeSpec(corruption_rate=cfg.dae_corruption, epochs=cfg.dae_epochs,
                     batch_size=cfg.dae_batch, learning_rate=cfg.dae_lr,
                     patience=cfg.dae_patience),
-        seed=seed,
-    )
+        seed=seed)
 
 
-def _evaluate_classifier(model, splits: dict) -> dict:
-    out = {}
-    for col, (x, y) in splits.items():
-        probs, _ = predict_mlp(model, x)
-        m = classification_metrics(y, probs)
-        out[f"accuracy_{col}"] = m["accuracy"]
-        out[f"loss_{col}"] = m["log_loss"]
-    return out
+def _train_mlp(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray,
+               train_idx: np.ndarray, valid_idx: np.ndarray, epochs: int,
+               patience: int, seed: int) -> MlpModel:
+    """The configured classifier network, trained on rows `train_idx` of
+    (x, y) and early-stopped on rows `valid_idx`."""
+    return train_mlp(
+        from_matrix(x[train_idx], y[train_idx]),
+        from_matrix(x[valid_idx], y[valid_idx]),
+        MlpSpec(hidden_layers=list(cfg.classifier_hidden),
+                dropout_rate=cfg.classifier_dropout),
+        TrainConfig(max_epochs=epochs, patience=patience,
+                    batch_size=cfg.classifier_batch,
+                    learning_rate=cfg.classifier_lr, seed=seed))
 
 
 @dataclass
@@ -531,16 +513,9 @@ def label_pool(cfg: ExperimentConfig, src: PreparedSource,
     x_reserve, _ = draw_samples(generator, src, cfg.reserve_n, "reserve", master)
     train_idx, valid_idx = split_indices(src.x_orig.shape[0], [0.8, 0.2],
                                          child_seed(master, "gensplit"))
-    target_gen = train_mlp(
-        from_matrix(src.x_orig[train_idx], src.y_orig[train_idx]),
-        from_matrix(src.x_orig[valid_idx], src.y_orig[valid_idx]),
-        MlpSpec(hidden_layers=list(cfg.classifier_hidden),
-                dropout_rate=cfg.classifier_dropout),
-        TrainConfig(max_epochs=cfg.generator_epochs,
-                    patience=cfg.generator_patience,
-                    batch_size=cfg.classifier_batch,
-                    learning_rate=cfg.classifier_lr,
-                    seed=child_seed(master, "target-gen")))
+    target_gen = _train_mlp(cfg, src.x_orig, src.y_orig, train_idx, valid_idx,
+                            cfg.generator_epochs, cfg.generator_patience,
+                            child_seed(master, "target-gen"))
     _, y_synth = predict_mlp(target_gen, x_synth)
     _, y_reserve = predict_mlp(target_gen, x_reserve)
     return LabeledPool(x_synth=x_synth, y_synth=y_synth.astype(np.float64),
@@ -559,10 +534,132 @@ def save_pool(out_dir, pool: LabeledPool, names: list[str]) -> dict[str, str]:
     return paths
 
 
-def run_pipeline(cfg: ExperimentConfig) -> RunReport:
-    cfg.validate()
-    started = time.time()
-    out_dir = cfg.output_dir
+def classify(cfg: ExperimentConfig, features: np.ndarray, method: str,
+             degree: float, rep: int, eval_sets: dict) -> dict:
+    """Train the cell's classifier on `features` (the pool, filled or not,
+    labeled as eval_sets["synthetic"]) and score it on its own training and
+    validation rows and on the fixed `eval_sets`; returns accuracy_<set> and
+    loss_<set> for every EVAL_COLUMNS set."""
+    tag = (method, repr(degree), rep)
+    train_idx, valid_idx = split_indices(
+        cfg.synth_n, [0.8, 0.2], child_seed(cfg.master_seed, "clfsplit", *tag))
+    # Leakage guard by row id: the pool holds ids 0..synth.n-1, the reserve
+    # the ids after them, and the source table ids from 10**9.
+    for col, first_id in (("testing", cfg.synth_n), ("original", 10 ** 9)):
+        if np.intersect1d(train_idx, first_id + np.arange(len(eval_sets[col][1]))).size:
+            raise RuntimeError(f"leakage: classifier training rows found in {col} set")
+    y = eval_sets["synthetic"][1]
+    model = _train_mlp(cfg, features, y, train_idx, valid_idx, cfg.classifier_epochs,
+                       cfg.classifier_patience, child_seed(cfg.master_seed, "clf", *tag))
+    scored = {"training": (features[train_idx], y[train_idx]),
+              "validation": (features[valid_idx], y[valid_idx]), **eval_sets}
+    out = {}
+    for col, (x, labels) in scored.items():
+        probs, _ = predict_mlp(model, x)
+        m = classification_metrics(labels, probs)
+        out[f"accuracy_{col}"] = m["accuracy"]
+        out[f"loss_{col}"] = m["log_loss"]
+    return out
+
+
+def _cell_key(method: str, degree: float, rep: int) -> dict:
+    return {"method": method, "degree": degree, "repetition": rep}
+
+
+def _failure(method: str, degree: float, rep: int, stage: str, error,
+             seed: int) -> dict:
+    """Record of a failed cell: its key, the failing stage, the error (an
+    exception or a message), the seed of the failing stream and the last ten
+    lines of the traceback."""
+    lines = []
+    if isinstance(error, BaseException):
+        lines = "".join(traceback.format_exception(error)).splitlines()[-10:]
+        error = f"{type(error).__name__}: {error}"
+    return {**_cell_key(method, degree, rep), "stage": stage, "error": error,
+            "seed": seed, "traceback": lines}
+
+
+def clustering_degree(cfg: ExperimentConfig) -> float:
+    """The swept degree nearest clustering.degree."""
+    return min(cfg.degrees, key=lambda d: abs(d - cfg.clustering_degree))
+
+
+def run_cells(cfg: ExperimentConfig, pool: LabeledPool, names: list[str],
+              eval_sets: dict, report: RunReport) -> dict[str, np.ndarray]:
+    """Step 5: per repetition, the no-missingness baseline cell, then per
+    degree one mask that every imputer's cell fills, scores directly and
+    classifies. Cells, direct rows and failures go into `report`; returns
+    each imputer's pooled fill at the clustering degree of repetition 0."""
+    master, x_synth = cfg.master_seed, pool.x_synth
+    cluster_at = clustering_degree(cfg)
+    cluster_inputs: dict[str, np.ndarray] = {}
+    for rep in range(cfg.repetitions):
+        seed = child_seed(master, "clf", BASELINE_METHOD, "0.0", rep)
+        try:
+            report.cells.append({**_cell_key(BASELINE_METHOD, 0.0, rep), "seed": seed,
+                                 **classify(cfg, x_synth, BASELINE_METHOD, 0.0, rep,
+                                            eval_sets)})
+        except Exception as exc:  # cell failures never stop the run
+            report.failures.append(_failure(BASELINE_METHOD, 0.0, rep, "classify",
+                                            exc, seed))
+        for degree in cfg.degrees:
+            seed = child_seed(master, "induce", repr(degree), rep)
+            spec = MissingnessSpec(scheme=cfg.scheme, degree=degree,
+                                   mar_drivers=tuple(cfg.mar_drivers))
+            try:
+                induced = induce_missingness(x_synth, spec, seed)
+            except Exception as exc:
+                report.failures += [_failure(method, degree, rep, "induce", exc, seed)
+                                    for method in cfg.imputers]
+                continue
+            for method in cfg.imputers:
+                seed = child_seed(master, "impute", method, repr(degree), rep)
+                try:
+                    result = run_imputer(induced.holed, _imputer_spec(cfg, method, seed),
+                                         names)
+                    pooled = pool_copies(result)
+                    for c, copy in enumerate(result.copies):
+                        report.direct_cells.append({
+                            **_cell_key(method, degree, rep), "copy": c,
+                            **regression_metrics_masked(x_synth, copy, induced.mask)})
+                    if rep == 0 and degree == cluster_at:
+                        cluster_inputs[method] = pooled
+                    report.cells.append({**_cell_key(method, degree, rep), "seed": seed,
+                                         **classify(cfg, pooled, method, degree, rep,
+                                                    eval_sets)})
+                except Exception as exc:
+                    report.failures.append(_failure(method, degree, rep,
+                                                    "impute+classify", exc, seed))
+    return cluster_inputs
+
+
+def run_clustering(cfg: ExperimentConfig, pool: LabeledPool,
+                   cluster_inputs: dict[str, np.ndarray], report: RunReport) -> None:
+    """Step 6: k-means on each imputer's fill for every k, scored by Rand
+    index against the pool's mixture components and by silhouette."""
+    degree = clustering_degree(cfg)
+    for method in cfg.imputers:
+        data = cluster_inputs.get(method)
+        for k in cfg.clusters:
+            seed = child_seed(cfg.master_seed, "cluster", method, k)
+            if data is None:
+                report.failures.append(_failure(method, degree, 0, "cluster",
+                                                "no imputed matrix available", seed))
+                continue
+            try:
+                labels = assign_kmeans(fit_kmeans(data, k, seed), data)
+                per_sample = silhouette_samples(data, labels)
+                report.clustering_rows.append({
+                    "method": method, "clusters": k, "rand": rand_index(labels, pool.components),
+                    "silhouette": float(np.mean(per_sample))})
+                for cluster_id in range(k):
+                    report.plot["silhouette_samples"] += [
+                        [method, k, cluster_id, float(v)] for v in per_sample[labels == cluster_id]]
+            except Exception as exc:
+                report.failures.append(_failure(method, degree, 0, "cluster", exc, seed))
+
+
+def _check_writable(out_dir) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
         probe = os.path.join(out_dir, ".write-probe")
@@ -572,169 +669,50 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     except OSError as exc:
         raise ConfigError(f"output dir {out_dir!r} is not writable: {exc}") from exc
 
-    master = cfg.master_seed
 
-    # Steps 1-4: source data, scaling, mixture search, the labeled pool.
+def run_pipeline(cfg: ExperimentConfig) -> RunReport:
+    """Steps 1-6 of one experiment (see the module docstring); tables are
+    written from the returned report by emit_report."""
+    cfg.validate()
+    started = time.time()
+    out_dir = cfg.output_dir
+    _check_writable(out_dir)
+
     src = prepare_source(cfg)
-    clean = src.clean
-    x_orig, y_orig, names = src.x_orig, src.y_orig, src.names
+    cfg.validate(columns=len(src.names))
     generator, gen_report, search_table = fit_generator(cfg, src)
     write_search_table(os.path.join(out_dir, "gmm_search.csv"), search_table)
-
     pool = label_pool(cfg, src, generator)
-    x_synth, y_synth = pool.x_synth, pool.y_synth
-    x_reserve, y_reserve = pool.x_reserve, pool.y_reserve
 
     # Rebalanced variant of the clean original subset.
-    resample_spec = ResampleSpec(smote_k=cfg.smote_k, enn_k=cfg.enn_k,
-                                 target_ratio=cfg.resample_ratio,
-                                 seed=child_seed(master, "resample"))
-    edited = smote_enn(from_matrix(x_orig, y_orig), resample_spec)
+    edited = smote_enn(from_matrix(src.x_orig, src.y_orig),
+                       ResampleSpec(smote_k=cfg.smote_k, enn_k=cfg.enn_k,
+                                    target_ratio=cfg.resample_ratio,
+                                    seed=child_seed(cfg.master_seed, "resample")))
+    eval_sets = {"synthetic": (pool.x_synth, pool.y_synth),
+                 "testing": (pool.x_reserve, pool.y_reserve),
+                 "original": (src.x_orig, src.y_orig),
+                 "edited_nn": (edited.features, edited.target)}
 
-    # Row-id bookkeeping for the leakage guard.
-    synth_ids = np.arange(cfg.synth_n)
-    eval_id_sets = {
-        "testing": cfg.synth_n + np.arange(cfg.reserve_n),
-        "original": 10 ** 9 + np.arange(clean.rows),
-    }
+    artifacts = {"clean.csv": os.path.join(out_dir, "clean.csv")}
+    save_csv(artifacts["clean.csv"], src.clean.features, src.names)
+    artifacts.update(save_pool(out_dir, pool, src.names))
 
-    persisted = {"clean.csv": os.path.join(out_dir, "clean.csv")}
-    save_csv(persisted["clean.csv"], clean.features, names)
-    persisted.update(save_pool(out_dir, pool, names))
+    report = RunReport(manifest={}, cells=[], direct_cells=[], clustering_rows=[],
+                       failures=[], plot={**pool.plot_rows(), "silhouette_samples": []})
+    cluster_inputs = run_cells(cfg, pool, src.names, eval_sets, report)
+    run_clustering(cfg, pool, cluster_inputs, report)
 
-    cells: list[dict] = []
-    direct_cells: list[dict] = []
-    failures: list[dict] = []
-    clustering_rows: list[dict] = []
-    silhouette_rows: list[list] = []
-    cluster_degree = min(cfg.degrees, key=lambda d: abs(d - cfg.clustering_degree))
-    cluster_inputs: dict[str, np.ndarray] = {}
-
-    clf_spec = MlpSpec(hidden_layers=list(cfg.classifier_hidden),
-                       dropout_rate=cfg.classifier_dropout)
-
-    def train_and_eval(features: np.ndarray, method: str, degree: float,
-                       rep: int) -> dict:
-        split_seed = child_seed(master, "clfsplit", method, repr(degree), rep)
-        tr_idx, va_idx = split_indices(cfg.synth_n, [0.8, 0.2], split_seed)
-        train_ids = synth_ids[tr_idx]
-        for col, ids in eval_id_sets.items():
-            if np.intersect1d(train_ids, ids).size:
-                raise RuntimeError(f"leakage: classifier training rows found in {col} set")
-        model = train_mlp(
-            from_matrix(features[tr_idx], y_synth[tr_idx]),
-            from_matrix(features[va_idx], y_synth[va_idx]),
-            clf_spec,
-            TrainConfig(max_epochs=cfg.classifier_epochs,
-                        patience=cfg.classifier_patience,
-                        batch_size=cfg.classifier_batch,
-                        learning_rate=cfg.classifier_lr,
-                        seed=child_seed(master, "clf", method, repr(degree), rep)))
-        return _evaluate_classifier(model, {
-            "training": (features[tr_idx], y_synth[tr_idx]),
-            "validation": (features[va_idx], y_synth[va_idx]),
-            "synthetic": (x_synth, y_synth),
-            "testing": (x_reserve, y_reserve),
-            "original": (x_orig, y_orig),
-            "edited_nn": (edited.features, edited.target),
-        })
-
-    for rep in range(cfg.repetitions):
-        # No-missingness baseline row.
-        try:
-            cell = {"method": BASELINE_METHOD, "degree": 0.0, "repetition": rep,
-                    "seed": child_seed(master, "clf", BASELINE_METHOD, "0.0", rep)}
-            cell.update(train_and_eval(x_synth, BASELINE_METHOD, 0.0, rep))
-            cells.append(cell)
-        except Exception as exc:  # cell failures never stop the run
-            failures.append({"method": BASELINE_METHOD, "degree": 0.0,
-                             "repetition": rep, "stage": "classify",
-                             "error": f"{type(exc).__name__}: {exc}"})
-        for degree in cfg.degrees:
-            induce_seed = child_seed(master, "induce", repr(degree), rep)
-            spec = MissingnessSpec(scheme=cfg.scheme, degree=degree,
-                                   mar_drivers=tuple(cfg.mar_drivers))
-            try:
-                induced = induce_missingness(x_synth, spec, induce_seed)
-            except Exception as exc:
-                for method in cfg.imputers:
-                    failures.append({"method": method, "degree": degree,
-                                     "repetition": rep, "stage": "induce",
-                                     "error": f"{type(exc).__name__}: {exc}"})
-                continue
-            for method in cfg.imputers:
-                impute_seed = child_seed(master, "impute", method, repr(degree), rep)
-                try:
-                    result = run_imputer(induced.holed,
-                                         _imputer_spec(cfg, method, impute_seed),
-                                         names)
-                    pooled = pool_copies(result)
-                    for c, copy in enumerate(result.copies):
-                        direct = regression_metrics_masked(x_synth, copy, induced.mask)
-                        direct_cells.append({"method": method, "degree": degree,
-                                             "repetition": rep, "copy": c,
-                                             **direct})
-                    if rep == 0 and degree == cluster_degree:
-                        cluster_inputs[method] = pooled
-                    cell = {"method": method, "degree": degree, "repetition": rep,
-                            "seed": impute_seed}
-                    cell.update(train_and_eval(pooled, method, degree, rep))
-                    cells.append(cell)
-                except Exception as exc:
-                    failures.append({"method": method, "degree": degree,
-                                     "repetition": rep, "stage": "impute+classify",
-                                     "error": f"{type(exc).__name__}: {exc}"})
-
-    # Clustering per imputer at the representative degree.
-    for method in cfg.imputers:
-        data = cluster_inputs.get(method)
-        for k in cfg.clusters:
-            if data is None:
-                failures.append({"method": method, "degree": cluster_degree,
-                                 "repetition": 0, "stage": "cluster",
-                                 "error": "no imputed matrix available"})
-                continue
-            try:
-                km = fit_kmeans(data, k, child_seed(master, "cluster", method, k))
-                labels = assign_kmeans(km, data)
-                per_sample = silhouette_samples(data, labels)
-                clustering_rows.append({
-                    "method": method, "clusters": k,
-                    "rand": rand_index(labels, pool.components),
-                    "silhouette": float(np.mean(per_sample)),
-                })
-                for cluster_id in range(k):
-                    for v in per_sample[labels == cluster_id]:
-                        silhouette_rows.append([method, k, cluster_id, float(v)])
-            except Exception as exc:
-                failures.append({"method": method, "degree": cluster_degree,
-                                 "repetition": 0, "stage": "cluster",
-                                 "error": f"{type(exc).__name__}: {exc}"})
-
-    manifest = {
-        "version": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "master_seed": master,
-        "criterion": cfg.gmm_criterion,
-        "selected_k": generator.k,
-        "selected_kind": generator.kind,
+    report.manifest = {
+        "version": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+        "master_seed": cfg.master_seed, "criterion": cfg.gmm_criterion,
+        "selected_k": generator.k, "selected_kind": generator.kind,
         "generator_log_likelihood": gen_report.log_likelihood,
         "config": {key: repr(getattr(cfg, attr)) for key, (attr, _) in
                    _CONFIG_KEYS.items()},
-        "clustering_degree": cluster_degree,
-        "artifacts": persisted,
-        "n_cells": len(cells),
-        "n_failures": len(failures),
-        "started_unix": started,
-        "finished_unix": time.time(),
+        "clustering_degree": clustering_degree(cfg),
+        "artifacts": artifacts,
+        "n_cells": len(report.cells), "n_failures": len(report.failures),
+        "started_unix": started, "finished_unix": time.time(),
     }
-    report = RunReport(
-        manifest=manifest,
-        cells=cells,
-        direct_cells=direct_cells,
-        clustering_rows=clustering_rows,
-        failures=failures,
-        plot={**pool.plot_rows(), "silhouette_samples": silhouette_rows},
-    )
     return report

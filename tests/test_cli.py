@@ -8,7 +8,7 @@ import pytest
 
 from misslab.cli import main
 from misslab.data import load_csv, save_csv
-from misslab._rng import rng_for
+from misslab._rng import child_seed, rng_for
 
 
 def small_csv(tmp_path, rows=40, cols=3, seed=1):
@@ -237,6 +237,67 @@ def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, key", [
+    ("classifier.patience = 7", "classifier.patience"),
+    ("generator.patience = 7", "generator.patience"),
+    ("missing.scheme = mar\nmissing.mar_drivers = 9", "missing.mar_drivers"),
+], ids=["classifier-patience", "generator-patience", "mar-driver"])
+def test_late_failing_value_exits_one_before_any_work(tmp_path, capsys, extra, key):
+    out = tmp_path / "never"
+    cfg = write_cfg(tmp_path, out, extra=extra)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not out.exists()
+
+
+def csv_source(tmp_path, schema_text=None):
+    """A 3-feature CSV source with a 0/1 `label` column, plus config lines
+    reading it (and the schema file, when given)."""
+    rng = rng_for(3, "cli-csv")
+    x = rng.uniform(0.0, 10.0, size=(120, 3))
+    label = (x[:, 0] > 5.0).astype(float)
+    data = tmp_path / "source.csv"
+    save_csv(data, np.column_stack([x, label]), ["a", "b", "c", "label"])
+    lines = ["input.kind = csv", f"input.path = {data}", "input.target = label"]
+    if schema_text is not None:
+        schema = tmp_path / "schema.csv"
+        schema.write_text(schema_text, encoding="utf-8")
+        lines.append(f"input.schema = {schema}")
+    return "\n".join(lines)
+
+
+def test_csv_mar_driver_outside_the_table_exits_one_before_any_output(tmp_path, capsys):
+    out = tmp_path / "csv-run"
+    extra = csv_source(tmp_path) + "\nmissing.scheme = mar\nmissing.mar_drivers = 3"
+    assert main(["run", "--config", str(write_cfg(tmp_path, out, extra=extra))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: missing.mar_drivers") and "3 columns" in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("schema_text, where", [
+    ("column,kind\na,continuous\n", "schema header has no 'name' column"),
+    ("name,kind,lower,upper\na,continuous,abc,1\n", "row 1, column 'lower': 'abc'"),
+], ids=["no-name-column", "bad-bound"])
+def test_bad_schema_file_exits_one_naming_the_place(tmp_path, capsys, schema_text, where):
+    extra = csv_source(tmp_path, schema_text)
+    cfg = write_cfg(tmp_path, tmp_path / "o", extra=extra)
+    assert main(["run", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'schema.csv'}: ") and where in err
+
+
+def test_run_on_csv_with_schema(tmp_path):
+    schema = ("name,kind,lower,upper,missing_codes\n"
+              "a,continuous,0,10,\nb,continuous,,,\nc,continuous,0,10,99\n"
+              "label,binary,0,1,\n")
+    out = tmp_path / "csv-run"
+    cfg = write_cfg(tmp_path, out, extra=csv_source(tmp_path, schema))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert (out / "accuracy.csv").exists()
+
+
 def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
     # Every clustering cell fails, the classification grid still completes,
     # and the run reports partial results.
@@ -254,3 +315,6 @@ def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
     assert report["failures"]
     assert all(f["stage"] == "cluster" for f in report["failures"])
     assert report["cells"]
+    first = report["failures"][0]
+    assert first["seed"] == child_seed(5, "cluster", "mean", 2)
+    assert first["traceback"][-1] == "ValueError: injected k-means fault"

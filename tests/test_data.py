@@ -7,7 +7,6 @@ from misslab.data import (
     ColumnSchema,
     Dataset,
     apply_mask,
-    binary_column,
     conform_to_schema,
     drop_incomplete_rows,
     extract_target,
@@ -15,6 +14,7 @@ from misslab.data import (
     from_matrix,
     load_csv,
     load_scaler,
+    load_schema_file,
     mask_of,
     save_csv,
     save_mask_csv,
@@ -50,7 +50,7 @@ def test_schema_rejects_inverted_bounds():
 def test_binary_schema_requires_unit_bounds():
     with pytest.raises(ValueError, match="must have bounds"):
         ColumnSchema("a", kind="binary", lower=0.0, upper=2.0)
-    col = binary_column("flag")
+    col = ColumnSchema("flag", kind="binary", lower=0.0, upper=1.0)
     assert (col.lower, col.upper) == (0.0, 1.0)
 
 
@@ -94,7 +94,7 @@ def test_dataset_target_must_be_binary():
 
 def test_extract_target_splits_fully_observed_binary_column():
     feats = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
-    schema = [ColumnSchema("x"), binary_column("y")]
+    schema = [ColumnSchema("x"), ColumnSchema("y", "binary", 0.0, 1.0)]
     d = extract_target(from_matrix(feats, schema=schema), "y")
     assert d.target.tolist() == [0.0, 1.0, 1.0]
     assert d.features.shape == (3, 1)
@@ -173,6 +173,39 @@ def test_mask_csv_round_trip(tmp_path):
     save_mask_csv(p, mask)
     back = load_csv(p).features
     assert np.array_equal(back.astype(np.uint8), mask)
+
+
+def test_load_schema_file_reads_every_column(tmp_path):
+    p = write(tmp_path / "schema.csv",
+              "name,kind,lower,upper,missing_codes\n"
+              "age,integer,0,120,999|-1\n"
+              "flag,binary,0,1,\n"
+              "w,,,,\n")
+    assert load_schema_file(p) == [
+        ColumnSchema("age", "integer", 0.0, 120.0, frozenset({999.0, -1.0})),
+        ColumnSchema("flag", "binary", 0.0, 1.0),
+        ColumnSchema("w"),
+    ]
+
+
+def test_load_schema_file_without_name_column_names_the_file(tmp_path):
+    p = write(tmp_path / "schema.csv", "column,kind\nage,integer\n")
+    with pytest.raises(ValueError, match=r"schema\.csv: schema header has no 'name'"):
+        load_schema_file(p)
+
+
+@pytest.mark.parametrize("row, where", [
+    ("age,continuous,abc,1,", "row 2, column 'lower': 'abc'"),
+    ("age,continuous,0,x1,", "row 2, column 'upper': 'x1'"),
+    ("age,continuous,0,1,9|n", "row 2, column 'missing_codes': 'n'"),
+    ("age,ordinal,0,1,", "row 2: column 'age': unknown kind"),
+])
+def test_load_schema_file_bad_value_names_file_row_and_column(tmp_path, row, where):
+    p = write(tmp_path / "schema.csv",
+              "name,kind,lower,upper,missing_codes\nok,continuous,0,1,\n" + row + "\n")
+    with pytest.raises(ValueError) as err:
+        load_schema_file(p)
+    assert str(err.value).startswith(f"{p}: ") and where in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +302,7 @@ def test_scaler_persistence_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_conform_binary_threshold():
-    out = conform_to_schema(np.array([[0.72], [0.49]]), [binary_column("b")])
+    out = conform_to_schema(np.array([[0.72], [0.49]]), [ColumnSchema("b", "binary", 0.0, 1.0)])
     assert out.tolist() == [[1.0], [0.0]]
 
 
@@ -292,7 +325,7 @@ def test_conform_continuous_clip():
 
 
 def test_conform_leaves_missing_untouched_and_is_idempotent():
-    schema = [ColumnSchema("c", lower=0.0, upper=1.0), binary_column("b")]
+    schema = [ColumnSchema("c", lower=0.0, upper=1.0), ColumnSchema("b", "binary", 0.0, 1.0)]
     m = np.array([[NAN, 0.7], [2.0, NAN]])
     once = conform_to_schema(m, schema)
     assert np.isnan(once[0, 0]) and np.isnan(once[1, 1])

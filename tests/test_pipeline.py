@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from misslab._rng import child_seed
 from misslab.pipeline import (_CONFIG_KEYS, BASELINE_METHOD, EVAL_COLUMNS,
                               ConfigError, ExperimentConfig, LabeledPool,
                               RunReport, builtin_source, emit_report,
@@ -127,6 +128,11 @@ def test_bool_values_parse_loosely(tmp_path):
     {"copies": 0},
     {"clusters": [1, 2]},
     {"synth_n": 150, "clusters": [2, 151]},
+    {"classifier_epochs": 10, "classifier_patience": 11},
+    {"generator_epochs": 10, "generator_patience": 11},
+    {"scheme": "mar", "mar_drivers": [9], "builtin_features": 4},
+    {"scheme": "mar", "mar_drivers": [-1], "builtin_features": 4},
+    {"scheme": "mar", "mar_drivers": [0, 1, 2, 3], "builtin_features": 4},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -136,6 +142,15 @@ def test_validate_rejects(overrides):
 
 def test_validate_accepts_mar_with_drivers():
     ExperimentConfig(scheme="mar", mar_drivers=[0, 1]).validate()
+
+
+def test_validate_checks_mar_drivers_against_a_known_width():
+    cfg = ExperimentConfig(input_kind="csv", input_path="x.csv", input_target="y",
+                           scheme="mar", mar_drivers=[4])
+    cfg.validate()                     # a csv's width is unknown up front
+    cfg.validate(columns=5)
+    with pytest.raises(ConfigError, match="missing.mar_drivers"):
+        cfg.validate(columns=4)
 
 
 def test_validate_accepts_imputer_names_in_any_case():
@@ -387,6 +402,14 @@ def test_failed_cells_recorded_not_fatal(tmp_path, monkeypatch):
     impute_failures = [f for f in report.failures if f["stage"] == "impute+classify"]
     assert impute_failures[0]["method"] == "knn"
     assert "ValueError" in impute_failures[0]["error"]
+    # Enough to reproduce it: the failing stream's seed and the traceback tail.
+    assert impute_failures[0]["seed"] == child_seed(cfg.master_seed, "impute", "knn",
+                                                    repr(0.2), 0)
+    tail = impute_failures[0]["traceback"]
+    assert tail[-1] == "ValueError: injected imputer fault"
+    assert any("broken_imputer" in line for line in tail)
+    cluster_failure = next(f for f in report.failures if f["stage"] == "cluster")
+    assert cluster_failure["seed"] == child_seed(cfg.master_seed, "cluster", "knn", 2)
     assert report.manifest["n_failures"] == len(report.failures)
     # Emission still works off the surviving baseline cells.
     emit_report(report, tmp_path / "broken-report")
