@@ -53,7 +53,6 @@ class FitReport:
     bic: float
     iterations: int
     converged: bool
-    param_count: int
     # Log likelihood observed at each E-step, for monotonicity checks.
     ll_trace: list = field(default_factory=list)
 
@@ -252,7 +251,7 @@ def fit_em(data: np.ndarray, k: int, kind: str, cfg: GmmConfig | None = None) ->
     aic, bic = information_criteria(ll, n, n_params)
     report = FitReport(log_likelihood=ll, aic=aic, bic=bic,
                        iterations=iterations, converged=converged,
-                       param_count=n_params, ll_trace=trace)
+                       ll_trace=trace)
     return model, report
 
 

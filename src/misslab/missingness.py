@@ -47,14 +47,13 @@ class InducedDataset:
     """Ground truth, its holed copy, and the exact mask that links them.
 
     At 10,000+ eligible cells the realized fraction concentrates within
-    half a percentage point of spec.degree (binomial tail; checked
+    half a percentage point of the spec's degree (binomial tail; checked
     statistically, not asserted per instance).
     """
 
     truth: np.ndarray
     holed: np.ndarray
     mask: np.ndarray
-    spec: MissingnessSpec
     seed: int
 
     def __post_init__(self):
@@ -127,7 +126,7 @@ def induce_missingness(truth: np.ndarray, spec: MissingnessSpec, seed: int) -> I
             mask[:, j] = draws[:, j] < p
 
     return InducedDataset(truth=x, holed=apply_mask(x, mask), mask=mask,
-                          spec=spec, seed=seed)
+                          seed=seed)
 
 
 def combine_recovered(holed: np.ndarray, model_output: np.ndarray,

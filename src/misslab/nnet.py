@@ -202,7 +202,6 @@ def gradient_check(net: FeedForward, x: np.ndarray, y: np.ndarray,
 
 @dataclass
 class MlpModel:
-    spec: MlpSpec
     net: FeedForward
     # One row per epoch: (train_loss, valid_loss, train_acc, valid_acc).
     training_history: list[tuple] = field(default_factory=list)
@@ -245,7 +244,7 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
     shuffle_rng = rng_for(cfg.seed, "shuffle")
     dropout_rng = rng_for(cfg.seed, "dropout")
 
-    model = MlpModel(spec=spec, net=net)
+    model = MlpModel(net=net)
     best_snap = net.snapshot()
     since_best = 0
     for epoch in range(1, cfg.max_epochs + 1):

@@ -145,6 +145,14 @@ class ExperimentConfig:
             raise ConfigError("knn.k must be at least 1")
         if self.copies < 1:
             raise ConfigError("copies must be at least 1")
+        if self.missforest_max_sweeps < 0:
+            raise ConfigError("missforest.max_sweeps must be at least 0")
+        if self.missforest_trees < 1:
+            raise ConfigError("missforest.trees must be at least 1")
+        if self.missforest_max_depth < 0:
+            raise ConfigError("missforest.max_depth must be at least 0")
+        if self.missforest_min_leaf < 1:
+            raise ConfigError("missforest.min_leaf must be at least 1")
         if any(not 2 <= k <= self.synth_n for k in self.clusters):
             raise ConfigError(f"clusters must each lie in [2, synth.n={self.synth_n}]")
         if self.classifier_patience > self.classifier_epochs:

@@ -227,7 +227,11 @@ def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("extra", ["knn.k = 0", "copies = 0", "clusters = 1",
-                                   "clusters = 2, 500"])
+                                   "clusters = 2, 500",
+                                   "missforest.max_sweeps = -1",
+                                   "missforest.trees = 0",
+                                   "missforest.max_depth = -1",
+                                   "missforest.min_leaf = 0"])
 def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)

@@ -1,8 +1,11 @@
 """Random forests over hand-grown CART trees."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from misslab._rng import rng_for
 from misslab.forest import ForestSpec, predict_forest, train_forest
 
 
@@ -11,6 +14,12 @@ def test_spec_validation():
         ForestSpec(n_trees=0)
     with pytest.raises(ValueError, match="min_samples_leaf"):
         ForestSpec(min_samples_leaf=0)
+    with pytest.raises(ValueError, match="max_depth"):
+        ForestSpec(max_depth=-1)
+    for share in (0.0, -0.5, 2.0):
+        with pytest.raises(ValueError, match="feature_subsample"):
+            ForestSpec(feature_subsample=share)
+    ForestSpec(max_depth=0, feature_subsample=1.0)
 
 
 def test_constant_targets_predict_that_constant():
@@ -89,3 +98,149 @@ def test_forest_beats_stump_on_structured_data():
     err_deep = np.mean((predict_forest(deep, x) - y) ** 2)
     err_stump = np.mean((predict_forest(stump, x) - y) ** 2)
     assert err_deep < err_stump
+
+
+# ---------------------------------------------------------------------------
+# Equivalence with the one-node-at-a-time grower
+# ---------------------------------------------------------------------------
+
+def _oracle_best_split(x, y, idx, feats, min_leaf):
+    """Best (feature, threshold, left-index-mask) by SSE reduction, or None."""
+    best = None
+    n = idx.size
+    for f in feats:
+        xs = x[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        ys = y[idx][order]
+        csum = np.cumsum(ys)
+        csq = np.cumsum(ys * ys)
+        p = np.arange(min_leaf, n - min_leaf + 1)
+        if p.size == 0:
+            continue
+        valid = xs_sorted[p - 1] < xs_sorted[p]
+        if not valid.any():
+            continue
+        p = p[valid]
+        sum_l = csum[p - 1]
+        sq_l = csq[p - 1]
+        sum_r = csum[-1] - sum_l
+        sq_r = csq[-1] - sq_l
+        nl = p.astype(np.float64)
+        nr = n - nl
+        sse = (sq_l - sum_l * sum_l / nl) + (sq_r - sum_r * sum_r / nr)
+        at = int(np.argmin(sse))
+        if best is None or sse[at] < best[0]:
+            pos = int(p[at])
+            threshold = 0.5 * (xs_sorted[pos - 1] + xs_sorted[pos])
+            best = (float(sse[at]), int(f), threshold)
+    if best is None:
+        return None
+    _, f, threshold = best
+    return f, threshold, x[idx, f] <= threshold
+
+
+def _oracle_tree(x, y, root_idx, max_depth, min_leaf, m_feats, rng):
+    """One tree grown alone, node by node in depth-first preorder."""
+    tree = {k: [] for k in ("feature", "threshold", "left", "right", "value")}
+    stack = [(root_idx, 0, -1, "left")]
+    while stack:
+        idx, depth, parent, side = stack.pop()
+        for key, v in (("feature", -1), ("threshold", 0.0), ("left", -1),
+                       ("right", -1), ("value", float(y[idx].mean()))):
+            tree[key].append(v)
+        node = len(tree["value"]) - 1
+        if parent >= 0:
+            tree[side][parent] = node
+        if max_depth is not None and depth >= max_depth:
+            continue
+        if idx.size < 2 * min_leaf or np.all(y[idx] == y[idx[0]]):
+            continue
+        feats = rng.choice(x.shape[1], size=m_feats, replace=False)
+        split = _oracle_best_split(x, y, idx, feats, min_leaf)
+        if split is None:
+            continue
+        f, threshold, go_left = split
+        tree["feature"][node] = f
+        tree["threshold"][node] = threshold
+        stack.append((idx[~go_left], depth + 1, node, "right"))
+        stack.append((idx[go_left], depth + 1, node, "left"))
+    return tree
+
+
+def _oracle_forest(x, y, spec):
+    n, d = x.shape
+    share = spec.feature_subsample if spec.feature_subsample is not None else 1 / 3.0
+    m_feats = min(d, max(1, int(round(share * d))))
+    trees = []
+    for t in range(spec.n_trees):
+        rng = rng_for(spec.seed, "tree", t)
+        boot = rng.integers(0, n, size=n)
+        if spec.max_depth == 0:
+            boot = np.arange(n)
+        trees.append(_oracle_tree(x, y, boot, spec.max_depth,
+                                  spec.min_samples_leaf, m_feats, rng))
+    return trees
+
+
+def _random_case(case: int):
+    """A training set and spec drawn to hit ties and the split edge cases."""
+    rng = np.random.default_rng(case)
+    n = int(rng.choice([1, 2, 3, 7, 15]) if case % 5 == 0 else rng.integers(1, 401))
+    d = int(rng.integers(0, 7))
+    max_depth = [None, 0, 1, 8][case % 4 if case % 3 else (case // 3) % 4]
+    x = rng.normal(size=(n, d))
+    kinds = rng.integers(0, 6, size=d)
+    if max_depth is None:
+        # A midpoint that rounds onto the largest value sends every sample
+        # left, so an unbounded tree would repeat that split forever.
+        kinds[kinds == 4] = 1
+    for j, kind in enumerate(kinds):
+        if kind == 1:                                   # heavy ties
+            x[:, j] = np.round(x[:, j], 1)
+        elif kind == 2:                                 # constant column
+            x[:, j] = 1.5
+        elif kind == 3:                                 # signed zeros
+            x[:, j] = rng.choice([-0.0, 0.0, 1.0], size=n)
+        elif kind == 4:                                 # adjacent floats
+            x[:, j] = 1.0 + np.finfo(float).eps * rng.integers(0, 4, size=n)
+        elif kind == 5 and j > 0:                       # same column twice
+            x[:, j] = x[:, j - 1]
+    target = case % 4
+    if target == 0:
+        y = rng.normal(size=n)
+    elif target == 1:
+        y = rng.integers(0, 3, size=n).astype(float)
+    elif target == 2:
+        y = np.full(n, -2.5)
+    else:
+        y = x.sum(axis=1) * 2 + np.round(rng.normal(size=n), 1)
+    spec = ForestSpec(
+        n_trees=int(rng.integers(1, 7)),
+        max_depth=max_depth,
+        min_samples_leaf=int(rng.integers(1, 9)),
+        feature_subsample=[None, 0.5, 1.0][case % 3],
+        seed=case)
+    if case % 11 == 0:                  # fewer than 2 * min_leaf samples
+        spec.min_samples_leaf = n // 2 + 1
+    return x, y, spec
+
+
+def test_lockstep_trees_equal_one_tree_at_a_time_bit_for_bit():
+    for case in range(320):
+        x, y, spec = _random_case(case)
+        model = train_forest(x, y, spec)
+        with warnings.catch_warnings():     # the mean of an empty node
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected = _oracle_forest(x, y, spec)
+        assert len(model.trees) == len(expected)
+        for t, (tree, want) in enumerate(zip(model.trees, expected)):
+            for key in ("feature", "left", "right"):
+                assert np.array_equal(getattr(tree, key), want[key]), (case, t, key)
+            for key in ("threshold", "value"):
+                got = getattr(tree, key)
+                exp = np.asarray(want[key], dtype=np.float64)
+                nan = np.isnan(exp)
+                assert np.array_equal(np.isnan(got), nan), (case, t, key)
+                assert np.array_equal(got[~nan].view(np.uint64),
+                                      exp[~nan].view(np.uint64)), (case, t, key)

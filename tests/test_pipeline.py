@@ -15,6 +15,7 @@ from misslab.pipeline import (_CONFIG_KEYS, BASELINE_METHOD, EVAL_COLUMNS,
                               run_pipeline, save_report_json, write_plot_tables)
 
 DOCS_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "config.md"
+PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper.cfg"
 
 ACCURACY_HEADER = ("method,missing_pct," + ",".join(EVAL_COLUMNS) + ","
                    + ",".join(f"{c}_std" for c in EVAL_COLUMNS))
@@ -133,6 +134,10 @@ def test_bool_values_parse_loosely(tmp_path):
     {"scheme": "mar", "mar_drivers": [9], "builtin_features": 4},
     {"scheme": "mar", "mar_drivers": [-1], "builtin_features": 4},
     {"scheme": "mar", "mar_drivers": [0, 1, 2, 3], "builtin_features": 4},
+    {"missforest_max_sweeps": -1},
+    {"missforest_trees": 0},
+    {"missforest_max_depth": -1},
+    {"missforest_min_leaf": 0},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -163,6 +168,22 @@ def test_docs_list_exactly_the_config_keys():
     documented = set(re.findall(r"^\| `([^`]+)` \|", keys_section, re.M))
     documented |= set(re.findall(r"alias `([^`]+)`", keys_section))
     assert documented == set(_CONFIG_KEYS)
+
+
+def test_paper_config_is_the_documented_defaults():
+    cfg = parse_config(PAPER_CONFIG)           # parses and validates
+    lines = (line.split("#", 1)[0] for line in
+             PAPER_CONFIG.read_text(encoding="utf-8").splitlines())
+    keys = [line.split("=", 1)[0].strip() for line in lines if line.strip()]
+    assert {"seed", "output"} <= set(keys)
+    default = ExperimentConfig()
+    for key in keys:
+        attr = _CONFIG_KEYS[key][0]
+        if key not in ("seed", "output"):
+            assert getattr(cfg, attr) == getattr(default, attr), key
+    # Only keys whose default is empty (and the alias) are left out.
+    for key in set(_CONFIG_KEYS) - set(keys) - {"mice.copies"}:
+        assert not getattr(default, _CONFIG_KEYS[key][0]), key
 
 
 # ---------------------------------------------------------------------------
