@@ -232,8 +232,9 @@ def save_csv(path, matrix: np.ndarray, names: list[str] | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for row in matrix:
-            writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
+        # Python floats: v != v only for NaN, and repr is float64's shortest.
+        writer.writerows(["" if v != v else repr(v) for v in row]
+                         for row in matrix.tolist())
 
 
 def save_mask_csv(path, mask: np.ndarray, names: list[str] | None = None) -> None:
@@ -243,8 +244,7 @@ def save_mask_csv(path, mask: np.ndarray, names: list[str] | None = None) -> Non
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        for row in mask:
-            writer.writerow([str(int(v)) for v in row])
+        writer.writerows(mask.tolist())
 
 
 # ---------------------------------------------------------------------------

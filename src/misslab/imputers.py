@@ -17,7 +17,7 @@ from ._rng import child_seed, rng_for
 from .data import mask_of, save_csv, validate_matrix
 from .forest import ForestSpec, predict_forest, train_forest
 from .missingness import combine_recovered
-from .neighbors import CHUNK, nearest, partial_distances
+from .neighbors import CHUNK, nearest, partial_distances, smallest
 from .nnet import FeedForward
 
 METHODS = ("mean", "knn", "mice", "missforest", "dae")
@@ -81,6 +81,13 @@ def impute_knn(holed: np.ndarray, k: int = 5,
 
     Falls back to the column mean when no comparable candidate row exists;
     uses every available candidate when fewer than k qualify.
+
+    Rows needing a fill go in slabs of CHUNK. Each row of a slab gets one
+    candidate list, its K nearest rows over all rows (`smallest`), with K
+    from k and the observed fraction. A column's k nearest donors are the
+    first k candidates that observe it, exact when the k-th lies strictly
+    below the list's last distance. A row that finds fewer, or whose k-th
+    pick ties or passes that distance, takes the exact per-column `nearest`.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -88,22 +95,25 @@ def impute_knn(holed: np.ndarray, k: int = 5,
     means = _column_means(x, names)
     out = x.copy()
     missing = np.isnan(x)
+    observes = np.ascontiguousarray(~missing.T)
     need_rows = np.flatnonzero(missing.any(axis=1))
-    donors = [np.flatnonzero(~missing[:, j]) for j in range(x.shape[1])]
+    donors = [np.flatnonzero(row) for row in observes]
+    distances = partial_distances(x)
+    span = _candidate_count(k, float(observes.mean()))
     for start in range(0, need_rows.size, CHUNK):
         rows = need_rows[start:start + CHUNK]
-        dist = partial_distances(x, rows)
+        dist = distances(rows)
+        near = smallest(dist, span)
         for j, cand in enumerate(donors):
             takers = np.flatnonzero(missing[rows, j])
             if takers.size == 0:
                 continue
-            cd = dist[np.ix_(takers, cand)]
-            order = nearest(cd, k)
+            picks, pick_dist = _donors(dist, near, takers, cand, observes[j], k)
             # Infinite distances sort last, so finite neighbours come first.
             # Averaging rows in groups of equal count m keeps the summation
             # order of a one-cell np.mean; rows with m = 0 keep the column mean.
-            finite = np.isfinite(np.take_along_axis(cd, order, axis=1)).sum(axis=1)
-            values = x[cand[order], j]
+            finite = np.isfinite(pick_dist).sum(axis=1)
+            values = x[picks, j]
             filled = np.full(takers.size, means[j])
             for m in np.unique(finite[finite > 0]):
                 hit = finite == m
@@ -111,6 +121,36 @@ def impute_knn(holed: np.ndarray, k: int = 5,
             out[rows[takers], j] = filled
     return ImputationResult("knn", [out],
                             [{"sweeps_run": 0, "convergence_trace": []}])
+
+
+def _candidate_count(k: int, observed: float) -> int:
+    """Length of each row's candidate list: enough that k donors observing a
+    column are almost always among them, at an observed fraction `observed`."""
+    return k + int(np.ceil((2 * k + 8) / max(observed, 1e-3)))
+
+
+def _donors(dist: np.ndarray, near: tuple[np.ndarray, np.ndarray],
+            takers: np.ndarray, cand: np.ndarray, observes: np.ndarray,
+            k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices and distances of each taker's min(k, |cand|) nearest donors
+    (the rows in `cand`, which `observes` marks), nearest first, ties to the
+    lower index: read off the candidate list `near` where that is exact."""
+    width = min(k, cand.size)
+    near_rows, near_dist = near[0][takers], near[1][takers]
+    hits = observes[near_rows]
+    at = np.argsort(~hits, axis=1, kind="stable")[:, :width]
+    picks = np.take_along_axis(near_rows, at, axis=1)
+    pick_dist = np.take_along_axis(near_dist, at, axis=1)
+    # Every row nearer than the list's last entry is in the list; a pick equal
+    # to it may have passed over a lower-index row of the same distance.
+    slow = ((np.count_nonzero(hits, axis=1) < width)
+            | ~(pick_dist[:, -1] < near_dist[:, -1]))
+    if slow.any():
+        cd = dist[np.ix_(takers[slow], cand)]
+        order = nearest(cd, k)
+        picks[slow] = cand[order]
+        pick_dist[slow] = np.take_along_axis(cd, order, axis=1)
+    return picks, pick_dist
 
 
 # ---------------------------------------------------------------------------

@@ -115,10 +115,12 @@ def silhouette_samples(data: np.ndarray, labels: np.ndarray) -> np.ndarray:
     onehot = np.zeros((n, k))
     onehot[np.arange(n), dense] = 1.0
 
+    sq = np.sum(x * x, axis=1)
     scores = np.empty(n)
     for start in range(0, n, CHUNK):
         rows = slice(start, min(start + CHUNK, n))
-        dist = np.sqrt(squared_distances(x[rows], x))  # (chunk, n)
+        dist = squared_distances(x[rows], x, sq[rows], sq)  # (chunk, n)
+        np.sqrt(dist, out=dist)
         cluster_sums = dist @ onehot                   # (chunk, k)
         own = dense[rows]
         own_count = counts[own]

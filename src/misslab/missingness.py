@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 from scipy.special import expit
 
 from ._rng import rng_for
 from .data import apply_mask, mask_of, save_csv, save_mask_csv, validate_matrix
 
 SCHEMES = ("MCAR", "MAR", "MNAR")
+_RTOL = 4 * np.finfo(float).eps        # scipy.optimize.bisect's default and floor
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,48 @@ def _standardize(v: np.ndarray) -> np.ndarray:
     if sd == 0.0:
         return np.zeros_like(v)
     return (v - v.mean()) / sd
+
+
+def bisect(f, a: float, b: float, args: tuple = (), xtol: float = 2e-12,
+           rtol: float = _RTOL, maxiter: int = 100,
+           disp: bool = True) -> float:
+    """A root of f in [a, b], step for step as scipy.optimize.bisect: halve
+    the step from a, move a to the midpoint while f keeps f(a)'s sign, and
+    stop when f hits 0 or the step falls below xtol + rtol * |midpoint|.
+    Written here so that a CLI process does not import scipy.optimize."""
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def value(x: float) -> float:
+        fx = float(f(x, *args))
+        if np.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    a, b = float(a), float(b)
+    fa, fb = value(a), value(b)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return a
+    if fb == 0:
+        return b
+    step = b - a
+    for _ in range(maxiter):
+        step *= 0.5
+        mid = a + step
+        fm = value(mid)
+        if fm * fa >= 0:
+            a = mid
+        if fm == 0 or abs(step) < xtol + rtol * abs(mid):
+            return mid
+    if disp:
+        raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    return a
 
 
 def _calibrated_probs(z: np.ndarray, degree: float) -> np.ndarray:

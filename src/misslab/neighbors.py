@@ -1,66 +1,120 @@
 """Nearest-row search shared by KNN imputation, SMOTE/ENN, k-means and the
-silhouette: one squared-Euclidean expansion and one k-smallest selection.
+silhouette: one squared-Euclidean expansion, one partial distance and one
+k-smallest selection.
 
 Callers that compare every row with every other row work in slabs of at
 most CHUNK query rows, so memory grows with CHUNK x rows, never rows^2.
+A slab's distances are built in place, in the order of operations of the
+plain expression, so they keep its bits. Slabs stay at CHUNK rows: the BLAS
+products can round differently when a slab has a different row count.
+
+`smallest` gives the KNN imputer its candidate lists: each row's K smallest
+entries, ordered by (value, index). Every entry below the list's last value
+is in the list, in exact order; an entry equal to that last value may be
+left out in favour of a higher index. So the imputer trusts only picks
+strictly below the last value and sends the rest to `nearest`, which is
+exact.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
 CHUNK = 512
 
 
-def squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Pairwise squared Euclidean distances, rows of x against rows of centers."""
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(centers * centers, axis=1)[None, :]
-        - 2.0 * (x @ centers.T)
-    )
+def squared_distances(x: np.ndarray, centers: np.ndarray,
+                      x_sq: np.ndarray | None = None,
+                      c_sq: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared Euclidean distances, rows of x against rows of centers:
+    (|x|^2 + |c|^2) - 2 x.c, clamped at 0. `x_sq` and `c_sq` are the rows'
+    squared norms, for a caller that computes them once for many slabs."""
+    if x_sq is None:
+        x_sq = np.sum(x * x, axis=1)
+    if c_sq is None:
+        c_sq = np.sum(centers * centers, axis=1)
+    d2 = x @ centers.T
+    d2 *= -2.0
+    d2 += x_sq[:, None] + c_sq[None, :]
     # The expansion can go slightly negative for coincident points.
-    return np.maximum(d2, 0.0)
+    return np.maximum(d2, 0.0, out=d2)
 
 
-def partial_distances(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Distances from `rows` to every row over mutually observed coordinates.
+def partial_distances(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Distance slabs over mutually observed coordinates: the returned function
+    maps query rows to their distances to every row of x,
 
-    dist(i, j) = sqrt( d / n_shared * sum_shared (x_i - x_j)^2 ), infinite
-    when the rows share no observed coordinate, and to itself.
+        dist(i, j) = sqrt( d / n_shared * sum_shared (x_i - x_j)^2 ),
+
+    infinite when the rows share no observed coordinate, and to itself. The
+    masks and squares of x are computed once, here, for every slab.
     """
     d = x.shape[1]
     observed = (~np.isnan(x)).astype(np.float64)
     x0 = np.where(np.isnan(x), 0.0, x)
     sq = x0 * x0
-    a = sq[rows] @ observed.T
-    b = observed[rows] @ sq.T
-    g = x0[rows] @ x0.T
-    shared = observed[rows] @ observed.T
-    raw = np.maximum(a + b - 2.0 * g, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(shared > 0, raw * (d / np.maximum(shared, 1.0)), np.inf)
-    dist = np.sqrt(scaled)
-    dist[np.arange(rows.size), rows] = np.inf
-    return dist
+
+    def slab(rows: np.ndarray) -> np.ndarray:
+        seen = observed[rows]
+        dist = sq[rows] @ observed.T                   # sum_shared x_i^2
+        buf = np.matmul(seen, sq.T)
+        dist += buf                                    # + sum_shared x_j^2
+        np.matmul(x0[rows], x0.T, out=buf)
+        buf *= 2.0
+        dist -= buf                                    # - 2 sum_shared x_i x_j
+        np.maximum(dist, 0.0, out=dist)
+        shared = np.matmul(seen, observed.T, out=buf)
+        none = shared == 0.0
+        np.maximum(shared, 1.0, out=shared)
+        np.divide(d, shared, out=shared)
+        dist *= shared
+        dist[none] = np.inf
+        np.sqrt(dist, out=dist)
+        dist[np.arange(rows.size), rows] = np.inf
+        return dist
+
+    return slab
+
+
+def smallest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column indices and values of k smallest entries of each row, ordered by
+    (value, index). An entry left out may equal the last value kept."""
+    if k >= dist.shape[1]:
+        order = np.argsort(dist, axis=1, kind="stable")
+        return order, np.take_along_axis(dist, order, axis=1)
+    picks = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    values = np.take_along_axis(dist, picks, axis=1)
+    order = np.argsort(values, axis=1, kind="stable")
+    return (np.take_along_axis(picks, order, axis=1),
+            np.take_along_axis(values, order, axis=1))
 
 
 def nearest(dist: np.ndarray, k: int) -> np.ndarray:
     """Column indices of the k smallest entries of each row, nearest first,
     ties to the lower index: exactly np.argsort(dist, axis=1, kind="stable")[:, :k].
 
-    Selects with argpartition and sorts only the k picks; a row where an
-    entry outside the picks ties the k-th distance is sorted in full.
+    Takes `smallest`; a row where an entry outside the picks ties the k-th
+    distance is re-sorted over its entries up to that distance only.
     """
     if not 0 < k < dist.shape[1]:
         return np.argsort(dist, axis=1, kind="stable")[:, :k]
-    picks = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
-    values = np.take_along_axis(dist, picks, axis=1)
-    out = np.take_along_axis(picks, np.argsort(values, axis=1, kind="stable"), axis=1)
-    kth = values.max(axis=1)
-    tied = np.isnan(kth) | (np.count_nonzero(dist <= kth[:, None], axis=1) > k)
+    out, values = smallest(dist, k)
+    kth = values[:, -1]
+    nan = np.isnan(kth)
+    if nan.any():
+        out[nan] = np.argsort(dist[nan], axis=1, kind="stable")[:, :k]
+    within = dist <= kth[:, None]
+    counts = np.count_nonzero(within, axis=1)
+    tied = counts > k
     if tied.any():
-        out[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+        # Row-major nonzero lists each row's entries by index; a stable sort
+        # by (row, value) then orders them by (value, index) within the row.
+        row, col = np.nonzero(within[tied])
+        order = np.lexsort((dist[tied][row, col], row))
+        starts = np.cumsum(counts[tied]) - counts[tied]
+        out[tied] = col[order][starts[:, None] + np.arange(k)]
     return out
 
 
@@ -68,10 +122,11 @@ def kneighbors(x: np.ndarray, k: int) -> np.ndarray:
     """Each row's k nearest other rows by Euclidean distance, nearest first,
     ties to the lower index; with at most k rows, all rows, itself last."""
     n = x.shape[0]
+    sq = np.sum(x * x, axis=1)
     out = np.empty((n, min(k, n)), dtype=np.intp)
     for start in range(0, n, CHUNK):
         stop = min(start + CHUNK, n)
-        d2 = squared_distances(x[start:stop], x)
+        d2 = squared_distances(x[start:stop], x, sq[start:stop], sq)
         d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
         out[start:stop] = nearest(d2, k)
     return out

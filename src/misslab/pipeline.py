@@ -153,6 +153,12 @@ class ExperimentConfig:
             raise ConfigError("missforest.max_depth must be at least 0")
         if self.missforest_min_leaf < 1:
             raise ConfigError("missforest.min_leaf must be at least 1")
+        if self.smote_k < 1:
+            raise ConfigError("resample.smote_k must be at least 1")
+        if self.enn_k < 1:
+            raise ConfigError("resample.enn_k must be at least 1")
+        if not 0.0 < self.resample_ratio <= 1.0:
+            raise ConfigError("resample.ratio must lie in (0, 1]")
         if any(not 2 <= k <= self.synth_n for k in self.clusters):
             raise ConfigError(f"clusters must each lie in [2, synth.n={self.synth_n}]")
         if self.classifier_patience > self.classifier_epochs:

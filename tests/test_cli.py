@@ -231,7 +231,11 @@ def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
                                    "missforest.max_sweeps = -1",
                                    "missforest.trees = 0",
                                    "missforest.max_depth = -1",
-                                   "missforest.min_leaf = 0"])
+                                   "missforest.min_leaf = 0",
+                                   "resample.smote_k = 0",
+                                   "resample.enn_k = 0",
+                                   "resample.ratio = -1",
+                                   "resample.ratio = 1.5"])
 def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)

@@ -1,5 +1,7 @@
 """Tabular data model: masks, schemas, CSV ingestion, scaling, splitting."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,37 @@ def test_save_csv_round_trips_values_and_missing(tmp_path):
     obs = ~np.isnan(m)
     # repr() formatting makes the round trip exact, not just close.
     assert (m[obs] == back.features[obs]).all()
+
+
+def old_csv_writers(path, matrix, mask_path, mask, names):
+    """The writers before they read Python lists: one np.isnan and one
+    float() per numpy scalar."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in matrix:
+            writer.writerow(["" if np.isnan(v) else repr(float(v)) for v in row])
+    with open(mask_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        for row in mask:
+            writer.writerow([str(int(v)) for v in row])
+
+
+def test_csv_writers_match_the_old_writers_byte_for_byte(tmp_path):
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-20, 20, size=(40, 6))
+    m[0] = [-0.0, 0.0, 1e-300, 5e-324, -5e-324, 1.7976931348623157e308]
+    m[1] = [3.0, -12.0, 1e16, 2.0 ** 53, 0.1 + 0.2, 1.0 / 3.0]
+    m[rng.random(m.shape) < 0.25] = NAN
+    m[2] = NAN
+    names = [f"c{j}" for j in range(6)]
+    old, old_mask = tmp_path / "old.csv", tmp_path / "old.mask.csv"
+    old_csv_writers(old, m, old_mask, mask_of(m), names)
+    save_csv(tmp_path / "new.csv", m, names)
+    save_mask_csv(tmp_path / "new.mask.csv", mask_of(m), names)
+    assert (tmp_path / "new.csv").read_bytes() == old.read_bytes()
+    assert (tmp_path / "new.mask.csv").read_bytes() == old_mask.read_bytes()
 
 
 def test_mask_csv_round_trip(tmp_path):

@@ -1,0 +1,224 @@
+"""KNN imputation and the nearest-row search, bit for bit against the code
+they replaced: a partial distance built from seven fresh temporaries, one
+dist[takers, donors] gather and one `nearest` per column, and a full stable
+argsort for every tied row. The oracle below is that code, kept as it was.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from misslab.imputers import _column_means, impute_knn
+from misslab.neighbors import nearest, partial_distances, squared_distances
+
+ROOT = Path(__file__).resolve().parent.parent
+NAN = np.nan
+
+
+# ---------------------------------------------------------------------------
+# The oracle
+# ---------------------------------------------------------------------------
+
+def oracle_partial_distances(x, rows):
+    d = x.shape[1]
+    observed = (~np.isnan(x)).astype(np.float64)
+    x0 = np.where(np.isnan(x), 0.0, x)
+    sq = x0 * x0
+    a = sq[rows] @ observed.T
+    b = observed[rows] @ sq.T
+    g = x0[rows] @ x0.T
+    shared = observed[rows] @ observed.T
+    raw = np.maximum(a + b - 2.0 * g, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(shared > 0, raw * (d / np.maximum(shared, 1.0)), np.inf)
+    dist = np.sqrt(scaled)
+    dist[np.arange(rows.size), rows] = np.inf
+    return dist
+
+
+def oracle_nearest(dist, k):
+    if not 0 < k < dist.shape[1]:
+        return np.argsort(dist, axis=1, kind="stable")[:, :k]
+    picks = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    values = np.take_along_axis(dist, picks, axis=1)
+    out = np.take_along_axis(picks, np.argsort(values, axis=1, kind="stable"), axis=1)
+    kth = values.max(axis=1)
+    tied = np.isnan(kth) | (np.count_nonzero(dist <= kth[:, None], axis=1) > k)
+    if tied.any():
+        out[tied] = np.argsort(dist[tied], axis=1, kind="stable")[:, :k]
+    return out
+
+
+def oracle_impute_knn(x, k, chunk=512):
+    means = _column_means(x)
+    out = x.copy()
+    missing = np.isnan(x)
+    need_rows = np.flatnonzero(missing.any(axis=1))
+    donors = [np.flatnonzero(~missing[:, j]) for j in range(x.shape[1])]
+    for start in range(0, need_rows.size, chunk):
+        rows = need_rows[start:start + chunk]
+        dist = oracle_partial_distances(x, rows)
+        for j, cand in enumerate(donors):
+            takers = np.flatnonzero(missing[rows, j])
+            if takers.size == 0:
+                continue
+            cd = dist[np.ix_(takers, cand)]
+            order = oracle_nearest(cd, k)
+            finite = np.isfinite(np.take_along_axis(cd, order, axis=1)).sum(axis=1)
+            values = x[cand[order], j]
+            filled = np.full(takers.size, means[j])
+            for m in np.unique(finite[finite > 0]):
+                hit = finite == m
+                filled[hit] = np.mean(values[hit, :m], axis=1)
+            out[rows[takers], j] = filled
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Random tables
+# ---------------------------------------------------------------------------
+
+def random_case(seed):
+    """A holed table and a k: n <= 260 (every 40th case over 512 rows),
+    d <= 8, degree up to 0.9, continuous, clipped, rounded or integer values,
+    some fully missing rows and some columns cut to one observed cell."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(513, 1100)) if seed % 40 == 0 else int(rng.integers(2, 261))
+    d = int(rng.integers(1, 9))
+    x = rng.normal(size=(n, d))
+    style = seed % 4
+    if style == 1:
+        centers = rng.random((3, d))
+        x = np.clip(centers[rng.integers(0, 3, n)] + 0.3 * x, 0.0, 1.0)
+    elif style == 2:
+        x = np.round(x, 1)
+    elif style == 3:
+        x = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    holed = np.where(rng.random((n, d)) < rng.uniform(0.0, 0.9), NAN, x)
+    if rng.random() < 0.4:
+        holed[rng.choice(n, size=max(1, n // 10), replace=False)] = NAN
+    if rng.random() < 0.3:
+        j = int(rng.integers(d))
+        holed[:, j] = NAN
+        holed[rng.integers(n), j] = x[0, j]
+    for j in np.flatnonzero(np.isnan(holed).all(axis=0)):
+        holed[rng.integers(n), j] = x[0, j]
+    return holed, int(rng.integers(1, 15))
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_knn_matches_the_oracle_bit_for_bit(block):
+    for seed in range(40 * block, 40 * block + 40):
+        holed, k = random_case(seed)
+        got = impute_knn(holed, k=k).copies[0]
+        assert got.tobytes() == oracle_impute_knn(holed, k).tobytes(), seed
+
+
+@pytest.mark.parametrize("block", range(5))
+def test_knn_with_short_candidate_lists_matches_the_oracle(monkeypatch, block):
+    # Lists of k to 3k entries leave many picks at or past the list's last
+    # distance, so the exact fallback and the fence between them both run.
+    spans = np.random.default_rng(block).integers(0, 1000, size=40)
+    for seed, span in zip(range(1000 + 40 * block, 1040 + 40 * block), spans):
+        holed, k = random_case(seed)
+        monkeypatch.setattr("misslab.imputers._candidate_count",
+                            lambda k, observed, s=span: k + s % (2 * k + 1))
+        got = impute_knn(holed, k=k).copies[0]
+        assert got.tobytes() == oracle_impute_knn(holed, k).tobytes(), seed
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_knn_slabs_match_the_oracle_with_the_same_slab(monkeypatch, chunk):
+    monkeypatch.setattr("misslab.imputers.CHUNK", chunk)
+    for seed in range(2000, 2030):
+        holed, k = random_case(seed)
+        got = impute_knn(holed, k=k).copies[0]
+        assert got.tobytes() == oracle_impute_knn(holed, k, chunk).tobytes(), seed
+
+
+def test_partial_distance_slabs_match_the_oracle():
+    for seed in range(20):
+        holed, _ = random_case(seed)
+        rows = np.flatnonzero(np.isnan(holed).any(axis=1))
+        got = partial_distances(holed)(rows)
+        assert got.tobytes() == oracle_partial_distances(holed, rows).tobytes(), seed
+
+
+# ---------------------------------------------------------------------------
+# nearest and squared_distances
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_nearest_ties_straddling_the_kth_place_match_stable_argsort(seed):
+    # Few distinct values and many infinities: nearly every row ties its
+    # k-th distance both inside and outside the k picks.
+    rng = np.random.default_rng(seed)
+    dist = rng.integers(0, 5, size=(60, 40)).astype(np.float64)
+    dist[rng.random(dist.shape) < 0.2] = np.inf
+    dist[0] = np.inf
+    dist[1] = 2.0
+    for k in range(0, 43):
+        want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(nearest(dist, k), want), k
+        assert np.array_equal(oracle_nearest(dist, k), want), k
+
+
+def test_nearest_rows_holding_nan_match_stable_argsort():
+    dist = np.array([[1.0, NAN, 0.0, 1.0, 2.0],
+                     [NAN, NAN, NAN, NAN, NAN],
+                     [3.0, 3.0, NAN, 3.0, 0.0]])
+    for k in range(1, 6):
+        want = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(nearest(dist, k), want), k
+
+
+def test_squared_distances_match_the_old_expression_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for trial in range(30):
+        x = rng.normal(size=(int(rng.integers(1, 90)), int(rng.integers(1, 9))))
+        if trial % 3 == 0:
+            x = np.round(x)                      # coincident rows clamp at 0
+        centers = x if trial % 2 else rng.normal(size=(7, x.shape[1]))
+        old = np.maximum(np.sum(x * x, axis=1)[:, None]
+                         + np.sum(centers * centers, axis=1)[None, :]
+                         - 2.0 * (x @ centers.T), 0.0)
+        assert squared_distances(x, centers).tobytes() == old.tobytes(), trial
+        sq = np.sum(x * x, axis=1)
+        assert squared_distances(x[3:], x, sq[3:], sq).tobytes() \
+            == squared_distances(x[3:], x).tobytes(), trial
+
+
+# ---------------------------------------------------------------------------
+# Behaviour lock on the BLAS path the pipeline takes
+# ---------------------------------------------------------------------------
+
+LOCK_SCRIPT = """
+import hashlib
+import numpy as np
+from misslab.imputers import impute_knn
+rng = np.random.default_rng(20261018)
+centers = 0.2 + 0.6 * rng.random((3, 10))
+x = centers[rng.integers(0, 3, size=1300)] + 0.23 * rng.normal(size=(1300, 10))
+x = np.clip(x, 0.0, 1.0)
+holed = np.where(rng.random(x.shape) < 0.4, np.nan, x)
+print(hashlib.sha256(impute_knn(holed, k=5).copies[0].tobytes()).hexdigest())
+"""
+
+# Recorded with BLAS at one thread from the KNN imputer before candidate lists
+# and in-place slabs: 1,300 x 10 three-blob rows clipped to [0, 1] (about 10%
+# of values at a bound), MCAR 0.4, k = 5, so three 512-row slabs.
+LOCK_DIGEST = "5a70b46e0be8466e4c30366474a1b369d8d5315d26f37bc9f88f17d07dd63933"
+
+
+def test_knn_on_three_clipped_slabs_matches_recorded_digest():
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", LOCK_SCRIPT], env=env,
+                          check=True, capture_output=True, text=True)
+    assert done.stdout.strip() == LOCK_DIGEST

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import bisect as scipy_bisect
+from scipy.special import expit
 
 from misslab.data import load_csv, mask_of
 from misslab.missingness import (
     MissingnessSpec,
+    bisect,
     combine_recovered,
     induce_missingness,
     save_induced,
@@ -196,3 +199,67 @@ def test_save_induced_round_trip(tmp_path):
     mask = load_csv(mask_path).features.astype(np.uint8)
     assert np.array_equal(mask_of(holed), induced.mask)
     assert np.array_equal(mask, induced.mask)
+
+
+# ---------------------------------------------------------------------------
+# Bisection, against scipy.optimize.bisect
+# ---------------------------------------------------------------------------
+
+def outcome(solver, f, a, b, **kw):
+    """The root's repr (the same string iff the same bits) or the error."""
+    try:
+        return repr(solver(f, a, b, **kw))
+    except (ValueError, RuntimeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_monotone(rng, kind):
+    """A monotone function with a random root, maybe outside the bracket."""
+    sign = float(rng.choice([-1.0, 1.0]))
+    if kind == 0:                                   # the MAR/MNAR calibration
+        z = rng.normal(size=int(rng.integers(1, 60))) * rng.uniform(0.1, 5.0)
+        target = rng.uniform(-0.05, 1.05)
+        return lambda t: sign * (float(np.mean(expit(z + t))) - target)
+    if kind == 1:
+        c, root = rng.uniform(0.0, 3.0), rng.uniform(-70.0, 70.0)
+        return lambda t: sign * ((t - root) ** 3 + c * (t - root))
+    step = rng.uniform(0.01, 2.0)                   # flat stretches, exact zeros
+    return lambda t: sign * float(np.floor(t / step))
+
+
+def test_bisect_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for trial in range(600):
+        f = random_monotone(rng, trial % 3)
+        a, b = rng.uniform(-80.0, 5.0), rng.uniform(-5.0, 80.0)
+        kw = {}
+        if trial % 4 == 1:
+            kw["xtol"] = float(rng.choice([1e-12, 1e-6, 0.5, 5e-324]))
+        if trial % 5 == 2:
+            kw["rtol"] = float(rng.choice([1e-15, 1e-8, 1e-3]))
+        if trial % 7 == 3:
+            kw["maxiter"] = int(rng.integers(0, 40))
+            kw["disp"] = bool(trial % 2)
+        want = outcome(scipy_bisect, f, a, b, **kw)
+        assert outcome(bisect, f, a, b, **kw) == want, (trial, kw)
+
+
+def test_bisect_argument_errors_match_scipy():
+    f = lambda t, shift: t - shift              # noqa: E731
+    assert outcome(bisect, f, 0.0, 1.0, args=(0.25,)) \
+        == outcome(scipy_bisect, f, 0.0, 1.0, args=(0.25,)) == "0.25"
+    for kw in ({"xtol": 0.0}, {"xtol": -1.0}, {"rtol": 1e-17}):
+        assert outcome(bisect, f, 0.0, 1.0, args=(0.3,), **kw) \
+            == outcome(scipy_bisect, f, 0.0, 1.0, args=(0.3,), **kw), kw
+    nan = lambda t: float("nan")                # noqa: E731
+    assert outcome(bisect, nan, 0.0, 1.0) == outcome(scipy_bisect, nan, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["MAR", "MNAR"])
+def test_calibrated_masks_match_those_from_scipy_bisect(monkeypatch, scheme):
+    x = uniform_matrix(3, (400, 5))
+    spec = MissingnessSpec(scheme, 0.3, mar_drivers=(0, 1) if scheme == "MAR" else ())
+    ours = [induce_missingness(x, spec, seed).mask for seed in range(4)]
+    monkeypatch.setattr("misslab.missingness.bisect", scipy_bisect)
+    for seed, mask in enumerate(ours):
+        assert np.array_equal(mask, induce_missingness(x, spec, seed).mask), seed

@@ -138,6 +138,11 @@ def test_bool_values_parse_loosely(tmp_path):
     {"missforest_trees": 0},
     {"missforest_max_depth": -1},
     {"missforest_min_leaf": 0},
+    {"smote_k": 0},
+    {"enn_k": 0},
+    {"resample_ratio": -1.0},
+    {"resample_ratio": 0.0},
+    {"resample_ratio": 1.5},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
