@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 
 from ._rng import child_seed, rng_for
@@ -106,6 +105,7 @@ def _log_gaussians(model: GmmModel, x: np.ndarray) -> np.ndarray:
     n, d = x.shape
     out = np.empty((n, model.k))
     if model.kind in ("full", "tied"):
+        from scipy.linalg import solve_triangular  # only these kinds pay its import
         covs = model.covariances if model.kind == "full" else None
         if model.kind == "tied":
             chol = np.linalg.cholesky(model.covariances)

@@ -4,18 +4,24 @@ A run executes: ingest and clean, min-max scale, mixture fit and synthetic
 sampling, target-generator labeling, missingness induction per degree,
 every imputer per degree and repetition, classifier/clustering/direct
 evaluation, and CSV report emission. Every stage draws from seed streams
-derived from one master seed, so a run is a pure function of its config.
+derived from one master seed, so a run is a pure function of its config. The
+classification and clustering cells run in forked worker processes (`workers`)
+and are merged in one fixed order, so the worker count moves no result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
+import multiprocessing
 import os
 import time
 import traceback
 import typing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +64,10 @@ def _key(name: str, default, alias: str = ""):
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
+
+
+def _usable_cores() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 @dataclass
@@ -111,6 +121,7 @@ class ExperimentConfig:
     resample_ratio: float = _key("resample.ratio", 1.0)
     master_seed: int = _key("seed", 0)
     output_dir: str = _key("output", "run-output")
+    workers: int = _key("workers", _usable_cores())
 
     def validate(self, columns: int | None = None) -> None:
         """Raise ConfigError naming the first bad key. `columns` is the source
@@ -165,6 +176,9 @@ class ExperimentConfig:
             raise ConfigError("classifier.patience must not exceed classifier.epochs")
         if self.generator_patience > self.generator_epochs:
             raise ConfigError("generator.patience must not exceed generator.epochs")
+        if not 1 <= self.workers <= (os.cpu_count() or 1):
+            raise ConfigError(f"workers must lie in [1, {os.cpu_count()}] (the "
+                              f"machine's cores), got {self.workers}")
         if self.input_kind == "builtin":
             columns = self.builtin_features
         if columns is not None and self.scheme.upper() == "MAR":
@@ -282,6 +296,7 @@ class RunReport:
     clustering_rows: list[dict]
     failures: list[dict]
     plot: dict
+    timings: list[dict] = field(default_factory=list)   # one per work unit
 
 
 def _fmt(v) -> str:
@@ -320,6 +335,11 @@ def write_plot_tables(out_dir, plot: dict) -> list[str]:
         _write_rows(path, header, rows)
         written.append(path)
     return written
+
+
+def _write_json(path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -384,18 +404,14 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
     written += write_plot_tables(
         out_dir, {key: report.plot.get(key, []) for key in PLOT_TABLES})
 
-    manifest_path = os.path.join(out_dir, "manifest.json")
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(report.manifest, fh, indent=2, sort_keys=True)
-    written.append(manifest_path)
+    written.append(os.path.join(out_dir, "manifest.json"))
+    _write_json(written[-1], report.manifest)
     return written
 
 
 def save_report_json(report: RunReport, out_dir) -> str:
     path = os.path.join(out_dir, "report.json")
-    payload = dataclasses.asdict(report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+    _write_json(path, dataclasses.asdict(report))
     return path
 
 
@@ -580,6 +596,13 @@ def _cell_key(method: str, degree: float, rep: int) -> dict:
     return {"method": method, "degree": degree, "repetition": rep}
 
 
+def _cell_seed(cfg: ExperimentConfig, method: str, degree: float, rep: int) -> int:
+    """The seed a cell's row carries: its classifier's for the baseline, its
+    imputer's otherwise."""
+    stream = "clf" if method == BASELINE_METHOD else "impute"
+    return child_seed(cfg.master_seed, stream, method, repr(degree), rep)
+
+
 def _failure(method: str, degree: float, rep: int, stage: str, error,
              seed: int) -> dict:
     """Record of a failed cell: its key, the failing stage, the error (an
@@ -598,79 +621,186 @@ def clustering_degree(cfg: ExperimentConfig) -> float:
     return min(cfg.degrees, key=lambda d: abs(d - cfg.clustering_degree))
 
 
-def run_cells(cfg: ExperimentConfig, pool: LabeledPool, names: list[str],
-              eval_sets: dict, report: RunReport) -> dict[str, np.ndarray]:
-    """Step 5: per repetition, the no-missingness baseline cell, then per
-    degree one mask that every imputer's cell fills, scores directly and
-    classifies. Cells, direct rows and failures go into `report`; returns
-    each imputer's pooled fill at the clustering degree of repetition 0."""
-    master, x_synth = cfg.master_seed, pool.x_synth
-    cluster_at = clustering_degree(cfg)
-    cluster_inputs: dict[str, np.ndarray] = {}
-    for rep in range(cfg.repetitions):
-        seed = child_seed(master, "clf", BASELINE_METHOD, "0.0", rep)
-        try:
-            report.cells.append({**_cell_key(BASELINE_METHOD, 0.0, rep), "seed": seed,
-                                 **classify(cfg, x_synth, BASELINE_METHOD, 0.0, rep,
-                                            eval_sets)})
-        except Exception as exc:  # cell failures never stop the run
-            report.failures.append(_failure(BASELINE_METHOD, 0.0, rep, "classify",
-                                            exc, seed))
-        for degree in cfg.degrees:
-            seed = child_seed(master, "induce", repr(degree), rep)
+@dataclass
+class CellInputs:
+    """What every work unit reads. Forked workers inherit it unpickled."""
+
+    cfg: ExperimentConfig
+    pool: LabeledPool
+    names: list[str]
+    eval_sets: dict
+
+
+@dataclass
+class UnitResult:
+    """What one work unit adds to the report, and where its time went."""
+
+    key: dict
+    pid: int | None = field(default_factory=os.getpid)  # None: its worker was lost
+    seconds: dict = field(default_factory=dict)         # wall seconds per stage
+    rows: list[dict] = field(default_factory=list)      # cell or clustering rows
+    direct: list[dict] = field(default_factory=list)
+    plot: list[list] = field(default_factory=list)      # silhouette sample rows
+    failures: list[dict] = field(default_factory=list)
+    fill: np.ndarray | None = None                      # pooled fill, for clustering
+
+    def timing(self) -> dict:
+        return {**self.key, "pid": self.pid, "seconds": self.seconds}
+
+
+@contextlib.contextmanager
+def _timed(seconds: dict, stage: str):
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds[stage] = time.perf_counter() - start
+
+
+def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitResult:
+    """One classification cell: the no-missingness baseline, or one imputer's
+    fill of the (degree, rep) mask, scored directly and classified. Each cell
+    induces its mask from the (degree, rep) seed, so the imputers of one
+    (degree, rep) fill the same holes."""
+    cfg, x_synth = inputs.cfg, inputs.pool.x_synth
+    key = _cell_key(method, degree, rep)
+    out = UnitResult(key)
+    stage, seed, features = "classify", _cell_seed(cfg, method, degree, rep), x_synth
+    try:
+        if method != BASELINE_METHOD:
+            stage, seed = "induce", child_seed(cfg.master_seed, "induce", repr(degree), rep)
             spec = MissingnessSpec(scheme=cfg.scheme, degree=degree,
                                    mar_drivers=tuple(cfg.mar_drivers))
-            try:
+            with _timed(out.seconds, "induce"):
                 induced = induce_missingness(x_synth, spec, seed)
-            except Exception as exc:
-                report.failures += [_failure(method, degree, rep, "induce", exc, seed)
-                                    for method in cfg.imputers]
-                continue
-            for method in cfg.imputers:
-                seed = child_seed(master, "impute", method, repr(degree), rep)
-                try:
-                    result = run_imputer(induced.holed, _imputer_spec(cfg, method, seed),
-                                         names)
-                    pooled = pool_copies(result)
-                    for c, copy in enumerate(result.copies):
-                        report.direct_cells.append({
-                            **_cell_key(method, degree, rep), "copy": c,
-                            **regression_metrics_masked(x_synth, copy, induced.mask)})
-                    if rep == 0 and degree == cluster_at:
-                        cluster_inputs[method] = pooled
-                    report.cells.append({**_cell_key(method, degree, rep), "seed": seed,
-                                         **classify(cfg, pooled, method, degree, rep,
-                                                    eval_sets)})
-                except Exception as exc:
-                    report.failures.append(_failure(method, degree, rep,
-                                                    "impute+classify", exc, seed))
-    return cluster_inputs
+            stage, seed = "impute+classify", _cell_seed(cfg, method, degree, rep)
+            with _timed(out.seconds, "impute"):
+                result = run_imputer(induced.holed, _imputer_spec(cfg, method, seed),
+                                     inputs.names)
+                features = pool_copies(result)
+            for c, copy in enumerate(result.copies):
+                out.direct.append({**key, "copy": c,
+                                   **regression_metrics_masked(x_synth, copy, induced.mask)})
+            if rep == 0 and degree == clustering_degree(cfg):
+                out.fill = features
+        with _timed(out.seconds, "classify"):
+            out.rows.append({**key, "seed": seed, **classify(cfg, features, method, degree,
+                                                            rep, inputs.eval_sets)})
+    except Exception as exc:  # cell failures never stop the run
+        out.failures.append(_failure(method, degree, rep, stage, exc, seed))
+    return out
 
 
-def run_clustering(cfg: ExperimentConfig, pool: LabeledPool,
-                   cluster_inputs: dict[str, np.ndarray], report: RunReport) -> None:
-    """Step 6: k-means on each imputer's fill for every k, scored by Rand
-    index against the pool's mixture components and by silhouette."""
-    degree = clustering_degree(cfg)
-    for method in cfg.imputers:
-        data = cluster_inputs.get(method)
-        for k in cfg.clusters:
+def run_clusters(inputs: CellInputs, method: str, k: int,
+                 data: np.ndarray | None) -> UnitResult:
+    """One clustering: k-means with `k` clusters on an imputer's fill (None
+    when its cell failed), scored by Rand index against the pool's mixture
+    components and by silhouette."""
+    cfg = inputs.cfg
+    seed = child_seed(cfg.master_seed, "cluster", method, k)
+    out = UnitResult({"method": method, "clusters": k})
+    if data is None:
+        out.failures.append(_failure(method, clustering_degree(cfg), 0, "cluster",
+                                     "no imputed matrix available", seed))
+        return out
+    try:
+        with _timed(out.seconds, "kmeans"):
+            labels = assign_kmeans(fit_kmeans(data, k, seed), data)
+        with _timed(out.seconds, "silhouette"):
+            per_sample = silhouette_samples(data, labels)
+        out.rows.append({"method": method, "clusters": k,
+                         "rand": rand_index(labels, inputs.pool.components),
+                         "silhouette": float(np.mean(per_sample))})
+        for cluster_id in range(k):
+            out.plot += [[method, k, cluster_id, float(v)]
+                         for v in per_sample[labels == cluster_id]]
+    except Exception as exc:
+        out.failures.append(_failure(method, clustering_degree(cfg), 0, "cluster", exc, seed))
+    return out
+
+
+_WORKER_INPUTS: CellInputs | None = None   # set in forked workers only
+
+
+def _enter_worker(inputs: CellInputs) -> None:
+    global _WORKER_INPUTS
+    _WORKER_INPUTS = inputs
+
+
+def _in_worker(unit_fn, *unit) -> UnitResult:
+    return unit_fn(_WORKER_INPUTS, *unit)
+
+
+def _map_units(executor, inputs: CellInputs, unit_fn, units: list[tuple]) -> list:
+    """unit_fn(inputs, *unit) for every unit, in order: inline without an
+    executor, else in its workers. A unit whose worker was lost gives the
+    exception its future raised (BrokenProcessPool) in place of a result."""
+    if executor is None:
+        return [unit_fn(inputs, *unit) for unit in units]
+    try:
+        futures = [executor.submit(_in_worker, unit_fn, *unit) for unit in units]
+    except BrokenProcessPool as exc:       # a worker died in an earlier unit
+        return [exc] * len(units)
+    outcomes = []
+    for future in futures:
+        try:
+            outcomes.append(future.result())
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def cell_units(cfg: ExperimentConfig) -> list[tuple]:
+    """Every classification cell's (method, degree, rep), in report order:
+    per repetition the baseline, then per degree every imputer."""
+    return [unit for rep in range(cfg.repetitions) for unit in [(BASELINE_METHOD, 0.0, rep)]
+            + [(method, degree, rep) for degree in cfg.degrees for method in cfg.imputers]]
+
+
+def run_cells(inputs: CellInputs, executor, report: RunReport) -> dict[str, np.ndarray]:
+    """Step 5: every cell of cell_units. Cells, direct rows, failures and
+    timings go into `report`; returns each imputer's pooled fill at the
+    clustering degree of repetition 0."""
+    cfg, fills = inputs.cfg, {}
+    units = cell_units(cfg)
+    for unit, out in zip(units, _map_units(executor, inputs, run_cell, units)):
+        if isinstance(out, Exception):
+            out = UnitResult(_cell_key(*unit), pid=None, failures=[
+                _failure(*unit, "worker", out, _cell_seed(cfg, *unit))])
+        report.cells += out.rows
+        report.direct_cells += out.direct
+        report.failures += out.failures
+        report.timings.append(out.timing())
+        if out.fill is not None:
+            fills[unit[0]] = out.fill
+    return fills
+
+
+def run_clustering(inputs: CellInputs, executor, fills: dict[str, np.ndarray],
+                   report: RunReport) -> None:
+    """Step 6: run_clusters for each imputer and every k."""
+    cfg = inputs.cfg
+    units = [(method, k, fills.get(method)) for method in cfg.imputers
+             for k in cfg.clusters]
+    for (method, k, _), out in zip(units, _map_units(executor, inputs, run_clusters, units)):
+        if isinstance(out, Exception):
             seed = child_seed(cfg.master_seed, "cluster", method, k)
-            if data is None:
-                report.failures.append(_failure(method, degree, 0, "cluster",
-                                                "no imputed matrix available", seed))
-                continue
-            try:
-                labels = assign_kmeans(fit_kmeans(data, k, seed), data)
-                per_sample = silhouette_samples(data, labels)
-                report.clustering_rows.append({
-                    "method": method, "clusters": k, "rand": rand_index(labels, pool.components),
-                    "silhouette": float(np.mean(per_sample))})
-                for cluster_id in range(k):
-                    report.plot["silhouette_samples"] += [
-                        [method, k, cluster_id, float(v)] for v in per_sample[labels == cluster_id]]
-            except Exception as exc:
-                report.failures.append(_failure(method, degree, 0, "cluster", exc, seed))
+            out = UnitResult({"method": method, "clusters": k}, pid=None, failures=[
+                _failure(method, clustering_degree(cfg), 0, "worker", out, seed)])
+        report.clustering_rows += out.rows
+        report.plot["silhouette_samples"] += out.plot
+        report.failures += out.failures
+        report.timings.append(out.timing())
+
+
+def _worker_pool(workers: int, inputs: CellInputs):
+    """`workers` forked processes that inherit `inputs` and the parent's BLAS
+    setting (silhouette bits depend on its thread count), or for one worker
+    no executor, so that units run inline."""
+    if workers == 1:
+        return contextlib.nullcontext()
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_enter_worker, initargs=(inputs,))
 
 
 def _check_writable(out_dir) -> None:
@@ -714,8 +844,18 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
 
     report = RunReport(manifest={}, cells=[], direct_cells=[], clustering_rows=[],
                        failures=[], plot={**pool.plot_rows(), "silhouette_samples": []})
-    cluster_inputs = run_cells(cfg, pool, src.names, eval_sets, report)
-    run_clustering(cfg, pool, cluster_inputs, report)
+    inputs = CellInputs(cfg, pool, src.names, eval_sets)
+    units = len(cell_units(cfg)) + len(cfg.imputers) * len(cfg.clusters)
+    forkable = "fork" in multiprocessing.get_all_start_methods()
+    workers = min(cfg.workers, units) if forkable else 1
+    cells_started = time.perf_counter()
+    with _worker_pool(workers, inputs) as executor:
+        fills = run_cells(inputs, executor, report)
+        run_clustering(inputs, executor, fills, report)
+    artifacts["timings.json"] = os.path.join(out_dir, "timings.json")
+    _write_json(artifacts["timings.json"], {
+        "workers": workers, "wall_s": time.perf_counter() - cells_started,
+        "units": report.timings})
 
     report.manifest = {
         "version": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
@@ -727,6 +867,8 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         "clustering_degree": clustering_degree(cfg),
         "artifacts": artifacts,
         "n_cells": len(report.cells), "n_failures": len(report.failures),
+        "workers": workers, "blas_threads": {var: os.environ.get(var) for var in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "started_unix": started, "finished_unix": time.time(),
     }
     return report

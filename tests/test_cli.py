@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -326,3 +328,44 @@ def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
     first = report["failures"][0]
     assert first["seed"] == child_seed(5, "cluster", "mean", 2)
     assert first["traceback"][-1] == "ValueError: injected k-means fault"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_lost_worker_gives_failure_records(tmp_path, capsys, monkeypatch):
+    # The worker running the last cell dies. Its cell, and any other unit the
+    # broken pool loses, is recorded; the finished cells are still written.
+    from misslab import pipeline
+    parent, classify = os.getpid(), pipeline.classify
+
+    def dying_classify(cfg, features, method, degree, rep, eval_sets):
+        if (method, rep) == ("mean", 1) and os.getpid() != parent:
+            os._exit(3)
+        return classify(cfg, features, method, degree, rep, eval_sets)
+
+    monkeypatch.setattr("misslab.pipeline.classify", dying_classify)
+    out = tmp_path / "lost"
+    cfg = write_cfg(tmp_path, out, extra="repetitions = 2\nworkers = 2")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "[worker]" in capsys.readouterr().err
+    assert (out / "accuracy.csv").exists()
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert len(report["cells"]) >= 2
+    lost = next(f for f in report["failures"]
+                if (f["method"], f["repetition"]) == ("mean", 1))
+    assert lost["stage"] == "worker"
+    assert lost["error"].startswith("BrokenProcessPool")
+    assert lost["seed"] == child_seed(5, "impute", "mean", repr(0.2), 1)
+    cells = {(c["method"], c["repetition"]) for c in report["cells"]}
+    failed = {(f["method"], f["repetition"]) for f in report["failures"]}
+    assert cells | failed == {("none", 0), ("mean", 0), ("none", 1), ("mean", 1)}
+
+
+def test_cli_import_leaves_scipy_linalg_out():
+    # Only the full and tied mixture kinds need scipy.linalg; they import it.
+    code = "import sys, misslab.cli; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    res = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert res.stdout.strip() == "False"

@@ -3,7 +3,8 @@
 The digests were recorded from `misslab run` on configs/desk.cfg with BLAS
 pinned to one thread (silhouette_samples.csv changes in its last digits
 with the BLAS thread count). Regenerate them only in a change that alters
-these tables on purpose, and name the rows that moved.
+these tables on purpose, and name the rows that moved. The worker count
+must not move them: cells run in any worker and are merged in one order.
 """
 
 import hashlib
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -25,16 +28,27 @@ DIGESTS = {
 }
 
 
-def test_desk_tables_match_recorded_digests(tmp_path):
+def desk_digests(tmp_path, workers: int) -> dict:
+    """Digests of the tables of configs/desk.cfg run with `workers` workers."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text((ROOT / "configs" / "desk.cfg").read_text(encoding="utf-8")
+                   + f"\nworkers = {workers}\n", encoding="utf-8")
     # desk.cfg writes to the relative directory desk-output, here under tmp_path.
-    subprocess.run([sys.executable, "-m", "misslab.cli", "run", "--config",
-                    str(ROOT / "configs" / "desk.cfg")],
+    subprocess.run([sys.executable, "-m", "misslab.cli", "run", "--config", str(cfg)],
                    cwd=tmp_path, env=env, check=True, capture_output=True)
     out = tmp_path / "desk-output"
-    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-           for name in DIGESTS}
-    assert got == DIGESTS
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in DIGESTS}
+
+
+def test_desk_tables_match_recorded_digests(tmp_path):
+    assert desk_digests(tmp_path, workers=1) == DIGESTS
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_desk_tables_match_recorded_digests_with_two_workers(tmp_path):
+    assert desk_digests(tmp_path, workers=2) == DIGESTS

@@ -1,5 +1,6 @@
 """End-to-end runner tests at desk scale, plus config parsing."""
 
+import json
 import os
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from misslab._rng import child_seed
 from misslab.pipeline import (_CONFIG_KEYS, BASELINE_METHOD, EVAL_COLUMNS,
                               ConfigError, ExperimentConfig, LabeledPool,
-                              RunReport, builtin_source, emit_report,
+                              RunReport, builtin_source, cell_units, emit_report,
                               load_report_json, parse_config, prepare_source,
                               run_pipeline, save_report_json, write_plot_tables)
 
@@ -150,6 +151,14 @@ def test_validate_rejects(overrides):
         cfg.validate()
 
 
+@pytest.mark.parametrize("workers", [0, -1, 10 ** 6])
+def test_workers_out_of_range_rejected(tmp_path, workers):
+    # Checked by parsing alone, so that no value under test starts a pool.
+    path = write_cfg(tmp_path, f"workers = {workers}\n")
+    with pytest.raises(ConfigError, match="workers"):
+        parse_config(path)
+
+
 def test_validate_accepts_mar_with_drivers():
     ExperimentConfig(scheme="mar", mar_drivers=[0, 1]).validate()
 
@@ -186,8 +195,9 @@ def test_paper_config_is_the_documented_defaults():
         attr = _CONFIG_KEYS[key][0]
         if key not in ("seed", "output"):
             assert getattr(cfg, attr) == getattr(default, attr), key
-    # Only keys whose default is empty (and the alias) are left out.
-    for key in set(_CONFIG_KEYS) - set(keys) - {"mice.copies"}:
+    # Only keys whose default is empty (and the alias) are left out, and
+    # workers, whose default is the machine's usable core count.
+    for key in set(_CONFIG_KEYS) - set(keys) - {"mice.copies", "workers"}:
         assert not getattr(default, _CONFIG_KEYS[key][0]), key
 
 
@@ -306,6 +316,8 @@ def test_run_manifest_contents(desk_run):
     assert man["clustering_degree"] == 0.3
     assert man["config"]["missing.degrees"] == repr(cfg.degrees)
     assert set(man["config"]) == set(_CONFIG_KEYS)
+    assert set(man["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
     for path in man["artifacts"].values():
         assert os.path.exists(path)
 
@@ -439,6 +451,44 @@ def test_failed_cells_recorded_not_fatal(tmp_path, monkeypatch):
     assert report.manifest["n_failures"] == len(report.failures)
     # Emission still works off the surviving baseline cells.
     emit_report(report, tmp_path / "broken-report")
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+def test_failures_match_under_one_and_two_workers(tmp_path, monkeypatch):
+    def broken_imputer(*args, **kwargs):
+        raise ValueError("injected imputer fault")
+
+    monkeypatch.setattr("misslab.pipeline.run_imputer", broken_imputer)
+    failures = {}
+    for workers in (1, 2):
+        cfg = desk_config(tmp_path / f"w{workers}")
+        cfg.degrees = [0.2]
+        cfg.workers = workers
+        report = run_pipeline(cfg)
+        assert report.manifest["workers"] == workers
+        pids = {t["pid"] for t in report.timings}
+        assert (pids == {os.getpid()}) == (workers == 1)
+        failures[workers] = report.failures
+    assert len(failures[1]) == 6               # 2 imputers x 2 reps, 2 clusterings
+    assert failures[1] == failures[2]
+
+
+def test_timings_list_every_unit_once(desk_run):
+    cfg, report = desk_run
+    with open(os.path.join(cfg.output_dir, "timings.json"), encoding="utf-8") as fh:
+        timings = json.load(fh)
+    assert timings["workers"] == report.manifest["workers"]
+    cells = [(t["method"], t["degree"], t["repetition"]) for t in timings["units"]
+             if "repetition" in t]
+    clusterings = [(t["method"], t["clusters"]) for t in timings["units"]
+                   if "clusters" in t]
+    assert sorted(cells) == sorted(cell_units(cfg))
+    assert len(set(cells)) == len(cells)
+    assert sorted(clusterings) == sorted((m, k) for m in cfg.imputers for k in cfg.clusters)
+    assert len(cells) + len(clusterings) == len(timings["units"])
+    for unit in timings["units"]:
+        assert set(unit["seconds"]) in ({"classify"}, {"induce", "impute", "classify"},
+                                        {"kmeans", "silhouette"})
 
 
 def test_unwritable_output_fails_before_compute(tmp_path):
