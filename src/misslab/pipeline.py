@@ -5,8 +5,9 @@ sampling, target-generator labeling, missingness induction per degree,
 every imputer per degree and repetition, classifier/clustering/direct
 evaluation, and CSV report emission. Every stage draws from seed streams
 derived from one master seed, so a run is a pure function of its config. The
-classification and clustering cells run in forked worker processes (`workers`)
-and are merged in one fixed order, so the worker count moves no result.
+classification and clustering cells run in forked worker processes, one per
+usable core, and are merged in one fixed order, so the worker count moves no
+result.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import resource
 import time
 import traceback
 import typing
@@ -64,10 +66,6 @@ def _key(name: str, default, alias: str = ""):
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
-
-
-def _usable_cores() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 @dataclass
@@ -121,7 +119,6 @@ class ExperimentConfig:
     resample_ratio: float = _key("resample.ratio", 1.0)
     master_seed: int = _key("seed", 0)
     output_dir: str = _key("output", "run-output")
-    workers: int = _key("workers", _usable_cores())
 
     def validate(self, columns: int | None = None) -> None:
         """Raise ConfigError naming the first bad key. `columns` is the source
@@ -176,9 +173,6 @@ class ExperimentConfig:
             raise ConfigError("classifier.patience must not exceed classifier.epochs")
         if self.generator_patience > self.generator_epochs:
             raise ConfigError("generator.patience must not exceed generator.epochs")
-        if not 1 <= self.workers <= (os.cpu_count() or 1):
-            raise ConfigError(f"workers must lie in [1, {os.cpu_count()}] (the "
-                              f"machine's cores), got {self.workers}")
         if self.input_kind == "builtin":
             columns = self.builtin_features
         if columns is not None and self.scheme.upper() == "MAR":
@@ -296,7 +290,7 @@ class RunReport:
     clustering_rows: list[dict]
     failures: list[dict]
     plot: dict
-    timings: list[dict] = field(default_factory=list)   # one per work unit
+    timings: dict = field(default_factory=dict)    # wall_s, peak RSS, one record per unit
 
 
 def _fmt(v) -> str:
@@ -636,8 +630,10 @@ class UnitResult:
     """What one work unit adds to the report, and where its time went."""
 
     key: dict
-    pid: int | None = field(default_factory=os.getpid)  # None: its worker was lost
+    pid: int = field(default_factory=os.getpid)
     seconds: dict = field(default_factory=dict)         # wall seconds per stage
+    peak_rss_mb: float = 0.0                            # its process's peak so far
+    lost_worker: str | None = None   # the error of a lost worker's future, rerun inline
     rows: list[dict] = field(default_factory=list)      # cell or clustering rows
     direct: list[dict] = field(default_factory=list)
     plot: list[list] = field(default_factory=list)      # silhouette sample rows
@@ -645,7 +641,8 @@ class UnitResult:
     fill: np.ndarray | None = None                      # pooled fill, for clustering
 
     def timing(self) -> dict:
-        return {**self.key, "pid": self.pid, "seconds": self.seconds}
+        return {**self.key, "pid": self.pid, "seconds": self.seconds,
+                "peak_rss_mb": self.peak_rss_mb, "lost_worker": self.lost_worker}
 
 
 @contextlib.contextmanager
@@ -719,6 +716,17 @@ def run_clusters(inputs: CellInputs, method: str, k: int,
     return out
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size (ru_maxrss is in KiB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _run_unit(inputs: CellInputs, unit_fn, unit: tuple) -> UnitResult:
+    out = unit_fn(inputs, *unit)
+    out.peak_rss_mb = _peak_rss_mb()
+    return out
+
+
 _WORKER_INPUTS: CellInputs | None = None   # set in forked workers only
 
 
@@ -727,27 +735,31 @@ def _enter_worker(inputs: CellInputs) -> None:
     _WORKER_INPUTS = inputs
 
 
-def _in_worker(unit_fn, *unit) -> UnitResult:
-    return unit_fn(_WORKER_INPUTS, *unit)
+def _in_worker(unit_fn, unit: tuple) -> UnitResult:
+    return _run_unit(_WORKER_INPUTS, unit_fn, unit)
 
 
 def _map_units(executor, inputs: CellInputs, unit_fn, units: list[tuple]) -> list:
-    """unit_fn(inputs, *unit) for every unit, in order: inline without an
-    executor, else in its workers. A unit whose worker was lost gives the
-    exception its future raised (BrokenProcessPool) in place of a result."""
-    if executor is None:
-        return [unit_fn(inputs, *unit) for unit in units]
+    """unit_fn(inputs, *unit) for every unit, in order: in the executor's
+    workers, or inline without one. A unit whose future raises (a worker
+    died, so the pool is broken) runs again inline, as does every unit after
+    it, so a lost worker costs time but no result."""
+    futures = [None] * len(units)
+    if executor is not None:
+        with contextlib.suppress(BrokenProcessPool):   # broken in an earlier phase
+            futures = [executor.submit(_in_worker, unit_fn, unit) for unit in units]
+    return [_outcome(future, inputs, unit_fn, unit) for future, unit in zip(futures, units)]
+
+
+def _outcome(future, inputs: CellInputs, unit_fn, unit: tuple) -> UnitResult:
+    if future is None:
+        return _run_unit(inputs, unit_fn, unit)
     try:
-        futures = [executor.submit(_in_worker, unit_fn, *unit) for unit in units]
-    except BrokenProcessPool as exc:       # a worker died in an earlier unit
-        return [exc] * len(units)
-    outcomes = []
-    for future in futures:
-        try:
-            outcomes.append(future.result())
-        except Exception as exc:
-            outcomes.append(exc)
-    return outcomes
+        return future.result()
+    except Exception as exc:                 # its worker was lost
+        out = _run_unit(inputs, unit_fn, unit)
+        out.lost_worker = f"{type(exc).__name__}: {exc}"
+        return out
 
 
 def cell_units(cfg: ExperimentConfig) -> list[tuple]:
@@ -759,18 +771,15 @@ def cell_units(cfg: ExperimentConfig) -> list[tuple]:
 
 def run_cells(inputs: CellInputs, executor, report: RunReport) -> dict[str, np.ndarray]:
     """Step 5: every cell of cell_units. Cells, direct rows, failures and
-    timings go into `report`; returns each imputer's pooled fill at the
+    unit timings go into `report`; returns each imputer's pooled fill at the
     clustering degree of repetition 0."""
-    cfg, fills = inputs.cfg, {}
-    units = cell_units(cfg)
+    fills = {}
+    units = cell_units(inputs.cfg)
     for unit, out in zip(units, _map_units(executor, inputs, run_cell, units)):
-        if isinstance(out, Exception):
-            out = UnitResult(_cell_key(*unit), pid=None, failures=[
-                _failure(*unit, "worker", out, _cell_seed(cfg, *unit))])
         report.cells += out.rows
         report.direct_cells += out.direct
         report.failures += out.failures
-        report.timings.append(out.timing())
+        report.timings["units"].append(out.timing())
         if out.fill is not None:
             fills[unit[0]] = out.fill
     return fills
@@ -779,18 +788,19 @@ def run_cells(inputs: CellInputs, executor, report: RunReport) -> dict[str, np.n
 def run_clustering(inputs: CellInputs, executor, fills: dict[str, np.ndarray],
                    report: RunReport) -> None:
     """Step 6: run_clusters for each imputer and every k."""
-    cfg = inputs.cfg
-    units = [(method, k, fills.get(method)) for method in cfg.imputers
-             for k in cfg.clusters]
-    for (method, k, _), out in zip(units, _map_units(executor, inputs, run_clusters, units)):
-        if isinstance(out, Exception):
-            seed = child_seed(cfg.master_seed, "cluster", method, k)
-            out = UnitResult({"method": method, "clusters": k}, pid=None, failures=[
-                _failure(method, clustering_degree(cfg), 0, "worker", out, seed)])
+    units = [(method, k, fills.get(method)) for method in inputs.cfg.imputers
+             for k in inputs.cfg.clusters]
+    for out in _map_units(executor, inputs, run_clusters, units):
         report.clustering_rows += out.rows
         report.plot["silhouette_samples"] += out.plot
         report.failures += out.failures
-        report.timings.append(out.timing())
+        report.timings["units"].append(out.timing())
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _worker_pool(workers: int, inputs: CellInputs):
@@ -843,19 +853,24 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     artifacts.update(save_pool(out_dir, pool, src.names))
 
     report = RunReport(manifest={}, cells=[], direct_cells=[], clustering_rows=[],
-                       failures=[], plot={**pool.plot_rows(), "silhouette_samples": []})
+                       failures=[], plot={**pool.plot_rows(), "silhouette_samples": []},
+                       timings={"units": []})
     inputs = CellInputs(cfg, pool, src.names, eval_sets)
     units = len(cell_units(cfg)) + len(cfg.imputers) * len(cfg.clusters)
     forkable = "fork" in multiprocessing.get_all_start_methods()
-    workers = min(cfg.workers, units) if forkable else 1
+    workers = min(_usable_cores(), units) if forkable else 1
     cells_started = time.perf_counter()
     with _worker_pool(workers, inputs) as executor:
         fills = run_cells(inputs, executor, report)
         run_clustering(inputs, executor, fills, report)
-    artifacts["timings.json"] = os.path.join(out_dir, "timings.json")
-    _write_json(artifacts["timings.json"], {
-        "workers": workers, "wall_s": time.perf_counter() - cells_started,
-        "units": report.timings})
+    report.timings["wall_s"] = time.perf_counter() - cells_started
+    # Each process's peak, summed: a bound on the run's resident memory (the
+    # peaks need not coincide, and pages shared since the fork count in each).
+    peaks = {}
+    for unit in report.timings["units"]:
+        peaks[unit["pid"]] = max(peaks.get(unit["pid"], 0.0), unit["peak_rss_mb"])
+    peaks[os.getpid()] = _peak_rss_mb()
+    report.timings["summed_peak_rss_mb"] = sum(peaks.values())
 
     report.manifest = {
         "version": __version__, "numpy": np.__version__, "scipy": scipy.__version__,

@@ -330,10 +330,10 @@ def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
     assert first["traceback"][-1] == "ValueError: injected k-means fault"
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
-def test_lost_worker_gives_failure_records(tmp_path, capsys, monkeypatch):
-    # The worker running the last cell dies. Its cell, and any other unit the
-    # broken pool loses, is recorded; the finished cells are still written.
+def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
+    # The worker running cell (mean, 0.2, rep 1) dies. That cell and every
+    # unit after it run again in the main process, so the run loses no row
+    # and its tables match those of a one-process run.
     from misslab import pipeline
     parent, classify = os.getpid(), pipeline.classify
 
@@ -343,21 +343,25 @@ def test_lost_worker_gives_failure_records(tmp_path, capsys, monkeypatch):
         return classify(cfg, features, method, degree, rep, eval_sets)
 
     monkeypatch.setattr("misslab.pipeline.classify", dying_classify)
-    out = tmp_path / "lost"
-    cfg = write_cfg(tmp_path, out, extra="repetitions = 2\nworkers = 2")
-    assert main(["run", "--config", str(cfg)]) == 2
-    assert "[worker]" in capsys.readouterr().err
-    assert (out / "accuracy.csv").exists()
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert len(report["cells"]) >= 2
-    lost = next(f for f in report["failures"]
-                if (f["method"], f["repetition"]) == ("mean", 1))
-    assert lost["stage"] == "worker"
-    assert lost["error"].startswith("BrokenProcessPool")
-    assert lost["seed"] == child_seed(5, "impute", "mean", repr(0.2), 1)
-    cells = {(c["method"], c["repetition"]) for c in report["cells"]}
-    failed = {(f["method"], f["repetition"]) for f in report["failures"]}
-    assert cells | failed == {("none", 0), ("mean", 0), ("none", 1), ("mean", 1)}
+    tables = {}
+    for workers in (2, 1):
+        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: workers)
+        out = tmp_path / f"w{workers}"
+        cfg = write_cfg(tmp_path, out, extra="repetitions = 2", name=f"w{workers}.cfg")
+        assert main(["run", "--config", str(cfg)]) == 0
+        tables[workers] = {name: (out / name).read_bytes() for name in
+                           ("accuracy.csv", "direct.csv", "clustering.csv",
+                            "silhouette_samples.csv")}
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["manifest"]["workers"] == workers
+        assert report["failures"] == []
+    units = json.loads((tmp_path / "w2" / "report.json").read_text(
+        encoding="utf-8"))["timings"]["units"]
+    lost = next(u for u in units if (u["method"], u.get("repetition")) == ("mean", 1))
+    assert lost["lost_worker"].startswith("BrokenProcessPool")
+    assert lost["pid"] == parent
+    assert [u["pid"] for u in units if "clusters" in u] == [parent]
+    assert tables[2] == tables[1]
 
 
 def test_cli_import_leaves_scipy_linalg_out():

@@ -5,9 +5,11 @@ pinned to one thread (silhouette_samples.csv changes in its last digits
 with the BLAS thread count). Regenerate them only in a change that alters
 these tables on purpose, and name the rows that moved. The worker count
 must not move them: cells run in any worker and are merged in one order.
+A run has one worker per usable core, so the tests pin the run's cores.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -28,27 +30,32 @@ DIGESTS = {
 }
 
 
-def desk_digests(tmp_path, workers: int) -> dict:
-    """Digests of the tables of configs/desk.cfg run with `workers` workers."""
+CORES = sorted(os.sched_getaffinity(0))
+
+
+def desk_digests(tmp_path, cores: int) -> dict:
+    """Digests of the tables of configs/desk.cfg run on `cores` cores, so
+    with that many workers."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    cfg = tmp_path / "desk.cfg"
-    cfg.write_text((ROOT / "configs" / "desk.cfg").read_text(encoding="utf-8")
-                   + f"\nworkers = {workers}\n", encoding="utf-8")
     # desk.cfg writes to the relative directory desk-output, here under tmp_path.
-    subprocess.run([sys.executable, "-m", "misslab.cli", "run", "--config", str(cfg)],
-                   cwd=tmp_path, env=env, check=True, capture_output=True)
+    subprocess.run([sys.executable, "-m", "misslab.cli", "run", "--config",
+                    str(ROOT / "configs" / "desk.cfg")],
+                   cwd=tmp_path, env=env, check=True, capture_output=True,
+                   preexec_fn=lambda: os.sched_setaffinity(0, CORES[:cores]))
     out = tmp_path / "desk-output"
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["workers"] == cores
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
             for name in DIGESTS}
 
 
 def test_desk_tables_match_recorded_digests(tmp_path):
-    assert desk_digests(tmp_path, workers=1) == DIGESTS
+    assert desk_digests(tmp_path, cores=1) == DIGESTS
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two cores")
+@pytest.mark.skipif(len(CORES) < 2, reason="needs two usable cores")
 def test_desk_tables_match_recorded_digests_with_two_workers(tmp_path):
-    assert desk_digests(tmp_path, workers=2) == DIGESTS
+    assert desk_digests(tmp_path, cores=2) == DIGESTS
