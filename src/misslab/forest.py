@@ -112,8 +112,9 @@ def _best_splits(flat: np.ndarray, xt: np.ndarray, y: np.ndarray,
     `feat[r]` (`xt` is the data transposed). A split puts p samples on the
     left, p in [min_leaf, size - min_leaf], and is allowed only between
     distinct consecutive values. Returns each row's minimum SSE (inf when it
-    has no allowed split; the first minimum wins ties) and the midpoint
-    threshold there.
+    has no allowed split; the first minimum wins ties) and the threshold
+    there: the midpoint of the two values, or the lower one where the
+    midpoint rounds onto the upper.
 
     Rows are scored in padded blocks of similar size, each of at most
     _BLOCK_CELLS cells: sizes in [2^(b-1), 2^b) share class b, and sizes
@@ -168,7 +169,11 @@ def _score_block(flat, xt, y, start, feat, size, min_leaf):
     allowed &= (p >= min_leaf) & (p <= size[:, None] - min_leaf)
     np.fmax(sse, _BLOCKED.take(allowed.view(np.uint8)), out=sse)
     at = sse.argmin(axis=1)
-    return sse[rows, at], 0.5 * (xs[rows, at] + xs[rows, at + 1])
+    lo, hi = xs[rows, at], xs[rows, at + 1]
+    mid = 0.5 * (lo + hi)
+    # A midpoint that rounds onto the upper value would send that value's
+    # samples left too; split at the lower value then, as scikit-learn does.
+    return sse[rows, at], np.where(mid < hi, mid, lo)
 
 
 def _grow_forest(x: np.ndarray, y: np.ndarray, boots: np.ndarray,
@@ -179,7 +184,7 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, boots: np.ndarray,
     Each tree grows in depth-first preorder, left child first. A node is a
     leaf at max_depth, below 2 * min_leaf samples or with constant targets;
     otherwise it draws m_feats features from its tree's rng and splits at the
-    minimum-SSE midpoint (`_best_splits`), or stays a leaf if no feature
+    minimum-SSE threshold (`_best_splits`), or stays a leaf if no feature
     allows a split. The first drawn feature wins ties. Each step pops every
     tree's next node that needs a split search and scores them all together,
     so each rng makes the same draws in the same order as a tree grown alone.
@@ -207,7 +212,7 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, boots: np.ndarray,
             while stack:
                 s, e, depth, parent, is_left = stack.pop()
                 yi = y.take(draw_rows[t][s:e])
-                node = tree.add(float(yi.sum() / yi.size) if s < e else np.nan)
+                node = tree.add(float(yi.sum() / yi.size))
                 if parent >= 0:
                     (tree.left if is_left else tree.right)[parent] = node
                 if (depth >= depth_cap or e - s < 2 * min_leaf

@@ -11,7 +11,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._rng import child_seed, rng_for
 from .cluster import kmeans_plus_plus
@@ -134,19 +133,38 @@ def _log_gaussians(model: GmmModel, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a 2-D array, bit for bit as scipy 1.17's
+    `scipy.special.logsumexp(a, axis=1)` on real input: each row's maximum
+    entries are split out of the sum for precision, and a row whose result
+    is not finite takes the direct formula. Written here so that a CLI
+    process does not import scipy.special."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        top = np.max(a, axis=1, keepdims=True)
+        at_top = a == top
+        m = np.sum(at_top, axis=1, keepdims=True, dtype=a.dtype)
+        s = np.sum(np.exp(np.where(at_top, -np.inf, a) - top), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + top)[:, 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            out[bad] = np.log(np.sum(np.exp(a[bad]), axis=1))
+    return out
+
+
 def _log_joint(model: GmmModel, x: np.ndarray) -> np.ndarray:
     log_w = np.log(np.maximum(model.weights, 1e-300))
     return _log_gaussians(model, x) + log_w[None, :]
 
 
 def total_log_likelihood(model: GmmModel, x: np.ndarray) -> float:
-    return float(np.sum(logsumexp(_log_joint(model, x), axis=1)))
+    return float(np.sum(logsumexp(_log_joint(model, x))))
 
 
 def responsibilities(model: GmmModel, x: np.ndarray) -> tuple[np.ndarray, float]:
     """E-step: posterior component probabilities per row, plus the total LL."""
     lj = _log_joint(model, x)
-    norm = logsumexp(lj, axis=1)
+    norm = logsumexp(lj)
     return np.exp(lj - norm[:, None]), float(norm.sum())
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ._rng import rng_for
 from .data import apply_mask, mask_of, save_csv, save_mask_csv, validate_matrix
@@ -122,6 +121,15 @@ def bisect(f, a: float, b: float, args: tuple = (), xtol: float = 2e-12,
     if disp:
         raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
     return a
+
+
+def expit(x: np.ndarray) -> np.ndarray:
+    """The logistic function 1 / (1 + exp(-x)), scipy.special.expit's formula.
+    numpy's exp is not the C library's, so a value may differ from scipy's
+    by a few ulp; the tests check that the calibrated masks do not. Written
+    here so that a CLI process does not import scipy.special."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _calibrated_probs(z: np.ndarray, degree: float) -> np.ndarray:

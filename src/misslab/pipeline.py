@@ -558,6 +558,21 @@ def save_pool(out_dir, pool: LabeledPool, names: list[str]) -> dict[str, str]:
     return paths
 
 
+def check_no_leakage(pool: LabeledPool, src: PreparedSource) -> None:
+    """Raise RuntimeError if a pool row, compared byte for byte, is also a
+    row of the reserve or of the clean source table: classifiers train on
+    pool rows and are scored on those two sets. Only pool rows with a
+    continuous cell strictly inside its column's range in the pool count;
+    rounded, thresholded or clipped cells match other tables by chance."""
+    x = pool.x_synth
+    continuous = np.array([col.kind == "continuous" for col in src.schema_w])
+    free = (x > x.min(axis=0)) & (x < x.max(axis=0)) & continuous
+    pool_rows = {row.tobytes() for row in x[free.any(axis=1)]}
+    for name, rows in (("testing", pool.x_reserve), ("original", src.x_orig)):
+        if any(row.tobytes() in pool_rows for row in rows):
+            raise RuntimeError(f"leakage: a pool row is also a row of the {name} set")
+
+
 def classify(cfg: ExperimentConfig, features: np.ndarray, method: str,
              degree: float, rep: int, eval_sets: dict) -> dict:
     """Train the cell's classifier on `features` (the pool, filled or not,
@@ -567,11 +582,6 @@ def classify(cfg: ExperimentConfig, features: np.ndarray, method: str,
     tag = (method, repr(degree), rep)
     train_idx, valid_idx = split_indices(
         cfg.synth_n, [0.8, 0.2], child_seed(cfg.master_seed, "clfsplit", *tag))
-    # Leakage guard by row id: the pool holds ids 0..synth.n-1, the reserve
-    # the ids after them, and the source table ids from 10**9.
-    for col, first_id in (("testing", cfg.synth_n), ("original", 10 ** 9)):
-        if np.intersect1d(train_idx, first_id + np.arange(len(eval_sets[col][1]))).size:
-            raise RuntimeError(f"leakage: classifier training rows found in {col} set")
     y = eval_sets["synthetic"][1]
     model = _train_mlp(cfg, features, y, train_idx, valid_idx, cfg.classifier_epochs,
                        cfg.classifier_patience, child_seed(cfg.master_seed, "clf", *tag))
@@ -639,10 +649,14 @@ class UnitResult:
     plot: list[list] = field(default_factory=list)      # silhouette sample rows
     failures: list[dict] = field(default_factory=list)
     fill: np.ndarray | None = None                      # pooled fill, for clustering
+    diagnostics: list[dict] | None = None               # its imputer's, one per copy
 
     def timing(self) -> dict:
-        return {**self.key, "pid": self.pid, "seconds": self.seconds,
-                "peak_rss_mb": self.peak_rss_mb, "lost_worker": self.lost_worker}
+        record = {**self.key, "pid": self.pid, "seconds": self.seconds,
+                  "peak_rss_mb": self.peak_rss_mb, "lost_worker": self.lost_worker}
+        if self.diagnostics is not None:
+            record["diagnostics"] = self.diagnostics
+        return record
 
 
 @contextlib.contextmanager
@@ -675,6 +689,7 @@ def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitRe
                 result = run_imputer(induced.holed, _imputer_spec(cfg, method, seed),
                                      inputs.names)
                 features = pool_copies(result)
+            out.diagnostics = result.diagnostics
             for c, copy in enumerate(result.copies):
                 out.direct.append({**key, "copy": c,
                                    **regression_metrics_masked(x_synth, copy, induced.mask)})
@@ -837,6 +852,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     generator, gen_report, search_table = fit_generator(cfg, src)
     write_search_table(os.path.join(out_dir, "gmm_search.csv"), search_table)
     pool = label_pool(cfg, src, generator)
+    check_no_leakage(pool, src)
 
     # Rebalanced variant of the clean original subset.
     edited = smote_enn(from_matrix(src.x_orig, src.y_orig),

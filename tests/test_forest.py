@@ -1,6 +1,7 @@
 """Random forests over hand-grown CART trees."""
 
-import warnings
+import contextlib
+import signal
 
 import numpy as np
 import pytest
@@ -132,7 +133,10 @@ def _oracle_best_split(x, y, idx, feats, min_leaf):
         at = int(np.argmin(sse))
         if best is None or sse[at] < best[0]:
             pos = int(p[at])
-            threshold = 0.5 * (xs_sorted[pos - 1] + xs_sorted[pos])
+            lo, hi = xs_sorted[pos - 1], xs_sorted[pos]
+            threshold = 0.5 * (lo + hi)
+            if not threshold < hi:      # rounded onto the upper value
+                threshold = lo
             best = (float(sse[at]), int(f), threshold)
     if best is None:
         return None
@@ -191,10 +195,6 @@ def _random_case(case: int):
     max_depth = [None, 0, 1, 8][case % 4 if case % 3 else (case // 3) % 4]
     x = rng.normal(size=(n, d))
     kinds = rng.integers(0, 6, size=d)
-    if max_depth is None:
-        # A midpoint that rounds onto the largest value sends every sample
-        # left, so an unbounded tree would repeat that split forever.
-        kinds[kinds == 4] = 1
     for j, kind in enumerate(kinds):
         if kind == 1:                                   # heavy ties
             x[:, j] = np.round(x[:, j], 1)
@@ -229,10 +229,9 @@ def _random_case(case: int):
 def test_lockstep_trees_equal_one_tree_at_a_time_bit_for_bit():
     for case in range(320):
         x, y, spec = _random_case(case)
-        model = train_forest(x, y, spec)
-        with warnings.catch_warnings():     # the mean of an empty node
-            warnings.simplefilter("ignore", RuntimeWarning)
-            expected = _oracle_forest(x, y, spec)
+        with _deadline(20):
+            model = train_forest(x, y, spec)
+        expected = _oracle_forest(x, y, spec)
         assert len(model.trees) == len(expected)
         for t, (tree, want) in enumerate(zip(model.trees, expected)):
             for key in ("feature", "left", "right"):
@@ -240,7 +239,59 @@ def test_lockstep_trees_equal_one_tree_at_a_time_bit_for_bit():
             for key in ("threshold", "value"):
                 got = getattr(tree, key)
                 exp = np.asarray(want[key], dtype=np.float64)
-                nan = np.isnan(exp)
-                assert np.array_equal(np.isnan(got), nan), (case, t, key)
-                assert np.array_equal(got[~nan].view(np.uint64),
-                                      exp[~nan].view(np.uint64)), (case, t, key)
+                assert np.array_equal(got.view(np.uint64),
+                                      exp.view(np.uint64)), (case, t, key)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging when a tree with no depth cap never stops."""
+    def hung(signum, frame):
+        raise TimeoutError("tree growth did not terminate")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _adjacent_floats(rng, shape) -> np.ndarray:
+    """1 plus 0 to 3 ulps: the midpoint of 1 + eps and 1 + 2 eps rounds onto
+    1 + 2 eps."""
+    return 1.0 + np.finfo(float).eps * rng.integers(0, 4, size=shape)
+
+
+def test_adjacent_float_splits_leave_no_nan_leaf():
+    eps = np.finfo(float).eps
+    assert 0.5 * ((1 + eps) + (1 + 2 * eps)) == 1 + 2 * eps
+    for case in range(60):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(2, 80))
+        x = _adjacent_floats(rng, (n, int(rng.integers(1, 4))))
+        y = rng.normal(size=n)
+        for max_depth in (None, 1, 8):
+            spec = ForestSpec(n_trees=4, max_depth=max_depth,
+                              min_samples_leaf=int(rng.integers(1, 4)), seed=case)
+            with _deadline(20):
+                model = train_forest(x, y, spec)
+            for tree in model.trees:
+                assert not np.isnan(tree.value).any(), (case, max_depth)
+            assert np.isfinite(predict_forest(model, _adjacent_floats(rng, x.shape))).all()
+
+
+def test_two_adjacent_values_with_no_depth_cap_terminate():
+    # With the midpoint as threshold this table split into itself and an
+    # empty child, forever.
+    eps = np.finfo(float).eps
+    x = np.array([[1 + eps], [1 + 2 * eps]] * 6)
+    y = np.tile([0.0, 1.0], 6)
+    with _deadline(20):
+        model = train_forest(x, y, ForestSpec(n_trees=3, max_depth=None, seed=0))
+    for tree in model.trees:
+        split = tree.feature >= 0
+        assert (tree.threshold[split] == 1 + eps).all()
+        assert tree.feature.size <= 3
+    assert np.array_equal(predict_forest(model, x), y)

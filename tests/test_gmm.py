@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp as scipy_logsumexp
 
 from misslab.gmm import (
     COVARIANCE_KINDS,
@@ -12,6 +13,7 @@ from misslab.gmm import (
     fit_em,
     information_criteria,
     load_model,
+    logsumexp,
     param_count,
     responsibilities,
     sample,
@@ -252,3 +254,21 @@ def test_model_persistence_round_trip(tmp_path):
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.means, model.means)
         assert np.array_equal(back.covariances, model.covariances)
+
+
+def test_logsumexp_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for case in range(400):
+        n, k = int(rng.integers(1, 300)), int(rng.integers(1, 9))
+        scale = 10.0 ** rng.uniform(-3.0, 4.0)
+        a = rng.normal(size=(n, k)) * scale
+        if case % 3 == 0:                               # ties at the row max
+            a = np.round(a / scale * 2.0)
+        if case % 4 == 1:                               # some -inf entries
+            a[rng.random((n, k)) < 0.3] = -np.inf
+        if case % 5 == 2:                               # all -inf rows
+            a[rng.random(n) < 0.2] = -np.inf
+        want = scipy_logsumexp(a, axis=1)
+        got = logsumexp(a)
+        assert got.shape == want.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), case

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 from scipy.optimize import bisect as scipy_bisect
-from scipy.special import expit
+from scipy.special import expit as scipy_expit
 
 from misslab.data import load_csv, mask_of
 from misslab.missingness import (
     MissingnessSpec,
     bisect,
     combine_recovered,
+    expit,
     induce_missingness,
     save_induced,
 )
@@ -219,7 +220,7 @@ def random_monotone(rng, kind):
     if kind == 0:                                   # the MAR/MNAR calibration
         z = rng.normal(size=int(rng.integers(1, 60))) * rng.uniform(0.1, 5.0)
         target = rng.uniform(-0.05, 1.05)
-        return lambda t: sign * (float(np.mean(expit(z + t))) - target)
+        return lambda t: sign * (float(np.mean(scipy_expit(z + t))) - target)
     if kind == 1:
         c, root = rng.uniform(0.0, 3.0), rng.uniform(-70.0, 70.0)
         return lambda t: sign * ((t - root) ** 3 + c * (t - root))
@@ -263,3 +264,37 @@ def test_calibrated_masks_match_those_from_scipy_bisect(monkeypatch, scheme):
     monkeypatch.setattr("misslab.missingness.bisect", scipy_bisect)
     for seed, mask in enumerate(ours):
         assert np.array_equal(mask, induce_missingness(x, spec, seed).mask), seed
+
+
+# ---------------------------------------------------------------------------
+# The logistic function, against scipy.special.expit
+# ---------------------------------------------------------------------------
+
+def test_expit_is_within_a_few_ulp_of_scipy():
+    z = np.concatenate([np.linspace(-70.0, 70.0, 20001),
+                        [-800.0, -np.inf, 0.0, 800.0, np.inf]])
+    with np.errstate(over="raise"):
+        ours = expit(z)
+    want = scipy_expit(z)
+    assert np.array_equal(ours[-5:], [0.0, 0.0, 0.5, 1.0, 1.0])
+    assert np.all(np.abs(ours - want) <= 4 * np.spacing(want))
+
+
+def test_calibrated_masks_match_those_from_scipy_expit(monkeypatch):
+    # The two differ by a few ulp on some inputs, which must not move a mask.
+    rng = np.random.default_rng(8)
+    cases = []
+    for case in range(320):
+        n, d = int(rng.integers(5, 300)), int(rng.integers(2, 9))
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+        if case % 4 == 0:
+            x = np.round(x)                             # ties
+        scheme = ("MAR", "MNAR")[case % 2]
+        drivers = tuple(range(int(rng.integers(1, d)))) if scheme == "MAR" else ()
+        spec = MissingnessSpec(scheme, float(rng.uniform(0.01, 0.95)),
+                               mar_drivers=drivers)
+        cases.append((x, spec, int(rng.integers(0, 2**31))))
+    ours = [induce_missingness(x, spec, seed).mask for x, spec, seed in cases]
+    monkeypatch.setattr("misslab.missingness.expit", scipy_expit)
+    for case, ((x, spec, seed), mask) in enumerate(zip(cases, ours)):
+        assert np.array_equal(mask, induce_missingness(x, spec, seed).mask), case

@@ -10,9 +10,11 @@ import pytest
 from misslab._rng import child_seed
 from misslab.pipeline import (_CONFIG_KEYS, BASELINE_METHOD, EVAL_COLUMNS,
                               ConfigError, ExperimentConfig, LabeledPool,
-                              RunReport, builtin_source, cell_units, emit_report,
-                              load_report_json, parse_config, prepare_source,
-                              run_pipeline, save_report_json, write_plot_tables)
+                              RunReport, builtin_source, cell_units,
+                              check_no_leakage, emit_report, fit_generator,
+                              label_pool, load_report_json, parse_config,
+                              prepare_source, run_pipeline, save_report_json,
+                              write_plot_tables)
 
 DOCS_CONFIG = Path(__file__).resolve().parent.parent / "docs" / "config.md"
 PAPER_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "paper.cfg"
@@ -479,6 +481,95 @@ def test_timings_list_every_unit_once(desk_run):
         assert 0.0 < unit["peak_rss_mb"] <= timings["summed_peak_rss_mb"]
         assert unit["lost_worker"] is None
     assert 0.0 < timings["wall_s"]
+
+
+def test_imputer_cells_carry_their_diagnostics(tmp_path):
+    cfg = desk_config(tmp_path / "diag")
+    cfg.imputers = ["missforest", "dae"]
+    cfg.degrees = [0.2]
+    cfg.repetitions = 1
+    cfg.missforest_trees, cfg.missforest_max_depth = 3, 3
+    cfg.dae_epochs, cfg.dae_patience = 6, 3
+    report = run_pipeline(cfg)
+    assert report.failures == []
+    records = {t["method"]: t for t in report.timings["units"] if "repetition" in t}
+    assert "diagnostics" not in records[BASELINE_METHOD]
+    (forest,) = records["missforest"]["diagnostics"]
+    assert 1 <= forest["sweeps_run"] <= cfg.missforest_max_sweeps
+    assert len(forest["convergence_trace"]) >= forest["sweeps_run"]
+    (dae,) = records["dae"]["diagnostics"]
+    assert len(dae["convergence_trace"]) == dae["sweeps_run"] <= cfg.dae_epochs
+    assert 1 <= dae["best_epoch"] <= dae["sweeps_run"]
+    assert dae["convergence_trace"][dae["best_epoch"] - 1] == min(dae["convergence_trace"])
+    assert all("diagnostics" not in t for t in report.timings["units"] if "clusters" in t)
+    save_report_json(report, tmp_path)
+    units = load_report_json(tmp_path / "report.json").timings["units"]
+    assert [u.get("diagnostics") for u in units] == \
+        [t.get("diagnostics") for t in report.timings["units"]]
+
+
+def test_pool_row_copied_from_the_reserve_fails_before_any_cell(tmp_path, monkeypatch):
+    def leaky_label_pool(*args):
+        pool = label_pool(*args)
+        pool.x_synth[7] = pool.x_reserve[3]
+        return pool
+
+    def no_cells(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("misslab.pipeline.label_pool", leaky_label_pool)
+    monkeypatch.setattr("misslab.pipeline.run_cells", no_cells)
+    with pytest.raises(RuntimeError, match="leakage: .* testing set"):
+        run_pipeline(desk_config(tmp_path / "leaky"))
+
+
+def test_pool_row_equal_to_a_source_row_is_leakage():
+    rng = np.random.default_rng(0)
+    pool = LabeledPool(x_synth=rng.random((30, 4)), y_synth=np.zeros(30),
+                       x_reserve=rng.random((10, 4)), y_reserve=np.zeros(10),
+                       components=np.zeros(30, dtype=int), history=[])
+    src = prepare_source(ExperimentConfig(builtin_rows=20, builtin_features=4))
+    src.x_orig = rng.random((20, 4))
+    check_no_leakage(pool, src)
+    src.x_orig[5] = pool.x_synth[29]
+    with pytest.raises(RuntimeError, match="original set"):
+        check_no_leakage(pool, src)
+    # Byte for byte: a signed zero makes a different row.
+    pool.x_synth[29, 0] = 0.0
+    src.x_orig[5, 0] = -0.0
+    check_no_leakage(pool, src)
+
+
+def test_discrete_and_clipped_rows_may_repeat_by_chance(tmp_path):
+    # Binary and integer columns repeat whole rows across tables by chance,
+    # as do continuous cells clipped to a bound; neither is leakage.
+    rng = np.random.default_rng(1)
+    n = 300
+    table = np.column_stack([rng.integers(0, 2, size=(n, 3)), rng.integers(20, 25, n),
+                             rng.integers(0, 2, n)])
+    np.savetxt(tmp_path / "data.csv", table, fmt="%d", delimiter=",",
+               header="a,b,c,age,y", comments="")
+    (tmp_path / "schema.csv").write_text(
+        "name,kind,lower,upper,missing_codes\n"
+        + "".join(f"{c},binary,0,1,\n" for c in "abc") + "age,integer,20,24,\n"
+        + "y,binary,0,1,\n",
+        encoding="utf-8")
+    cfg = desk_config(tmp_path / "out")
+    cfg.input_kind, cfg.input_target = "csv", "y"
+    cfg.input_path, cfg.schema_path = str(tmp_path / "data.csv"), str(tmp_path / "schema.csv")
+    cfg.gmm_kinds, cfg.imputers, cfg.repetitions = ["diagonal"], ["mean"], 1
+    src = prepare_source(cfg)
+    pool = label_pool(cfg, src, fit_generator(cfg, src)[0])
+    shared = {r.tobytes() for r in pool.x_synth} & {r.tobytes() for r in src.x_orig}
+    assert shared                       # whole rows do repeat
+    check_no_leakage(pool, src)
+    # One continuous column clipped at its bounds: its extreme rows repeat.
+    cfg = desk_config(tmp_path / "out1")
+    cfg.builtin_features = 1
+    src = prepare_source(cfg)
+    pool = label_pool(cfg, src, fit_generator(cfg, src)[0])
+    assert {r.tobytes() for r in pool.x_synth} & {r.tobytes() for r in src.x_orig}
+    check_no_leakage(pool, src)
 
 
 def test_unwritable_output_fails_before_compute(tmp_path):
