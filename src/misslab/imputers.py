@@ -18,7 +18,7 @@ from .data import mask_of, save_csv, validate_matrix
 from .forest import ForestSpec, predict_forest, train_forest
 from .missingness import combine_recovered
 from .neighbors import CHUNK, nearest, partial_distances, smallest
-from .nnet import FeedForward
+from .nnet import FeedForward, fit
 
 METHODS = ("mean", "knn", "mice", "missforest", "dae")
 
@@ -322,43 +322,27 @@ def impute_dae(holed: np.ndarray, spec: DaeSpec | None = None,
     net = FeedForward([2 * d] + hidden + [d], output="linear",
                       dropout_rate=0.0, seed=child_seed(seed, "dae", "net"))
     inputs = np.column_stack([filled, mask.astype(np.float64)])
-    target = filled
-    shuffle_rng = rng_for(seed, "dae", "shuffle")
     corrupt_rng = rng_for(seed, "dae", "corrupt")
-
-    best_loss = np.inf
-    best_snap = net.snapshot()
-    best_epoch = 0
-    since_best = 0
-    trace: list[float] = []
     train_w = train_cells.astype(np.float64)
     hold_w = holdout.astype(np.float64)
-    for epoch in range(1, spec.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, spec.batch_size):
-            idx = order[start:start + spec.batch_size]
-            batch = inputs[idx].copy()
-            zap = corrupt_rng.random((idx.size, d)) < spec.corruption_rate
-            batch[:, :d][zap] = 0.0
-            _, gw, gb = net.loss_and_grads(batch, target[idx],
-                                           loss_mask=train_w[idx])
-            net.apply_grads(gw, gb, spec.learning_rate)
-        valid_loss = net.loss(inputs, target, loss_mask=hold_w)
-        trace.append(valid_loss)
-        if valid_loss < best_loss:
-            best_loss = valid_loss
-            best_snap = net.snapshot()
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= spec.patience:
-                break
-    net.restore(best_snap)
+
+    def grads(idx):
+        batch = inputs[idx]
+        zap = corrupt_rng.random((idx.size, d)) < spec.corruption_rate
+        batch[:, :d][zap] = 0.0
+        return net.grads(batch, filled[idx], loss_mask=train_w[idx])
+
+    def score():
+        valid_loss = net.loss(inputs, filled, loss_mask=hold_w)
+        return valid_loss, valid_loss
+
+    record = fit(net, n, spec.epochs, spec.batch_size, spec.learning_rate,
+                 spec.patience, rng_for(seed, "dae", "shuffle"), grads, score)
     reconstruction = net.logits(inputs)
     recovered = combine_recovered(x, reconstruction, mask)
+    trace = record.training_history
     return ImputationResult("dae", [recovered],
-                            [{"sweeps_run": len(trace), "best_epoch": best_epoch,
+                            [{"sweeps_run": len(trace), "best_epoch": record.best_epoch,
                               "convergence_trace": trace}])
 
 

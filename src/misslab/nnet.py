@@ -1,11 +1,11 @@
 """Feed-forward networks trained by mini-batch gradient descent.
 
-One network class serves three jobs: the binary classifier, the target
-generator, and the reconstruction network inside the autoencoder imputer.
-Hidden layers are ReLU; the output head is either a single sigmoid unit
-trained with binary cross entropy or a linear layer trained with squared
-error restricted to a cell mask. Dropout (inverted scaling, so inference
-needs no rescaling) is applied to the last hidden layer only.
+One network class and one early-stopped training loop (`fit`) serve three
+jobs: the binary classifier, the target generator, and the reconstruction
+network inside the autoencoder imputer. Hidden layers are ReLU; the output
+head is a single sigmoid unit trained with binary cross entropy or a linear
+layer trained with squared error restricted to a cell mask. Dropout (inverted
+scaling, so inference needs no rescaling) hits the last hidden layer only.
 """
 
 from __future__ import annotations
@@ -82,9 +82,8 @@ class FeedForward:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def _forward(self, x: np.ndarray, train: bool,
-                 rng: np.random.Generator | None):
-        """Activations per layer; dropout mask on the last hidden layer when training."""
+    def _forward(self, x: np.ndarray, rng: np.random.Generator | None):
+        """Activations per layer; `rng` draws dropout on the last hidden layer."""
         acts = [x]
         drop_mask = None
         for layer in range(self.n_layers):
@@ -94,16 +93,16 @@ class FeedForward:
                 acts.append(z)          # output head stays pre-activation here
                 continue
             a = np.maximum(z, 0.0)
-            if train and self.dropout_rate > 0.0 and layer == self.n_layers - 2:
+            if rng is not None and self.dropout_rate > 0.0 and layer == self.n_layers - 2:
                 keep = 1.0 - self.dropout_rate
                 drop_mask = (rng.random(a.shape) < keep) / keep
                 a = a * drop_mask
             acts.append(a)
         return acts, drop_mask
 
-    def logits(self, x: np.ndarray, train: bool = False,
+    def logits(self, x: np.ndarray,
                rng: np.random.Generator | None = None) -> np.ndarray:
-        acts, _ = self._forward(np.asarray(x, dtype=np.float64), train, rng)
+        acts, _ = self._forward(np.asarray(x, dtype=np.float64), rng)
         return acts[-1]
 
     def loss(self, x: np.ndarray, y: np.ndarray,
@@ -120,29 +119,25 @@ class FeedForward:
             raise ValueError("loss mask selects no cells")
         return float(np.sum(w * diff * diff) / total)
 
-    def loss_and_grads(self, x: np.ndarray, y: np.ndarray,
-                       loss_mask: np.ndarray | None = None,
-                       train: bool = False,
-                       rng: np.random.Generator | None = None):
-        """Loss plus dL/dW, dL/db for every layer (backpropagation)."""
+    def grads(self, x: np.ndarray, y: np.ndarray,
+              loss_mask: np.ndarray | None = None,
+              rng: np.random.Generator | None = None):
+        """dL/dW, dL/db for every layer (backpropagation)."""
         x = np.asarray(x, dtype=np.float64)
-        acts, drop_mask = self._forward(x, train, rng)
+        acts, drop_mask = self._forward(x, rng)
         z = acts[-1]
         if self.output == "sigmoid-binary":
             y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-            loss = _bce_with_logits(z.ravel(), y.ravel())
             delta = (_sigmoid(z) - y) / z.shape[0]
         else:
             diff = z - y
             if loss_mask is None:
-                loss = float(np.mean(diff * diff))
                 delta = 2.0 * diff / diff.size
             else:
                 w = np.asarray(loss_mask, dtype=np.float64)
                 total = w.sum()
                 if total == 0:
                     raise ValueError("loss mask selects no cells")
-                loss = float(np.sum(w * diff * diff) / total)
                 delta = 2.0 * w * diff / total
 
         grads_w = [np.empty(0)] * self.n_layers
@@ -156,7 +151,7 @@ class FeedForward:
             if drop_mask is not None and layer - 1 == self.n_layers - 2:
                 delta = delta * drop_mask
             delta = delta * (acts[layer] > 0.0)
-        return loss, grads_w, grads_b
+        return grads_w, grads_b
 
     def apply_grads(self, grads_w, grads_b, lr: float) -> None:
         for layer in range(self.n_layers):
@@ -180,7 +175,7 @@ def gradient_check(net: FeedForward, x: np.ndarray, y: np.ndarray,
     Dropout is off (deterministic loss); tiny gradients are guarded so the
     ratio stays meaningful.
     """
-    _, grads_w, grads_b = net.loss_and_grads(x, y, loss_mask)
+    grads_w, grads_b = net.grads(x, y, loss_mask)
     worst = 0.0
     params = list(net.weights) + list(net.biases)
     grads = list(grads_w) + list(grads_b)
@@ -203,10 +198,38 @@ def gradient_check(net: FeedForward, x: np.ndarray, y: np.ndarray,
 @dataclass
 class MlpModel:
     net: FeedForward
-    # One row per epoch: (train_loss, valid_loss, train_acc, valid_acc).
-    training_history: list[tuple] = field(default_factory=list)
+    # One row per epoch, as `fit`'s `score` returns it.
+    training_history: list = field(default_factory=list)
     best_epoch: int = 0
     best_valid_loss: float = np.inf
+
+
+def fit(net: FeedForward, rows: int, epochs: int, batch_size: int, lr: float,
+        patience: int, shuffle_rng: np.random.Generator, grads, score) -> MlpModel:
+    """Mini-batch descent on `rows` rows, one step per shuffled batch along
+    `grads(batch_rows)`; each epoch records `score()` = (validation loss,
+    history row). Stops after `patience` epochs without improvement and
+    restores the best epoch's weights."""
+    model = MlpModel(net=net)
+    best_snap = net.snapshot()
+    since_best = 0
+    for epoch in range(1, epochs + 1):
+        order = shuffle_rng.permutation(rows)
+        for start in range(0, rows, batch_size):
+            net.apply_grads(*grads(order[start:start + batch_size]), lr)
+        valid_loss, row = score()
+        model.training_history.append(row)
+        if valid_loss < model.best_valid_loss:
+            model.best_valid_loss = valid_loss
+            model.best_epoch = epoch
+            best_snap = net.snapshot()
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    net.restore(best_snap)
+    return model
 
 
 def _loss_and_accuracy(net: FeedForward, x: np.ndarray,
@@ -219,12 +242,8 @@ def _loss_and_accuracy(net: FeedForward, x: np.ndarray,
 
 def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
               cfg: TrainConfig | None = None) -> MlpModel:
-    """Binary classifier trained with early stopping on validation loss.
-
-    Stops once validation loss has failed to improve for `patience`
-    consecutive epochs; the returned weights are those of the best
-    validation epoch.
-    """
+    """Binary classifier early-stopped on validation loss. History rows are
+    (train_loss, valid_loss, train_acc, valid_acc)."""
     spec = spec or MlpSpec()
     cfg = cfg or TrainConfig()
     if train.rows == 0:
@@ -241,33 +260,18 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
                       dropout_rate=spec.dropout_rate, seed=cfg.seed)
     x, y = train.features, train.target
     xv, yv = valid.features, valid.target
-    shuffle_rng = rng_for(cfg.seed, "shuffle")
     dropout_rng = rng_for(cfg.seed, "dropout")
 
-    model = MlpModel(net=net)
-    best_snap = net.snapshot()
-    since_best = 0
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = shuffle_rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, gw, gb = net.loss_and_grads(x[idx], y[idx], train=True,
-                                           rng=dropout_rng)
-            net.apply_grads(gw, gb, cfg.learning_rate)
+    def grads(idx):
+        return net.grads(x[idx], y[idx], rng=dropout_rng)
+
+    def score():
         train_loss, train_acc = _loss_and_accuracy(net, x, y)
         valid_loss, valid_acc = _loss_and_accuracy(net, xv, yv)
-        model.training_history.append((train_loss, valid_loss, train_acc, valid_acc))
-        if valid_loss < model.best_valid_loss:
-            model.best_valid_loss = valid_loss
-            model.best_epoch = epoch
-            best_snap = net.snapshot()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                break
-    net.restore(best_snap)
-    return model
+        return valid_loss, (train_loss, valid_loss, train_acc, valid_acc)
+
+    return fit(net, x.shape[0], cfg.max_epochs, cfg.batch_size, cfg.learning_rate,
+               cfg.patience, rng_for(cfg.seed, "shuffle"), grads, score)
 
 
 def predict_mlp(model: MlpModel, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

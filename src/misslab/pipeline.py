@@ -173,6 +173,8 @@ class ExperimentConfig:
             raise ConfigError("classifier.patience must not exceed classifier.epochs")
         if self.generator_patience > self.generator_epochs:
             raise ConfigError("generator.patience must not exceed generator.epochs")
+        if self.dae_patience > self.dae_epochs:
+            raise ConfigError("dae.patience must not exceed dae.epochs")
         if self.input_kind == "builtin":
             columns = self.builtin_features
         if columns is not None and self.scheme.upper() == "MAR":
@@ -559,7 +561,7 @@ def save_pool(out_dir, pool: LabeledPool, names: list[str]) -> dict[str, str]:
 
 
 def check_no_leakage(pool: LabeledPool, src: PreparedSource) -> None:
-    """Raise RuntimeError if a pool row, compared byte for byte, is also a
+    """Raise ValueError if a pool row, compared byte for byte, is also a
     row of the reserve or of the clean source table: classifiers train on
     pool rows and are scored on those two sets. Only pool rows with a
     continuous cell strictly inside its column's range in the pool count;
@@ -570,15 +572,15 @@ def check_no_leakage(pool: LabeledPool, src: PreparedSource) -> None:
     pool_rows = {row.tobytes() for row in x[free.any(axis=1)]}
     for name, rows in (("testing", pool.x_reserve), ("original", src.x_orig)):
         if any(row.tobytes() in pool_rows for row in rows):
-            raise RuntimeError(f"leakage: a pool row is also a row of the {name} set")
+            raise ValueError(f"leakage: a pool row is also a row of the {name} set")
 
 
 def classify(cfg: ExperimentConfig, features: np.ndarray, method: str,
-             degree: float, rep: int, eval_sets: dict) -> dict:
+             degree: float, rep: int, eval_sets: dict) -> tuple[dict, MlpModel]:
     """Train the cell's classifier on `features` (the pool, filled or not,
     labeled as eval_sets["synthetic"]) and score it on its own training and
     validation rows and on the fixed `eval_sets`; returns accuracy_<set> and
-    loss_<set> for every EVAL_COLUMNS set."""
+    loss_<set> for every EVAL_COLUMNS set, and the trained model."""
     tag = (method, repr(degree), rep)
     train_idx, valid_idx = split_indices(
         cfg.synth_n, [0.8, 0.2], child_seed(cfg.master_seed, "clfsplit", *tag))
@@ -593,7 +595,7 @@ def classify(cfg: ExperimentConfig, features: np.ndarray, method: str,
         m = classification_metrics(labels, probs)
         out[f"accuracy_{col}"] = m["accuracy"]
         out[f"loss_{col}"] = m["log_loss"]
-    return out
+    return out, model
 
 
 def _cell_key(method: str, degree: float, rep: int) -> dict:
@@ -650,12 +652,15 @@ class UnitResult:
     failures: list[dict] = field(default_factory=list)
     fill: np.ndarray | None = None                      # pooled fill, for clustering
     diagnostics: list[dict] | None = None               # its imputer's, one per copy
+    classifier: dict | None = None                      # its classifier's training record
 
     def timing(self) -> dict:
         record = {**self.key, "pid": self.pid, "seconds": self.seconds,
                   "peak_rss_mb": self.peak_rss_mb, "lost_worker": self.lost_worker}
         if self.diagnostics is not None:
             record["diagnostics"] = self.diagnostics
+        if self.classifier is not None:
+            record["classifier"] = self.classifier
         return record
 
 
@@ -696,8 +701,11 @@ def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitRe
             if rep == 0 and degree == clustering_degree(cfg):
                 out.fill = features
         with _timed(out.seconds, "classify"):
-            out.rows.append({**key, "seed": seed, **classify(cfg, features, method, degree,
-                                                            rep, inputs.eval_sets)})
+            scores, model = classify(cfg, features, method, degree, rep, inputs.eval_sets)
+        out.rows.append({**key, "seed": seed, **scores})
+        out.classifier = {"epochs_run": len(model.training_history),
+                          "best_epoch": model.best_epoch,
+                          "best_valid_loss": model.best_valid_loss}
     except Exception as exc:  # cell failures never stop the run
         out.failures.append(_failure(method, degree, rep, stage, exc, seed))
     return out

@@ -250,8 +250,9 @@ def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
 @pytest.mark.parametrize("extra, key", [
     ("classifier.patience = 7", "classifier.patience"),
     ("generator.patience = 7", "generator.patience"),
+    ("dae.epochs = 6\ndae.patience = 7", "dae.patience"),
     ("missing.scheme = mar\nmissing.mar_drivers = 9", "missing.mar_drivers"),
-], ids=["classifier-patience", "generator-patience", "mar-driver"])
+], ids=["classifier-patience", "generator-patience", "dae-patience", "mar-driver"])
 def test_late_failing_value_exits_one_before_any_work(tmp_path, capsys, extra, key):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)
@@ -306,6 +307,27 @@ def test_run_on_csv_with_schema(tmp_path):
     cfg = write_cfg(tmp_path, out, extra=csv_source(tmp_path, schema))
     assert main(["run", "--config", str(cfg)]) == 0
     assert (out / "accuracy.csv").exists()
+
+
+def test_leaked_pool_row_exits_one_before_any_cell(tmp_path, capsys, monkeypatch):
+    from misslab import pipeline
+    label_pool = pipeline.label_pool
+
+    def leaky_label_pool(*args):
+        pool = label_pool(*args)
+        pool.x_synth[0] = pool.x_reserve[0]
+        return pool
+
+    def no_cells(*args):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("misslab.pipeline.label_pool", leaky_label_pool)
+    monkeypatch.setattr("misslab.pipeline.run_cells", no_cells)
+    out = tmp_path / "leaky"
+    assert main(["run", "--config", str(write_cfg(tmp_path, out))]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: leakage: a pool row is also a row of the testing set\n"
+    assert not (out / "accuracy.csv").exists()
 
 
 def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):

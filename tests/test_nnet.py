@@ -68,17 +68,17 @@ def test_gradient_check_masked_linear_head():
 
 
 def test_dropout_expectation_matches_inference():
-    # Inverted scaling: the mean over masks of the train-mode logits must
+    # Inverted scaling: the mean over masks of the dropped-out logits must
     # equal the inference logits, since the head is affine in the dropped layer.
     net = FeedForward([3, 6, 1], output="sigmoid-binary", dropout_rate=0.2, seed=3)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(8, 3))
-    reference = net.logits(x, train=False).ravel()
+    reference = net.logits(x).ravel()
     draws = 10_000
     mask_rng = np.random.default_rng(5)
     samples = np.empty((draws, 8))
     for i in range(draws):
-        samples[i] = net.logits(x, train=True, rng=mask_rng).ravel()
+        samples[i] = net.logits(x, rng=mask_rng).ravel()
     se = samples.std(axis=0, ddof=1) / np.sqrt(draws)
     gap = np.abs(samples.mean(axis=0) - reference)
     assert (gap <= 3.0 * se + 1e-12).all()

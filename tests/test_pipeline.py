@@ -133,6 +133,7 @@ def test_bool_values_parse_loosely(tmp_path):
     {"synth_n": 150, "clusters": [2, 151]},
     {"classifier_epochs": 10, "classifier_patience": 11},
     {"generator_epochs": 10, "generator_patience": 11},
+    {"dae_epochs": 10, "dae_patience": 11},
     {"scheme": "mar", "mar_drivers": [9], "builtin_features": 4},
     {"scheme": "mar", "mar_drivers": [-1], "builtin_features": 4},
     {"scheme": "mar", "mar_drivers": [0, 1, 2, 3], "builtin_features": 4},
@@ -502,10 +503,15 @@ def test_imputer_cells_carry_their_diagnostics(tmp_path):
     assert 1 <= dae["best_epoch"] <= dae["sweeps_run"]
     assert dae["convergence_trace"][dae["best_epoch"] - 1] == min(dae["convergence_trace"])
     assert all("diagnostics" not in t for t in report.timings["units"] if "clusters" in t)
+    for record in records.values():
+        clf = record["classifier"]
+        assert 1 <= clf["best_epoch"] <= clf["epochs_run"] <= cfg.classifier_epochs
+        assert np.isfinite(clf["best_valid_loss"])
+    assert all("classifier" not in t for t in report.timings["units"] if "clusters" in t)
     save_report_json(report, tmp_path)
     units = load_report_json(tmp_path / "report.json").timings["units"]
-    assert [u.get("diagnostics") for u in units] == \
-        [t.get("diagnostics") for t in report.timings["units"]]
+    for name in ("diagnostics", "classifier"):
+        assert [u.get(name) for u in units] == [t.get(name) for t in report.timings["units"]]
 
 
 def test_pool_row_copied_from_the_reserve_fails_before_any_cell(tmp_path, monkeypatch):
@@ -519,7 +525,7 @@ def test_pool_row_copied_from_the_reserve_fails_before_any_cell(tmp_path, monkey
 
     monkeypatch.setattr("misslab.pipeline.label_pool", leaky_label_pool)
     monkeypatch.setattr("misslab.pipeline.run_cells", no_cells)
-    with pytest.raises(RuntimeError, match="leakage: .* testing set"):
+    with pytest.raises(ValueError, match="leakage: .* testing set"):
         run_pipeline(desk_config(tmp_path / "leaky"))
 
 
@@ -532,7 +538,7 @@ def test_pool_row_equal_to_a_source_row_is_leakage():
     src.x_orig = rng.random((20, 4))
     check_no_leakage(pool, src)
     src.x_orig[5] = pool.x_synth[29]
-    with pytest.raises(RuntimeError, match="original set"):
+    with pytest.raises(ValueError, match="original set"):
         check_no_leakage(pool, src)
     # Byte for byte: a signed zero makes a different row.
     pool.x_synth[29, 0] = 0.0
