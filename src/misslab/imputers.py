@@ -326,18 +326,18 @@ def impute_dae(holed: np.ndarray, spec: DaeSpec | None = None,
     train_w = train_cells.astype(np.float64)
     hold_w = holdout.astype(np.float64)
 
-    def grads(idx):
-        batch = inputs[idx]
-        zap = corrupt_rng.random((idx.size, d)) < spec.corruption_rate
-        batch[:, :d][zap] = 0.0
-        return net.grads(batch, filled[idx], loss_mask=train_w[idx])
+    def epoch(order):
+        batch_in, batch_out, batch_w = inputs[order], filled[order], train_w[order]
+        batch_in[:, :d][corrupt_rng.random((n, d)) < spec.corruption_rate] = 0.0
+        return lambda batch: net.grads(batch_in[batch], batch_out[batch],
+                                       loss_mask=batch_w[batch])
 
     def score():
         valid_loss = net.loss(inputs, filled, loss_mask=hold_w)
         return valid_loss, valid_loss
 
     record = fit(net, n, spec.epochs, spec.batch_size, spec.learning_rate,
-                 spec.patience, rng_for(seed, "dae", "shuffle"), grads, score)
+                 spec.patience, rng_for(seed, "dae", "shuffle"), epoch, score)
     reconstruction = net.logits(inputs)
     recovered = combine_recovered(x, reconstruction, mask)
     trace = record.training_history

@@ -6,6 +6,12 @@ network inside the autoencoder imputer. Hidden layers are ReLU; the output
 head is a single sigmoid unit trained with binary cross entropy or a linear
 layer trained with squared error restricted to a cell mask. Dropout (inverted
 scaling, so inference needs no rescaling) hits the last hidden layer only.
+
+A network's weights live in one flat vector and a step is one update of it.
+Each epoch, `fit` hands the shuffled row order to its caller once; the caller
+gathers that epoch's rows and draws its dropout or corruption in one call, and
+batches are slices. Classification cells score only the validation loss per
+epoch; the target generator keeps the full four-column history.
 """
 
 from __future__ import annotations
@@ -46,12 +52,9 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in one pass.
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> float:
@@ -61,7 +64,11 @@ def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> float:
 
 
 class FeedForward:
-    """Weights, forward pass, and analytic gradients for one network."""
+    """Weights, forward pass, and analytic gradients for one network.
+
+    Every weight matrix and bias vector is a view into one flat vector,
+    `params`; `grads` fills `grad`, laid out the same way, so a step is one
+    vector update."""
 
     def __init__(self, layer_sizes: list[int], output: str = "sigmoid-binary",
                  dropout_rate: float = 0.0, seed: int = 0):
@@ -70,40 +77,53 @@ class FeedForward:
         self.layer_sizes = [int(s) for s in layer_sizes]
         self.output = output
         self.dropout_rate = float(dropout_rate)
+        pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
+        self.n_layers = len(pairs)
+        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs))
+        self.grad = np.empty_like(self.params)
+        self.weights, self.biases = self._views(self.params)
+        self._grad_w, self._grad_b = self._views(self.grad)
         rng = rng_for(seed, "init")
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
+        for w in self.weights:
+            w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+
+    def _views(self, flat: np.ndarray):
+        """Per-layer (weights, biases) views into a parameter-shaped vector."""
+        weights, biases, start = [], [], 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            scale = np.sqrt(2.0 / fan_in)
-            self.weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
-            self.biases.append(np.zeros(fan_out))
+            weights.append(flat[start:start + fan_in * fan_out].reshape(fan_in, fan_out))
+            start += fan_in * fan_out
+            biases.append(flat[start:start + fan_out])
+            start += fan_out
+        return weights, biases
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.weights)
+    def dropout_mask(self, rng: np.random.Generator, rows: int) -> np.ndarray | None:
+        """Inverted-dropout factors for `rows` rows of the last hidden layer,
+        or None when nothing drops."""
+        if self.dropout_rate == 0.0 or self.n_layers < 2:
+            return None
+        keep = 1.0 - self.dropout_rate
+        return (rng.random((rows, self.layer_sizes[-2])) < keep) / keep
 
-    def _forward(self, x: np.ndarray, rng: np.random.Generator | None):
-        """Activations per layer; `rng` draws dropout on the last hidden layer."""
+    def _forward(self, x: np.ndarray, drop: np.ndarray | None):
+        """Activations per layer; `drop` multiplies the last hidden layer."""
         acts = [x]
-        drop_mask = None
-        for layer in range(self.n_layers):
-            z = acts[-1] @ self.weights[layer] + self.biases[layer]
-            last = layer == self.n_layers - 1
-            if last:
-                acts.append(z)          # output head stays pre-activation here
-                continue
-            a = np.maximum(z, 0.0)
-            if rng is not None and self.dropout_rate > 0.0 and layer == self.n_layers - 2:
-                keep = 1.0 - self.dropout_rate
-                drop_mask = (rng.random(a.shape) < keep) / keep
-                a = a * drop_mask
-            acts.append(a)
-        return acts, drop_mask
+        head = self.n_layers - 1
+        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+            z = acts[-1] @ w
+            z += b
+            if layer < head:                   # the output head stays pre-activation
+                np.maximum(z, 0.0, out=z)
+                if drop is not None and layer == head - 1:
+                    z *= drop
+            acts.append(z)
+        return acts
 
     def logits(self, x: np.ndarray,
                rng: np.random.Generator | None = None) -> np.ndarray:
-        acts, _ = self._forward(np.asarray(x, dtype=np.float64), rng)
-        return acts[-1]
+        x = np.asarray(x, dtype=np.float64)
+        drop = None if rng is None else self.dropout_mask(rng, x.shape[0])
+        return self._forward(x, drop)[-1]
 
     def loss(self, x: np.ndarray, y: np.ndarray,
              loss_mask: np.ndarray | None = None) -> float:
@@ -121,10 +141,11 @@ class FeedForward:
 
     def grads(self, x: np.ndarray, y: np.ndarray,
               loss_mask: np.ndarray | None = None,
-              rng: np.random.Generator | None = None):
-        """dL/dW, dL/db for every layer (backpropagation)."""
+              drop: np.ndarray | None = None) -> np.ndarray:
+        """dL/d`params` by backpropagation, written into and returned as
+        `grad`. A loss mask that selects no cell gives a zero gradient."""
         x = np.asarray(x, dtype=np.float64)
-        acts, drop_mask = self._forward(x, rng)
+        acts = self._forward(x, drop)
         z = acts[-1]
         if self.output == "sigmoid-binary":
             y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
@@ -137,62 +158,27 @@ class FeedForward:
                 w = np.asarray(loss_mask, dtype=np.float64)
                 total = w.sum()
                 if total == 0:
-                    raise ValueError("loss mask selects no cells")
+                    self.grad.fill(0.0)
+                    return self.grad
                 delta = 2.0 * w * diff / total
 
-        grads_w = [np.empty(0)] * self.n_layers
-        grads_b = [np.empty(0)] * self.n_layers
-        for layer in range(self.n_layers - 1, -1, -1):
-            grads_w[layer] = acts[layer].T @ delta
-            grads_b[layer] = delta.sum(axis=0)
+        head = self.n_layers - 1
+        for layer in range(head, -1, -1):
+            np.matmul(acts[layer].T, delta, out=self._grad_w[layer])
+            np.add.reduce(delta, axis=0, out=self._grad_b[layer])
             if layer == 0:
                 break
             delta = delta @ self.weights[layer].T
-            if drop_mask is not None and layer - 1 == self.n_layers - 2:
-                delta = delta * drop_mask
-            delta = delta * (acts[layer] > 0.0)
-        return grads_w, grads_b
+            if drop is not None and layer == head:
+                delta *= drop
+            delta *= acts[layer] > 0.0
+        return self.grad
 
-    def apply_grads(self, grads_w, grads_b, lr: float) -> None:
-        for layer in range(self.n_layers):
-            self.weights[layer] -= lr * grads_w[layer]
-            self.biases[layer] -= lr * grads_b[layer]
+    def snapshot(self) -> np.ndarray:
+        return self.params.copy()
 
-    def snapshot(self) -> list[np.ndarray]:
-        return [w.copy() for w in self.weights] + [b.copy() for b in self.biases]
-
-    def restore(self, snap: list[np.ndarray]) -> None:
-        n = self.n_layers
-        self.weights = [w.copy() for w in snap[:n]]
-        self.biases = [b.copy() for b in snap[n:]]
-
-
-def gradient_check(net: FeedForward, x: np.ndarray, y: np.ndarray,
-                   loss_mask: np.ndarray | None = None,
-                   eps: float = 1e-5) -> float:
-    """Max relative error of analytic gradients vs central finite differences.
-
-    Dropout is off (deterministic loss); tiny gradients are guarded so the
-    ratio stays meaningful.
-    """
-    grads_w, grads_b = net.grads(x, y, loss_mask)
-    worst = 0.0
-    params = list(net.weights) + list(net.biases)
-    grads = list(grads_w) + list(grads_b)
-    for p, g in zip(params, grads):
-        flat_p = p.ravel()
-        flat_g = g.ravel()
-        for i in range(flat_p.size):
-            keep = flat_p[i]
-            flat_p[i] = keep + eps
-            up = net.loss(x, y, loss_mask)
-            flat_p[i] = keep - eps
-            down = net.loss(x, y, loss_mask)
-            flat_p[i] = keep
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(numeric) + abs(flat_g[i]), 1e-8)
-            worst = max(worst, abs(numeric - flat_g[i]) / denom)
-    return worst
+    def restore(self, snap: np.ndarray) -> None:
+        self.params[...] = snap
 
 
 @dataclass
@@ -205,23 +191,25 @@ class MlpModel:
 
 
 def fit(net: FeedForward, rows: int, epochs: int, batch_size: int, lr: float,
-        patience: int, shuffle_rng: np.random.Generator, grads, score) -> MlpModel:
-    """Mini-batch descent on `rows` rows, one step per shuffled batch along
-    `grads(batch_rows)`; each epoch records `score()` = (validation loss,
-    history row). Stops after `patience` epochs without improvement and
-    restores the best epoch's weights."""
+        patience: int, shuffle_rng: np.random.Generator, epoch, score) -> MlpModel:
+    """Mini-batch descent on `rows` rows. Each epoch hands its shuffled row
+    order to `epoch(order)` once, which gathers that epoch's arrays and
+    returns `grads(batch)`, the gradient on a slice of the order; one step
+    per batch follows it. Each epoch then records `score()` = (validation
+    loss, history row). Stops after `patience` epochs without improvement
+    and restores the best epoch's weights."""
     model = MlpModel(net=net)
     best_snap = net.snapshot()
     since_best = 0
-    for epoch in range(1, epochs + 1):
-        order = shuffle_rng.permutation(rows)
+    for number in range(1, epochs + 1):
+        grads = epoch(shuffle_rng.permutation(rows))
         for start in range(0, rows, batch_size):
-            net.apply_grads(*grads(order[start:start + batch_size]), lr)
+            net.params -= lr * grads(slice(start, start + batch_size))
         valid_loss, row = score()
         model.training_history.append(row)
         if valid_loss < model.best_valid_loss:
             model.best_valid_loss = valid_loss
-            model.best_epoch = epoch
+            model.best_epoch = number
             best_snap = net.snapshot()
             since_best = 0
         else:
@@ -241,9 +229,10 @@ def _loss_and_accuracy(net: FeedForward, x: np.ndarray,
 
 
 def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
-              cfg: TrainConfig | None = None) -> MlpModel:
+              cfg: TrainConfig | None = None, full_history: bool = True) -> MlpModel:
     """Binary classifier early-stopped on validation loss. History rows are
-    (train_loss, valid_loss, train_acc, valid_acc)."""
+    (train_loss, valid_loss, train_acc, valid_acc), or the validation loss
+    alone when not `full_history`; the weights are the same either way."""
     spec = spec or MlpSpec()
     cfg = cfg or TrainConfig()
     if train.rows == 0:
@@ -262,16 +251,23 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
     xv, yv = valid.features, valid.target
     dropout_rng = rng_for(cfg.seed, "dropout")
 
-    def grads(idx):
-        return net.grads(x[idx], y[idx], rng=dropout_rng)
+    def epoch(order):
+        xo, yo = x[order], y[order]
+        drop = net.dropout_mask(dropout_rng, order.size)
+        if drop is None:
+            return lambda batch: net.grads(xo[batch], yo[batch])
+        return lambda batch: net.grads(xo[batch], yo[batch], drop=drop[batch])
 
     def score():
+        if not full_history:
+            valid_loss = net.loss(xv, yv)
+            return valid_loss, valid_loss
         train_loss, train_acc = _loss_and_accuracy(net, x, y)
         valid_loss, valid_acc = _loss_and_accuracy(net, xv, yv)
         return valid_loss, (train_loss, valid_loss, train_acc, valid_acc)
 
     return fit(net, x.shape[0], cfg.max_epochs, cfg.batch_size, cfg.learning_rate,
-               cfg.patience, rng_for(cfg.seed, "shuffle"), grads, score)
+               cfg.patience, rng_for(cfg.seed, "shuffle"), epoch, score)
 
 
 def predict_mlp(model: MlpModel, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

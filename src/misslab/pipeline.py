@@ -169,6 +169,20 @@ class ExperimentConfig:
             raise ConfigError("resample.ratio must lie in (0, 1]")
         if any(not 2 <= k <= self.synth_n for k in self.clusters):
             raise ConfigError(f"clusters must each lie in [2, synth.n={self.synth_n}]")
+        if not self.classifier_lr > 0:
+            raise ConfigError("classifier.lr must be positive")
+        if self.classifier_batch < 1:
+            raise ConfigError("classifier.batch must be at least 1")
+        if not 0.0 <= self.classifier_dropout < 1.0:
+            raise ConfigError("classifier.dropout must lie in [0, 1)")
+        if any(width < 1 for width in self.classifier_hidden):
+            raise ConfigError("classifier.hidden widths must each be at least 1")
+        if not 0.0 < self.dae_corruption < 1.0:
+            raise ConfigError("dae.corruption must lie in (0, 1)")
+        if not self.dae_lr > 0:
+            raise ConfigError("dae.lr must be positive")
+        if self.dae_batch < 1:
+            raise ConfigError("dae.batch must be at least 1")
         if self.classifier_patience > self.classifier_epochs:
             raise ConfigError("classifier.patience must not exceed classifier.epochs")
         if self.generator_patience > self.generator_epochs:
@@ -447,7 +461,7 @@ def _imputer_spec(cfg: ExperimentConfig, method: str, seed: int) -> ImputerSpec:
 
 def _train_mlp(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray,
                train_idx: np.ndarray, valid_idx: np.ndarray, epochs: int,
-               patience: int, seed: int) -> MlpModel:
+               patience: int, seed: int, full_history: bool = True) -> MlpModel:
     """The configured classifier network, trained on rows `train_idx` of
     (x, y) and early-stopped on rows `valid_idx`."""
     return train_mlp(
@@ -457,7 +471,8 @@ def _train_mlp(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray,
                 dropout_rate=cfg.classifier_dropout),
         TrainConfig(max_epochs=epochs, patience=patience,
                     batch_size=cfg.classifier_batch,
-                    learning_rate=cfg.classifier_lr, seed=seed))
+                    learning_rate=cfg.classifier_lr, seed=seed),
+        full_history)
 
 
 @dataclass
@@ -585,8 +600,10 @@ def classify(cfg: ExperimentConfig, features: np.ndarray, method: str,
     train_idx, valid_idx = split_indices(
         cfg.synth_n, [0.8, 0.2], child_seed(cfg.master_seed, "clfsplit", *tag))
     y = eval_sets["synthetic"][1]
+    # Cells read only the epoch count and the best epoch's validation loss.
     model = _train_mlp(cfg, features, y, train_idx, valid_idx, cfg.classifier_epochs,
-                       cfg.classifier_patience, child_seed(cfg.master_seed, "clf", *tag))
+                       cfg.classifier_patience, child_seed(cfg.master_seed, "clf", *tag),
+                       full_history=False)
     scored = {"training": (features[train_idx], y[train_idx]),
               "validation": (features[valid_idx], y[valid_idx]), **eval_sets}
     out = {}

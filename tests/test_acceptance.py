@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from gradcheck import gradient_check
 from scipy.stats import chi2_contingency
 
 from misslab._rng import child_seed
@@ -27,8 +28,7 @@ from misslab.metrics import (classification_metrics, log_loss, rand_index,
                              silhouette_score)
 from misslab.missingness import (MissingnessSpec, combine_recovered,
                                  induce_missingness)
-from misslab.nnet import (FeedForward, MlpSpec, TrainConfig, gradient_check,
-                          predict_mlp, train_mlp)
+from misslab.nnet import FeedForward, MlpSpec, TrainConfig, predict_mlp, train_mlp
 from misslab.pipeline import builtin_source, emit_report, parse_config, run_pipeline
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"

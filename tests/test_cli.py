@@ -252,7 +252,16 @@ def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     ("generator.patience = 7", "generator.patience"),
     ("dae.epochs = 6\ndae.patience = 7", "dae.patience"),
     ("missing.scheme = mar\nmissing.mar_drivers = 9", "missing.mar_drivers"),
-], ids=["classifier-patience", "generator-patience", "dae-patience", "mar-driver"])
+    ("classifier.lr = 0", "classifier.lr"),
+    ("classifier.batch = 0", "classifier.batch"),
+    ("classifier.dropout = 1.0", "classifier.dropout"),
+    ("classifier.hidden = 20, 0", "classifier.hidden"),
+    ("dae.corruption = 0", "dae.corruption"),
+    ("dae.lr = 0", "dae.lr"),
+    ("dae.batch = 0", "dae.batch"),
+], ids=["classifier-patience", "generator-patience", "dae-patience", "mar-driver",
+        "classifier-lr", "classifier-batch", "classifier-dropout", "classifier-hidden",
+        "dae-corruption", "dae-lr", "dae-batch"])
 def test_late_failing_value_exits_one_before_any_work(tmp_path, capsys, extra, key):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)

@@ -1,8 +1,10 @@
-"""The shared training loop, bit for bit against the two loops it replaced:
+"""The shared training loop, bit for bit against the loops it replaced:
 `train_mlp`'s (classifier and target generator, dropout drawn per batch) and
 `impute_dae`'s (corruption drawn per batch, masked held-out loss). The
-oracle below is that code, kept as it was, with the network's old
-`_forward(train=...)` and `loss_and_grads`.
+oracle below is that code, kept as it was: per-layer weight lists stepped
+one by one, the network's old `_forward(train=...)` and `loss_and_grads`,
+the two-branch sigmoid, and every draw made batch by batch. Only the
+network object, used as storage for its weights, is shared.
 """
 
 import importlib.util
@@ -16,16 +18,7 @@ from misslab._rng import child_seed, rng_for
 from misslab.data import from_matrix, mask_of, validate_matrix
 from misslab.imputers import DaeSpec, ImputerSpec, _mean_filled, impute_dae, run_imputer
 from misslab.missingness import combine_recovered
-from misslab.nnet import (
-    FeedForward,
-    MlpModel,
-    MlpSpec,
-    TrainConfig,
-    _bce_with_logits,
-    _loss_and_accuracy,
-    _sigmoid,
-    train_mlp,
-)
+from misslab.nnet import FeedForward, MlpModel, MlpSpec, TrainConfig, _sigmoid, train_mlp
 
 NAN = np.nan
 
@@ -33,6 +26,30 @@ NAN = np.nan
 # ---------------------------------------------------------------------------
 # The oracle
 # ---------------------------------------------------------------------------
+
+def oracle_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def oracle_bce_with_logits(z, y):
+    per = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
+    return float(per.mean())
+
+
+def oracle_init(layer_sizes, seed):
+    rng = rng_for(seed, "init")
+    weights, biases = [], []
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        scale = np.sqrt(2.0 / fan_in)
+        weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
+        biases.append(np.zeros(fan_out))
+    return weights, biases
+
 
 def oracle_forward(net, x, train, rng):
     acts = [x]
@@ -52,14 +69,30 @@ def oracle_forward(net, x, train, rng):
     return acts, drop_mask
 
 
+def oracle_logits(net, x):
+    return oracle_forward(net, np.asarray(x, dtype=np.float64), False, None)[0][-1]
+
+
+def oracle_masked_loss(net, x, y, loss_mask):
+    diff = oracle_logits(net, x) - y
+    w = np.asarray(loss_mask, dtype=np.float64)
+    return float(np.sum(w * diff * diff) / w.sum())
+
+
+def oracle_loss_and_accuracy(net, x, y):
+    z = oracle_logits(net, x).ravel()
+    accuracy = float(np.mean((oracle_sigmoid(z) >= 0.5).astype(np.float64) == y))
+    return oracle_bce_with_logits(z, y), accuracy
+
+
 def oracle_loss_and_grads(net, x, y, loss_mask=None, train=False, rng=None):
     x = np.asarray(x, dtype=np.float64)
     acts, drop_mask = oracle_forward(net, x, train, rng)
     z = acts[-1]
     if net.output == "sigmoid-binary":
         y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-        loss = _bce_with_logits(z.ravel(), y.ravel())
-        delta = (_sigmoid(z) - y) / z.shape[0]
+        loss = oracle_bce_with_logits(z.ravel(), y.ravel())
+        delta = (oracle_sigmoid(z) - y) / z.shape[0]
     else:
         diff = z - y
         if loss_mask is None:
@@ -87,17 +120,33 @@ def oracle_loss_and_grads(net, x, y, loss_mask=None, train=False, rng=None):
     return loss, grads_w, grads_b
 
 
+def oracle_apply_grads(net, grads_w, grads_b, lr):
+    for layer in range(net.n_layers):
+        net.weights[layer] -= lr * grads_w[layer]
+        net.biases[layer] -= lr * grads_b[layer]
+
+
+def oracle_snapshot(net):
+    return [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
+
+
+def oracle_restore(net, snap):
+    for kept, now in zip(snap, net.weights + net.biases):
+        now[...] = kept
+
+
 def oracle_train_mlp(train, valid, spec, cfg):
     sizes = [train.cols] + list(spec.hidden_layers) + [1]
     net = FeedForward(sizes, output="sigmoid-binary",
                       dropout_rate=spec.dropout_rate, seed=cfg.seed)
+    oracle_restore(net, sum(oracle_init(sizes, cfg.seed), []))
     x, y = train.features, train.target
     xv, yv = valid.features, valid.target
     shuffle_rng = rng_for(cfg.seed, "shuffle")
     dropout_rng = rng_for(cfg.seed, "dropout")
 
     model = MlpModel(net=net)
-    best_snap = net.snapshot()
+    best_snap = oracle_snapshot(net)
     since_best = 0
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle_rng.permutation(x.shape[0])
@@ -105,20 +154,20 @@ def oracle_train_mlp(train, valid, spec, cfg):
             idx = order[start:start + cfg.batch_size]
             _, gw, gb = oracle_loss_and_grads(net, x[idx], y[idx], train=True,
                                               rng=dropout_rng)
-            net.apply_grads(gw, gb, cfg.learning_rate)
-        train_loss, train_acc = _loss_and_accuracy(net, x, y)
-        valid_loss, valid_acc = _loss_and_accuracy(net, xv, yv)
+            oracle_apply_grads(net, gw, gb, cfg.learning_rate)
+        train_loss, train_acc = oracle_loss_and_accuracy(net, x, y)
+        valid_loss, valid_acc = oracle_loss_and_accuracy(net, xv, yv)
         model.training_history.append((train_loss, valid_loss, train_acc, valid_acc))
         if valid_loss < model.best_valid_loss:
             model.best_valid_loss = valid_loss
             model.best_epoch = epoch
-            best_snap = net.snapshot()
+            best_snap = oracle_snapshot(net)
             since_best = 0
         else:
             since_best += 1
             if since_best >= cfg.patience:
                 break
-    net.restore(best_snap)
+    oracle_restore(net, best_snap)
     return model
 
 
@@ -139,15 +188,17 @@ def oracle_impute_dae(holed, spec, seed=0):
 
     widths = list(spec.encoder_widths) if spec.encoder_widths else [2 * d, d]
     hidden = widths + widths[-2::-1]
-    net = FeedForward([2 * d] + hidden + [d], output="linear",
-                      dropout_rate=0.0, seed=child_seed(seed, "dae", "net"))
+    sizes = [2 * d] + hidden + [d]
+    net_seed = child_seed(seed, "dae", "net")
+    net = FeedForward(sizes, output="linear", dropout_rate=0.0, seed=net_seed)
+    oracle_restore(net, sum(oracle_init(sizes, net_seed), []))
     inputs = np.column_stack([filled, mask.astype(np.float64)])
     target = filled
     shuffle_rng = rng_for(seed, "dae", "shuffle")
     corrupt_rng = rng_for(seed, "dae", "corrupt")
 
     best_loss = np.inf
-    best_snap = net.snapshot()
+    best_snap = oracle_snapshot(net)
     best_epoch = 0
     since_best = 0
     trace = []
@@ -162,20 +213,20 @@ def oracle_impute_dae(holed, spec, seed=0):
             batch[:, :d][zap] = 0.0
             _, gw, gb = oracle_loss_and_grads(net, batch, target[idx],
                                               loss_mask=train_w[idx])
-            net.apply_grads(gw, gb, spec.learning_rate)
-        valid_loss = net.loss(inputs, target, loss_mask=hold_w)
+            oracle_apply_grads(net, gw, gb, spec.learning_rate)
+        valid_loss = oracle_masked_loss(net, inputs, target, hold_w)
         trace.append(valid_loss)
         if valid_loss < best_loss:
             best_loss = valid_loss
-            best_snap = net.snapshot()
+            best_snap = oracle_snapshot(net)
             best_epoch = epoch
             since_best = 0
         else:
             since_best += 1
             if since_best >= spec.patience:
                 break
-    net.restore(best_snap)
-    reconstruction = net.logits(inputs)
+    oracle_restore(net, best_snap)
+    reconstruction = oracle_logits(net, inputs)
     recovered = combine_recovered(x, reconstruction, mask)
     return recovered, {"sweeps_run": len(trace), "best_epoch": best_epoch,
                        "convergence_trace": trace}, net
@@ -205,24 +256,32 @@ def blobs(seed, n, flip=False):
 
 
 # name: (dropout, max_epochs, patience, batch_size, learning rate, rows,
-#        flipped validation labels, whether early stopping ends the run)
+#        flipped validation labels, whether early stopping ends the run,
+#        hidden layer widths)
 MLP_CASES = {
-    "no-dropout-stops-early": (0.0, 40, 4, 16, 0.5, 160, True, True),
-    "dropout-stops-early": (0.2, 40, 4, 16, 0.5, 160, True, True),
-    "no-dropout-runs-out": (0.0, 12, 5, 32, 0.05, 160, False, False),
-    "dropout-runs-out": (0.2, 12, 5, 32, 0.05, 160, False, False),
-    "patience-equals-epochs": (0.2, 9, 9, 16, 0.5, 160, True, False),
-    "ragged-batches": (0.2, 15, 3, 37, 0.3, 101, False, None),
+    "no-dropout-stops-early": (0.0, 40, 4, 16, 0.5, 160, True, True, [8, 6]),
+    "dropout-stops-early": (0.2, 40, 4, 16, 0.5, 160, True, True, [8, 6]),
+    "no-dropout-runs-out": (0.0, 12, 5, 32, 0.05, 160, False, False, [8, 6]),
+    "dropout-runs-out": (0.2, 12, 5, 32, 0.05, 160, False, False, [8, 6]),
+    "patience-equals-epochs": (0.2, 9, 9, 16, 0.5, 160, True, False, [8, 6]),
+    "ragged-batches": (0.2, 15, 3, 37, 0.3, 101, False, None, [8, 6]),
+    "no-hidden-layer": (0.2, 15, 3, 37, 0.3, 101, True, None, []),
+    "one-hidden-layer": (0.2, 20, 4, 16, 0.5, 160, True, None, [7]),
 }
+
+
+def mlp_case(case):
+    dropout, epochs, patience, batch, lr, rows, flip, stops, hidden = MLP_CASES[case]
+    train, valid = blobs(1, rows), blobs(2, 60, flip)
+    spec = MlpSpec(hidden_layers=hidden, dropout_rate=dropout)
+    cfg = TrainConfig(max_epochs=epochs, batch_size=batch, learning_rate=lr,
+                      patience=patience, seed=7)
+    return train, valid, spec, cfg, stops
 
 
 @pytest.mark.parametrize("case", list(MLP_CASES))
 def test_train_mlp_matches_the_old_loop(case):
-    dropout, epochs, patience, batch, lr, rows, flip, stops = MLP_CASES[case]
-    train, valid = blobs(1, rows), blobs(2, 60, flip)
-    spec = MlpSpec(hidden_layers=[8, 6], dropout_rate=dropout)
-    cfg = TrainConfig(max_epochs=epochs, batch_size=batch, learning_rate=lr,
-                      patience=patience, seed=7)
+    train, valid, spec, cfg, stops = mlp_case(case)
     model = train_mlp(train, valid, spec, cfg)
     expected = oracle_train_mlp(train, valid, spec, cfg)
     assert_same_weights(model.net, expected.net)
@@ -230,7 +289,30 @@ def test_train_mlp_matches_the_old_loop(case):
     assert model.best_epoch == expected.best_epoch
     assert model.best_valid_loss == expected.best_valid_loss
     if stops is not None:
-        assert (len(model.training_history) < epochs) == stops
+        assert (len(model.training_history) < cfg.max_epochs) == stops
+
+
+@pytest.mark.parametrize("case", list(MLP_CASES))
+def test_validation_only_score_trains_the_same_network(case):
+    train, valid, spec, cfg, _ = mlp_case(case)
+    full = train_mlp(train, valid, spec, cfg)
+    lean = train_mlp(train, valid, spec, cfg, full_history=False)
+    assert_same_weights(lean.net, full.net)
+    assert lean.best_epoch == full.best_epoch
+    assert lean.best_valid_loss == full.best_valid_loss
+    assert lean.training_history == [row[1] for row in full.training_history]
+
+
+@pytest.mark.parametrize("sizes, output", [([3, 8, 6, 1], "sigmoid-binary"),
+                                           ([4, 1], "sigmoid-binary"),
+                                           ([8, 8, 4, 8, 4], "linear")])
+def test_flat_parameters_start_from_the_old_draws(sizes, output):
+    net = FeedForward(sizes, output=output, seed=5)
+    weights, biases = oracle_init(sizes, 5)
+    for now, kept in zip(net.weights + net.biases, weights + biases):
+        assert_same_bits(now, kept)
+        assert np.shares_memory(now, net.params)
+    assert net.params.size == sum(w.size + b.size for w, b in zip(weights, biases))
 
 
 def unit_table(seed, n, d, rate, full_column=None):
@@ -255,6 +337,7 @@ DAE_CASES = {
     "patience-equals-epochs": (dict(epochs=7, patience=7), 90, None, False),
     "ragged-batches": (dict(epochs=10, patience=3, batch_size=17), 75, None, None),
     "fully-observed-column": (dict(epochs=10, patience=4, encoder_widths=[5]), 80, 2, None),
+    "one-row-batches": (dict(epochs=4, patience=2, batch_size=1), 30, None, None),
 }
 
 
@@ -279,6 +362,29 @@ def test_impute_dae_matches_the_old_loop(case, monkeypatch):
     assert result.diagnostics == [diagnostics]
     if stops is not None:
         assert (diagnostics["sweeps_run"] < spec.epochs) == stops
+
+
+# ---------------------------------------------------------------------------
+# The sigmoid
+# ---------------------------------------------------------------------------
+
+def test_sigmoid_matches_the_two_branch_form_bit_for_bit():
+    edges = np.array([0.0, -0.0, 1e3, -1e3, np.inf, -np.inf, 36.0, -36.0,
+                      745.0, -745.0, 5e-324, -5e-324])
+    draws = np.random.default_rng(0).normal(scale=10.0, size=10_000)
+    for z in (edges, draws, draws.reshape(100, 100), draws[:60].reshape(60, 1)):
+        with np.errstate(over="ignore"):
+            expected = oracle_sigmoid(z)
+        assert_same_bits(_sigmoid(z), expected)
+
+
+def test_sigmoid_of_nan_is_nan():
+    z = np.array([NAN, 0.0, -NAN])
+    with np.errstate(invalid="ignore"):
+        expected = oracle_sigmoid(z)
+    got = _sigmoid(z)
+    assert np.isnan(got[[0, 2]]).all() and np.isnan(expected[[0, 2]]).all()
+    assert got[1] == expected[1] == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -318,3 +424,17 @@ def test_benchmark_counts_the_epochs_run(tracer, epochs, patience, flip):
     run = min(diagnostics["best_epoch"] + patience, epochs)
     counts = tracer._imputer_counts(args, {}, result)
     assert counts["sweeps"] == run and counts["cells_filled"] == int(np.isnan(holed).sum())
+
+
+@pytest.mark.parametrize("epochs, patience, flip", [(40, 4, True), (7, 7, False)],
+                         ids=["stops-early", "runs-out"])
+def test_benchmark_counts_a_classification_cells_epochs(tracer, epochs, patience, flip):
+    # A classification cell's training keeps one validation loss per epoch.
+    train, valid = blobs(1, 160), blobs(2, 60, flip)
+    args = (train, valid, MlpSpec(hidden_layers=[8], dropout_rate=0.2),
+            TrainConfig(max_epochs=epochs, batch_size=16, learning_rate=0.5,
+                        patience=patience, seed=7), False)
+    model = train_mlp(*args)
+    run = min(model.best_epoch + patience, epochs)
+    assert all(isinstance(row, float) for row in model.training_history)
+    assert tracer._mlp_counts(args, {}, model) == {"epochs": run, "row_epochs": run * 160}

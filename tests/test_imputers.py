@@ -337,6 +337,17 @@ def test_dae_fast_path_identity_when_fully_observed():
     assert np.array_equal(out.copies[0], x)
 
 
+def test_dae_row_batch_with_no_training_cell_takes_a_zero_step():
+    # With one-row batches, the all-missing row's batch has no cell to learn
+    # from; it leaves the weights as they are instead of failing the fill.
+    _, holed, _ = holed_unit_matrix(18, shape=(40, 3), rate=0.2)
+    holed[7] = NAN
+    out = impute_dae(holed, DaeSpec(epochs=3, patience=3, batch_size=1), seed=0)
+    assert not np.isnan(out.copies[0]).any()
+    assert_observed_preserved(holed, out)
+    assert out.diagnostics[0]["sweeps_run"] == 3
+
+
 def test_dae_spec_validation():
     with pytest.raises(ValueError, match="corruption"):
         DaeSpec(corruption_rate=0.0)

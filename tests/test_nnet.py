@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from gradcheck import gradient_check
 
 from misslab.data import from_matrix
 from misslab.nnet import (
     FeedForward,
     MlpSpec,
     TrainConfig,
-    gradient_check,
     predict_mlp,
     train_mlp,
 )
@@ -65,6 +65,16 @@ def test_gradient_check_masked_linear_head():
     mask = (rng.random((10, 6)) < 0.5).astype(np.float64)
     mask[0, 0] = 1.0
     assert gradient_check(net, x, y, loss_mask=mask, eps=1e-5) < 1e-4
+
+
+def test_mask_selecting_no_cell_gives_zero_gradient_but_no_loss():
+    rng = np.random.default_rng(2)
+    net = FeedForward([6, 5, 3], output="linear", seed=4)
+    x, y = rng.normal(size=(2, 6)), rng.normal(size=(2, 3))
+    net.grad[:] = 1.0
+    assert (net.grads(x, y, loss_mask=np.zeros((2, 3))) == 0.0).all()
+    with pytest.raises(ValueError, match="no cells"):
+        net.loss(x, y, loss_mask=np.zeros((2, 3)))
 
 
 def test_dropout_expectation_matches_inference():

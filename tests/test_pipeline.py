@@ -146,6 +146,16 @@ def test_bool_values_parse_loosely(tmp_path):
     {"resample_ratio": -1.0},
     {"resample_ratio": 0.0},
     {"resample_ratio": 1.5},
+    {"classifier_lr": 0.0},
+    {"classifier_batch": 0},
+    {"classifier_dropout": 1.0},
+    {"classifier_dropout": -0.1},
+    {"classifier_hidden": [20, 0]},
+    {"dae_corruption": 0.0},
+    {"dae_corruption": 1.0},
+    {"dae_lr": 0.0},
+    {"dae_lr": float("nan")},
+    {"dae_batch": 0},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
