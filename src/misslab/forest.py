@@ -26,7 +26,6 @@ class ForestSpec:
     n_trees: int = 100
     max_depth: int | None = None        # None = grow until pure; 0 = stump
     min_samples_leaf: int = 1
-    feature_subsample: float | None = None   # None = d/3
     seed: int = 0
 
     def __post_init__(self):
@@ -36,9 +35,6 @@ class ForestSpec:
             raise ValueError("max_depth must be at least 0, or None")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be at least 1")
-        if (self.feature_subsample is not None
-                and not 0.0 < self.feature_subsample <= 1.0):
-            raise ValueError("feature_subsample must lie in (0, 1], or be None")
 
 
 class _Tree:
@@ -271,11 +267,7 @@ def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> For
     if y.shape != (n,):
         raise ValueError(f"targets have shape {y.shape}, expected ({n},)")
 
-    if spec.feature_subsample is not None:
-        m_feats = int(round(spec.feature_subsample * d))
-    else:
-        m_feats = int(round(d / 3.0))
-    m_feats = min(d, max(1, m_feats))
+    m_feats = min(d, max(1, int(round(d / 3.0))))
 
     rngs = [rng_for(spec.seed, "tree", t) for t in range(spec.n_trees)]
     boots = np.array([rng.integers(0, n, size=n) for rng in rngs])

@@ -59,136 +59,114 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 1."""
 
 
-def _key(name: str, default, alias: str = ""):
+def _key(name: str, default, alias: str = "", within: str = "", names: tuple = (),
+         anycase: bool = False):
     """An ExperimentConfig field read from the dotted config key `name`
-    (and from `alias`, when given)."""
-    metadata = {"key": name, "alias": alias}
+    (and from `alias`, when given). Each value, or each item of a list, must
+    lie in the interval `within` (such as "[1, inf)") or be one of `names`,
+    compared in any case when `anycase`; docs/config.md shows the same."""
+    metadata = {"key": name, "alias": alias, "within": within, "names": names,
+                "anycase": anycase}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
 
 
+def _lies_in(x, interval: str) -> bool:
+    """`x` inside an interval written "[lo, hi)" and the like; NaN never is."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= x if interval[0] == "[" else lo < x
+    below = x <= hi if interval[-1] == "]" else x < hi
+    return above and below
+
+
 @dataclass
 class ExperimentConfig:
-    input_kind: str = _key("input.kind", "builtin")      # builtin | csv
+    input_kind: str = _key("input.kind", "builtin", names=("builtin", "csv"))
     input_path: str = _key("input.path", "")
     input_target: str = _key("input.target", "")
     schema_path: str = _key("input.schema", "")
-    builtin_rows: int = _key("builtin.rows", 2500)
-    builtin_features: int = _key("builtin.features", 10)
-    builtin_components: int = _key("builtin.components", 3)
-    gmm_k_range: list[int] = _key("gmm.k_range", [1, 2, 3, 4, 5])
-    gmm_kinds: list[str] = _key("gmm.kinds", ["spherical", "diagonal"])
-    gmm_criterion: str = _key("gmm.criterion", "bic")
-    gmm_max_iter: int = _key("gmm.max_iter", 200)
-    gmm_restarts: int = _key("gmm.restarts", 3)
-    synth_n: int = _key("synth.n", 20000)
-    reserve_n: int = _key("synth.reserve", 5000)
-    scheme: str = _key("missing.scheme", "MCAR")
-    degrees: list[float] = _key("missing.degrees", [0.1, 0.2, 0.3, 0.4])
+    builtin_rows: int = _key("builtin.rows", 2500, within="[10, inf)")
+    builtin_features: int = _key("builtin.features", 10, within="[1, inf)")
+    builtin_components: int = _key("builtin.components", 3, within="[1, inf)")
+    gmm_k_range: list[int] = _key("gmm.k_range", [1, 2, 3, 4, 5], within="[1, inf)")
+    gmm_kinds: list[str] = _key("gmm.kinds", ["spherical", "diagonal"],
+                                names=COVARIANCE_KINDS)
+    gmm_criterion: str = _key("gmm.criterion", "bic", names=("aic", "bic"))
+    gmm_max_iter: int = _key("gmm.max_iter", 200, within="[1, inf)")
+    gmm_restarts: int = _key("gmm.restarts", 3, within="[1, inf)")
+    synth_n: int = _key("synth.n", 20000, within="[10, inf)")
+    reserve_n: int = _key("synth.reserve", 5000, within="[10, inf)")
+    scheme: str = _key("missing.scheme", "MCAR", names=SCHEMES, anycase=True)
+    degrees: list[float] = _key("missing.degrees", [0.1, 0.2, 0.3, 0.4], within="(0, 1)")
     protect_target: bool = _key("missing.protect_target", True)
     mar_drivers: list[int] = _key("missing.mar_drivers", [])
-    imputers: list[str] = _key("imputers", ["mean", "knn", "mice", "missforest", "dae"])
-    knn_k: int = _key("knn.k", 5)
-    copies: int = _key("copies", 5, alias="mice.copies")
-    mice_sweeps: int = _key("mice.sweeps", 10)
+    imputers: list[str] = _key("imputers", ["mean", "knn", "mice", "missforest", "dae"],
+                               names=METHODS, anycase=True)
+    knn_k: int = _key("knn.k", 5, within="[1, inf)")
+    copies: int = _key("copies", 5, alias="mice.copies", within="[1, inf)")
+    mice_sweeps: int = _key("mice.sweeps", 10, within="[0, inf)")
     mice_noise: bool = _key("mice.noise", True)
-    mice_ridge: float = _key("mice.ridge", 0.0)
-    missforest_max_sweeps: int = _key("missforest.max_sweeps", 3)
-    missforest_trees: int = _key("missforest.trees", 20)
-    missforest_max_depth: int = _key("missforest.max_depth", 8)
-    missforest_min_leaf: int = _key("missforest.min_leaf", 5)
-    dae_epochs: int = _key("dae.epochs", 100)
+    mice_ridge: float = _key("mice.ridge", 0.0, within="[0, inf)")
+    missforest_max_sweeps: int = _key("missforest.max_sweeps", 3, within="[0, inf)")
+    missforest_trees: int = _key("missforest.trees", 20, within="[1, inf)")
+    missforest_max_depth: int = _key("missforest.max_depth", 8, within="[0, inf)")
+    missforest_min_leaf: int = _key("missforest.min_leaf", 5, within="[1, inf)")
+    dae_epochs: int = _key("dae.epochs", 100, within="[1, inf)")
     dae_patience: int = _key("dae.patience", 20)
-    dae_corruption: float = _key("dae.corruption", 0.2)
-    dae_batch: int = _key("dae.batch", 64)
-    dae_lr: float = _key("dae.lr", 0.01)
-    classifier_hidden: list[int] = _key("classifier.hidden", [20, 20])
-    classifier_dropout: float = _key("classifier.dropout", 0.2)
-    classifier_epochs: int = _key("classifier.epochs", 100)
+    dae_corruption: float = _key("dae.corruption", 0.2, within="(0, 1)")
+    dae_batch: int = _key("dae.batch", 64, within="[1, inf)")
+    dae_lr: float = _key("dae.lr", 0.01, within="(0, inf)")
+    classifier_hidden: list[int] = _key("classifier.hidden", [20, 20], within="[1, inf)")
+    classifier_dropout: float = _key("classifier.dropout", 0.2, within="[0, 1)")
+    classifier_epochs: int = _key("classifier.epochs", 100, within="[1, inf)")
     classifier_patience: int = _key("classifier.patience", 10)
-    classifier_batch: int = _key("classifier.batch", 64)
-    classifier_lr: float = _key("classifier.lr", 0.01)
-    generator_epochs: int = _key("generator.epochs", 50)
+    classifier_batch: int = _key("classifier.batch", 64, within="[1, inf)")
+    classifier_lr: float = _key("classifier.lr", 0.01, within="(0, inf)")
+    generator_epochs: int = _key("generator.epochs", 50, within="[1, inf)")
     generator_patience: int = _key("generator.patience", 10)
-    clusters: list[int] = _key("clusters", [2, 3, 4])
-    clustering_degree: float = _key("clustering.degree", 0.3)
-    repetitions: int = _key("repetitions", 10)
-    smote_k: int = _key("resample.smote_k", 5)
-    enn_k: int = _key("resample.enn_k", 3)
-    resample_ratio: float = _key("resample.ratio", 1.0)
+    clusters: list[int] = _key("clusters", [2, 3, 4], within="[2, inf)")
+    clustering_degree: float = _key("clustering.degree", 0.3, within="(0, 1)")
+    repetitions: int = _key("repetitions", 10, within="[1, inf)")
+    smote_k: int = _key("resample.smote_k", 5, within="[1, inf)")
+    enn_k: int = _key("resample.enn_k", 3, within="[1, inf)")
+    resample_ratio: float = _key("resample.ratio", 1.0, within="(0, 1]")
     master_seed: int = _key("seed", 0)
     output_dir: str = _key("output", "run-output")
 
     def validate(self, columns: int | None = None) -> None:
-        """Raise ConfigError naming the first bad key. `columns` is the source
-        table's width, which a csv input knows only once read; the MAR
-        drivers are checked against it (builtin: builtin.features)."""
-        if self.input_kind not in ("builtin", "csv"):
-            raise ConfigError(f"input.kind must be builtin or csv, got {self.input_kind!r}")
-        if self.input_kind == "csv" and not self.input_path:
-            raise ConfigError("input.kind=csv requires input.path")
-        if self.input_kind == "csv" and not self.input_target:
-            raise ConfigError("input.kind=csv requires input.target")
-        if not self.degrees or any(not 0.0 < d < 1.0 for d in self.degrees):
-            raise ConfigError("missing.degrees must be a non-empty list inside (0, 1)")
-        if self.repetitions < 1:
-            raise ConfigError("repetitions must be at least 1")
-        if not self.imputers:
-            raise ConfigError("imputers must name at least one method")
-        _check_names("imputers", [m.lower() for m in self.imputers], METHODS)
-        _check_names("gmm.kinds", self.gmm_kinds, COVARIANCE_KINDS)
-        _check_names("gmm.criterion", [self.gmm_criterion], ("aic", "bic"))
-        _check_names("missing.scheme", [self.scheme.upper()], SCHEMES)
+        """Raise ConfigError naming the first bad key: each key's own bounds,
+        then the rules that span keys. `columns` is the source table's
+        width, which a csv input knows only once read; the MAR drivers are
+        checked against it (builtin: builtin.features)."""
+        for f in dataclasses.fields(self):
+            key, within, names = (f.metadata[m] for m in ("key", "within", "names"))
+            fold = str.lower if f.metadata["anycase"] else str
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else [value]:
+                if within and not _lies_in(item, within):
+                    raise ConfigError(f"{key} must lie in {within}, got {item!r}")
+                if names and fold(item) not in map(fold, names):
+                    raise ConfigError(f"{key} must be one of {', '.join(names)}, "
+                                      f"got {item!r}")
+        if self.input_kind == "csv" and not (self.input_path and self.input_target):
+            raise ConfigError("input.kind=csv requires input.path and input.target")
         if not self.protect_target:
             raise ConfigError(
                 "missing.protect_target=false is not runnable end to end: "
                 "masked labels cannot train the classifier; induce label "
                 "missingness directly through the missingness functions instead")
+        if not self.degrees:
+            raise ConfigError("missing.degrees must name at least one degree")
+        if not self.imputers:
+            raise ConfigError("imputers must name at least one method")
+        if any(k > self.synth_n for k in self.clusters):
+            raise ConfigError(f"clusters must each be at most synth.n={self.synth_n}")
+        for net in ("classifier", "generator", "dae"):
+            if getattr(self, f"{net}_patience") > getattr(self, f"{net}_epochs"):
+                raise ConfigError(f"{net}.patience must not exceed {net}.epochs")
         if self.scheme.upper() == "MAR" and not self.mar_drivers:
             raise ConfigError("missing.scheme=mar requires missing.mar_drivers")
-        if self.synth_n < 10 or self.reserve_n < 10:
-            raise ConfigError("synth.n and synth.reserve must each be at least 10")
-        if self.knn_k < 1:
-            raise ConfigError("knn.k must be at least 1")
-        if self.copies < 1:
-            raise ConfigError("copies must be at least 1")
-        if self.missforest_max_sweeps < 0:
-            raise ConfigError("missforest.max_sweeps must be at least 0")
-        if self.missforest_trees < 1:
-            raise ConfigError("missforest.trees must be at least 1")
-        if self.missforest_max_depth < 0:
-            raise ConfigError("missforest.max_depth must be at least 0")
-        if self.missforest_min_leaf < 1:
-            raise ConfigError("missforest.min_leaf must be at least 1")
-        if self.smote_k < 1:
-            raise ConfigError("resample.smote_k must be at least 1")
-        if self.enn_k < 1:
-            raise ConfigError("resample.enn_k must be at least 1")
-        if not 0.0 < self.resample_ratio <= 1.0:
-            raise ConfigError("resample.ratio must lie in (0, 1]")
-        if any(not 2 <= k <= self.synth_n for k in self.clusters):
-            raise ConfigError(f"clusters must each lie in [2, synth.n={self.synth_n}]")
-        if not self.classifier_lr > 0:
-            raise ConfigError("classifier.lr must be positive")
-        if self.classifier_batch < 1:
-            raise ConfigError("classifier.batch must be at least 1")
-        if not 0.0 <= self.classifier_dropout < 1.0:
-            raise ConfigError("classifier.dropout must lie in [0, 1)")
-        if any(width < 1 for width in self.classifier_hidden):
-            raise ConfigError("classifier.hidden widths must each be at least 1")
-        if not 0.0 < self.dae_corruption < 1.0:
-            raise ConfigError("dae.corruption must lie in (0, 1)")
-        if not self.dae_lr > 0:
-            raise ConfigError("dae.lr must be positive")
-        if self.dae_batch < 1:
-            raise ConfigError("dae.batch must be at least 1")
-        if self.classifier_patience > self.classifier_epochs:
-            raise ConfigError("classifier.patience must not exceed classifier.epochs")
-        if self.generator_patience > self.generator_epochs:
-            raise ConfigError("generator.patience must not exceed generator.epochs")
-        if self.dae_patience > self.dae_epochs:
-            raise ConfigError("dae.patience must not exceed dae.epochs")
         if self.input_kind == "builtin":
             columns = self.builtin_features
         if columns is not None and self.scheme.upper() == "MAR":
@@ -196,12 +174,6 @@ class ExperimentConfig:
                 check_drivers(self.mar_drivers, columns)
             except ValueError as exc:
                 raise ConfigError(f"missing.mar_drivers: {exc}") from None
-
-
-def _check_names(key: str, names: list[str], known: tuple) -> None:
-    unknown = [n for n in names if n not in known]
-    if unknown:
-        raise ConfigError(f"{key}: unknown name(s) {unknown}; expected one of {known}")
 
 
 def _parse_list(value: str, cast) -> list:

@@ -237,7 +237,19 @@ def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
                                    "resample.smote_k = 0",
                                    "resample.enn_k = 0",
                                    "resample.ratio = -1",
-                                   "resample.ratio = 1.5"])
+                                   "resample.ratio = 1.5",
+                                   "builtin.rows = 1",
+                                   "builtin.components = 0",
+                                   "builtin.features = 0",
+                                   "gmm.k_range = 0",
+                                   "gmm.max_iter = 0",
+                                   "gmm.restarts = 0",
+                                   "mice.sweeps = -1",
+                                   "mice.ridge = -1",
+                                   "clustering.degree = 5",
+                                   "classifier.epochs = 0\nclassifier.patience = 0",
+                                   "generator.epochs = 0\ngenerator.patience = 0",
+                                   "dae.epochs = 0\ndae.patience = 0"])
 def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)

@@ -17,10 +17,7 @@ def test_spec_validation():
         ForestSpec(min_samples_leaf=0)
     with pytest.raises(ValueError, match="max_depth"):
         ForestSpec(max_depth=-1)
-    for share in (0.0, -0.5, 2.0):
-        with pytest.raises(ValueError, match="feature_subsample"):
-            ForestSpec(feature_subsample=share)
-    ForestSpec(max_depth=0, feature_subsample=1.0)
+    ForestSpec(max_depth=0)
 
 
 def test_constant_targets_predict_that_constant():
@@ -174,8 +171,7 @@ def _oracle_tree(x, y, root_idx, max_depth, min_leaf, m_feats, rng):
 
 def _oracle_forest(x, y, spec):
     n, d = x.shape
-    share = spec.feature_subsample if spec.feature_subsample is not None else 1 / 3.0
-    m_feats = min(d, max(1, int(round(share * d))))
+    m_feats = min(d, max(1, int(round(d / 3.0))))
     trees = []
     for t in range(spec.n_trees):
         rng = rng_for(spec.seed, "tree", t)
@@ -219,7 +215,6 @@ def _random_case(case: int):
         n_trees=int(rng.integers(1, 7)),
         max_depth=max_depth,
         min_samples_leaf=int(rng.integers(1, 9)),
-        feature_subsample=[None, 0.5, 1.0][case % 3],
         seed=case)
     if case % 11 == 0:                  # fewer than 2 * min_leaf samples
         spec.min_samples_leaf = n // 2 + 1

@@ -1,5 +1,6 @@
 """End-to-end runner tests at desk scale, plus config parsing."""
 
+import dataclasses
 import os
 import re
 from pathlib import Path
@@ -156,6 +157,8 @@ def test_bool_values_parse_loosely(tmp_path):
     {"dae_lr": 0.0},
     {"dae_lr": float("nan")},
     {"dae_batch": 0},
+    {"gmm_kinds": ["Spherical"]},
+    {"classifier_lr": float("nan")},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -180,12 +183,25 @@ def test_validate_accepts_imputer_names_in_any_case():
     ExperimentConfig(imputers=["Mean", "KNN"]).validate()
 
 
+def test_validate_accepts_a_single_builtin_feature():
+    ExperimentConfig(builtin_features=1).validate()
+
+
 def test_docs_list_exactly_the_config_keys():
     text = DOCS_CONFIG.read_text(encoding="utf-8")
     keys_section = text.split("\n## Keys\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^\| `([^`]+)` \|", keys_section, re.M))
     documented |= set(re.findall(r"alias `([^`]+)`", keys_section))
     assert documented == set(_CONFIG_KEYS)
+    # Each row's `allowed` cell shows the bounds its field declares.
+    allowed = dict(re.findall(r"^\| `([^`]+)` \| [^|]* \| ([^|]*?) ?\|",
+                              keys_section, re.M))
+    for f in dataclasses.fields(ExperimentConfig):
+        meta = f.metadata
+        expected = (f"`{meta['within']}`" if meta["within"] else
+                    ", ".join(f"`{n}`" for n in meta["names"])
+                    + (", any case" if meta["anycase"] else ""))
+        assert allowed[meta["key"]] == expected, meta["key"]
 
 
 def test_paper_config_is_the_documented_defaults():
