@@ -70,20 +70,15 @@ def apply_mask(truth: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Dataset:
-    """Feature matrix with mask, optional binary target, and column schemas."""
+    """Feature matrix with missing cells, optional binary target, and column
+    schemas."""
 
     features: np.ndarray
-    mask: np.ndarray
     target: np.ndarray | None = None
     schema: list[ColumnSchema] = field(default_factory=list)
 
     def __post_init__(self):
         self.features = validate_matrix(self.features)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if self.mask.shape != self.features.shape:
-            raise ValueError("mask shape does not match features")
-        if not np.array_equal(self.mask, mask_of(self.features)):
-            raise ValueError("mask disagrees with missing cells in features")
         if self.target is not None:
             self.target = np.asarray(self.target, dtype=np.float64)
             if self.target.shape != (self.features.shape[0],):
@@ -92,6 +87,11 @@ class Dataset:
                 raise ValueError("target must contain only 0/1 labels")
         if self.schema and len(self.schema) != self.features.shape[1]:
             raise ValueError("schema length does not match column count")
+
+    @property
+    def mask(self) -> np.ndarray:
+        """mask_of(features): 1 where a cell is missing."""
+        return mask_of(self.features)
 
     @property
     def rows(self) -> int:
@@ -109,7 +109,6 @@ class Dataset:
     def take_rows(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
             features=self.features[idx],
-            mask=self.mask[idx],
             target=None if self.target is None else self.target[idx],
             schema=self.schema,
         )
@@ -117,9 +116,8 @@ class Dataset:
 
 def from_matrix(features: np.ndarray, target: np.ndarray | None = None,
                 schema: list[ColumnSchema] | None = None) -> Dataset:
-    """Dataset wrapper around a matrix; the mask is derived from nan cells."""
-    features = validate_matrix(features)
-    return Dataset(features, mask_of(features), target, schema or [])
+    """Dataset wrapper around a matrix."""
+    return Dataset(features, target, schema or [])
 
 
 def extract_target(d: Dataset, name: str) -> Dataset:
@@ -135,7 +133,7 @@ def extract_target(d: Dataset, name: str) -> Dataset:
         raise ValueError(f"target column {name!r} is not binary")
     keep = [i for i in range(d.cols) if i != j]
     schema = [d.schema[i] for i in keep] if d.schema else []
-    return Dataset(d.features[:, keep], d.mask[:, keep], col.copy(), schema)
+    return Dataset(d.features[:, keep], col.copy(), schema)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +187,7 @@ def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
                 row.append(np.nan if value in col.missing_codes else value)
             rows.append(row)
     features = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
-    return Dataset(features, mask_of(features), None, list(schema))
+    return Dataset(features, None, list(schema))
 
 
 def load_schema_file(path) -> list[ColumnSchema]:

@@ -20,6 +20,10 @@ COVARIANCE_KINDS = ("full", "tied", "diagonal", "spherical")
 
 # Variances below this after regularization mean a collapsed component.
 VARIANCE_FLOOR = 1e-12
+# Added to every variance (ridge on the covariance diagonal).
+REG = 1e-6
+# EM stops once the relative log-likelihood gain falls below this.
+TOL = 1e-5
 
 
 @dataclass
@@ -58,8 +62,6 @@ class FitReport:
 @dataclass
 class GmmConfig:
     max_iter: int = 200
-    tol: float = 1e-5
-    reg: float = 1e-6
     seed: int = 0
     restarts: int = 3
 
@@ -175,7 +177,7 @@ def _check_positive(var: np.ndarray, kind: str) -> None:
             "data may be degenerate (duplicate rows or constant columns)")
 
 
-def _m_step(x: np.ndarray, resp: np.ndarray, kind: str, reg: float) -> GmmModel:
+def _m_step(x: np.ndarray, resp: np.ndarray, kind: str) -> GmmModel:
     n, d = x.shape
     k = resp.shape[1]
     nk = resp.sum(axis=0) + 10.0 * np.finfo(np.float64).eps
@@ -187,11 +189,11 @@ def _m_step(x: np.ndarray, resp: np.ndarray, kind: str, reg: float) -> GmmModel:
             diff = x - means[j]
             covs[j] = (resp[:, j][:, None] * diff).T @ diff / nk[j]
         if kind == "tied":
-            cov = np.einsum("k,kij->ij", nk, covs) / n + reg * np.eye(d)
+            cov = np.einsum("k,kij->ij", nk, covs) / n + REG * np.eye(d)
             _check_positive(np.diag(cov), kind)
             covariances = cov
         else:
-            covs += reg * np.eye(d)[None]
+            covs += REG * np.eye(d)[None]
             _check_positive(np.stack([np.diag(c) for c in covs]), kind)
             covariances = covs
     elif kind == "diagonal":
@@ -199,25 +201,24 @@ def _m_step(x: np.ndarray, resp: np.ndarray, kind: str, reg: float) -> GmmModel:
         for j in range(k):
             diff = x - means[j]
             var[j] = (resp[:, j] @ (diff * diff)) / nk[j]
-        covariances = var + reg
+        covariances = var + REG
         _check_positive(covariances, kind)
     else:
         var = np.empty(k)
         for j in range(k):
             diff = x - means[j]
             var[j] = (resp[:, j] @ np.sum(diff * diff, axis=1)) / (nk[j] * d)
-        covariances = var + reg
+        covariances = var + REG
         _check_positive(covariances, kind)
     return GmmModel(k=k, dims=d, weights=weights, means=means,
                     covariances=covariances, kind=kind)
 
 
-def _initial_model(x: np.ndarray, k: int, kind: str, reg: float,
-                   rng: np.random.Generator) -> GmmModel:
+def _initial_model(x: np.ndarray, k: int, kind: str, rng: np.random.Generator) -> GmmModel:
     """Seed means with k-means++, covariances from the global data covariance."""
     n, d = x.shape
     means = kmeans_plus_plus(x, k, rng)
-    global_cov = np.cov(x, rowvar=False).reshape(d, d) + reg * np.eye(d)
+    global_cov = np.cov(x, rowvar=False).reshape(d, d) + REG * np.eye(d)
     if kind == "full":
         covariances = np.repeat(global_cov[None], k, axis=0)
     elif kind == "tied":
@@ -232,7 +233,7 @@ def _initial_model(x: np.ndarray, k: int, kind: str, reg: float,
 
 
 def fit_em(data: np.ndarray, k: int, kind: str, cfg: GmmConfig | None = None) -> tuple[GmmModel, FitReport]:
-    """Fit one mixture by EM until relative LL improvement < tol or max_iter."""
+    """Fit one mixture by EM until relative LL improvement < TOL or max_iter."""
     cfg = cfg or GmmConfig()
     x = validate_matrix(data)
     if np.isnan(x).any():
@@ -246,7 +247,7 @@ def fit_em(data: np.ndarray, k: int, kind: str, cfg: GmmConfig | None = None) ->
         raise ValueError(f"unknown covariance kind {kind!r}")
 
     rng = rng_for(cfg.seed, "gmm-init", k, kind)
-    model = _initial_model(x, k, kind, cfg.reg, rng)
+    model = _initial_model(x, k, kind, rng)
 
     prev_ll = -np.inf
     converged = False
@@ -255,10 +256,10 @@ def fit_em(data: np.ndarray, k: int, kind: str, cfg: GmmConfig | None = None) ->
     for iterations in range(1, cfg.max_iter + 1):
         resp, ll = responsibilities(model, x)
         trace.append(float(ll))
-        model = _m_step(x, resp, kind, cfg.reg)
+        model = _m_step(x, resp, kind)
         if np.isfinite(prev_ll):
             improvement = (ll - prev_ll) / max(abs(prev_ll), 1e-12)
-            if improvement < cfg.tol:
+            if improvement < TOL:
                 converged = True
                 prev_ll = ll
                 break
@@ -310,9 +311,8 @@ def select_generator(data: np.ndarray, k_range, kinds, criterion: str = "bic",
             cell_best = None
             cell_error: Exception | None = None
             for r in range(cfg.restarts):
-                cell_cfg = GmmConfig(max_iter=cfg.max_iter, tol=cfg.tol, reg=cfg.reg,
-                                     seed=child_seed(cfg.seed, "grid", k, kind, r),
-                                     restarts=1)
+                cell_cfg = GmmConfig(max_iter=cfg.max_iter,
+                                     seed=child_seed(cfg.seed, "grid", k, kind, r))
                 try:
                     model, report = fit_em(data, k, kind, cell_cfg)
                 except ValueError as exc:
@@ -340,11 +340,11 @@ def write_search_table(path, table: list[SearchRow]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "kind", "log_likelihood", "aic", "bic",
-                         "converged", "iterations"])
+                         "converged", "iterations", "error"])
         for row in table:
             writer.writerow([row.k, row.kind, repr(row.log_likelihood),
                              repr(row.aic), repr(row.bic),
-                             int(row.converged), row.iterations])
+                             int(row.converged), row.iterations, row.error])
 
 
 def save_model(path, model: GmmModel) -> None:

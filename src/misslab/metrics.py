@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import validate_matrix
@@ -13,18 +11,6 @@ LOG_LOSS_EPS = 1e-15
 MAPE_GUARD = 1e-8
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
 def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     """Binary cross entropy with probabilities clamped to [eps, 1-eps]."""
     y = np.asarray(y, dtype=np.float64)
@@ -32,9 +18,8 @@ def log_loss(y: np.ndarray, p: np.ndarray) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
 
 
-def classification_metrics(y: np.ndarray, p: np.ndarray,
-                           threshold: float = 0.5) -> dict:
-    """Accuracy, log loss, and confusion counts at a probability threshold."""
+def classification_metrics(y: np.ndarray, p: np.ndarray) -> dict:
+    """Accuracy (a row is predicted 1 where p >= 0.5) and log loss."""
     y = np.asarray(y, dtype=np.float64)
     p = np.asarray(p, dtype=np.float64)
     if y.shape != p.shape:
@@ -43,18 +28,8 @@ def classification_metrics(y: np.ndarray, p: np.ndarray,
         raise ValueError("empty input")
     if (p < 0).any() or (p > 1).any():
         raise ValueError("probabilities must lie in [0, 1]")
-    labels = (p >= threshold).astype(np.float64)
-    confusion = ConfusionCounts(
-        tp=int(np.sum((labels == 1) & (y == 1))),
-        tn=int(np.sum((labels == 0) & (y == 0))),
-        fp=int(np.sum((labels == 1) & (y == 0))),
-        fn=int(np.sum((labels == 0) & (y == 1))),
-    )
-    return {
-        "accuracy": (confusion.tp + confusion.tn) / y.size,
-        "log_loss": log_loss(y, p),
-        "confusion": confusion,
-    }
+    return {"accuracy": int(np.count_nonzero((p >= 0.5) == y)) / y.size,
+            "log_loss": log_loss(y, p)}
 
 
 def regression_metrics_masked(truth: np.ndarray, imputed: np.ndarray,

@@ -20,13 +20,13 @@ from .data import apply_mask, mask_of, save_csv, save_mask_csv, validate_matrix
 
 SCHEMES = ("MCAR", "MAR", "MNAR")
 _RTOL = 4 * np.finfo(float).eps        # scipy.optimize.bisect's default and floor
+_MAXITER = 100                         # scipy.optimize.bisect's default
 
 
 @dataclass(frozen=True)
 class MissingnessSpec:
     scheme: str
     degree: float
-    protect_target: bool = True
     mar_drivers: tuple = ()
 
     def __post_init__(self):
@@ -53,7 +53,6 @@ class InducedDataset:
     truth: np.ndarray
     holed: np.ndarray
     mask: np.ndarray
-    seed: int
 
     def __post_init__(self):
         self.truth = validate_matrix(self.truth)
@@ -81,22 +80,17 @@ def _standardize(v: np.ndarray) -> np.ndarray:
     return (v - v.mean()) / sd
 
 
-def bisect(f, a: float, b: float, args: tuple = (), xtol: float = 2e-12,
-           rtol: float = _RTOL, maxiter: int = 100,
-           disp: bool = True) -> float:
-    """A root of f in [a, b], step for step as scipy.optimize.bisect: halve
-    the step from a, move a to the midpoint while f keeps f(a)'s sign, and
-    stop when f hits 0 or the step falls below xtol + rtol * |midpoint|.
-    Written here so that a CLI process does not import scipy.optimize."""
+def bisect(f, a: float, b: float, xtol: float = 2e-12) -> float:
+    """A root of f in [a, b], step for step as scipy.optimize.bisect with its
+    default rtol and maxiter: halve the step from a, move a to the midpoint
+    while f keeps f(a)'s sign, and stop when f hits 0 or the step falls
+    below xtol + rtol * |midpoint|. Written here so that a CLI process does
+    not import scipy.optimize."""
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
 
     def value(x: float) -> float:
-        fx = float(f(x, *args))
+        fx = float(f(x))
         if np.isnan(fx):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
@@ -110,17 +104,15 @@ def bisect(f, a: float, b: float, args: tuple = (), xtol: float = 2e-12,
     if fb == 0:
         return b
     step = b - a
-    for _ in range(maxiter):
+    for _ in range(_MAXITER):
         step *= 0.5
         mid = a + step
         fm = value(mid)
         if fm * fa >= 0:
             a = mid
-        if fm == 0 or abs(step) < xtol + rtol * abs(mid):
+        if fm == 0 or abs(step) < xtol + _RTOL * abs(mid):
             return mid
-    if disp:
-        raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
-    return a
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
 def expit(x: np.ndarray) -> np.ndarray:
@@ -175,8 +167,7 @@ def induce_missingness(truth: np.ndarray, spec: MissingnessSpec, seed: int) -> I
             p = _calibrated_probs(_standardize(x[:, j]), spec.degree)
             mask[:, j] = draws[:, j] < p
 
-    return InducedDataset(truth=x, holed=apply_mask(x, mask), mask=mask,
-                          seed=seed)
+    return InducedDataset(truth=x, holed=apply_mask(x, mask), mask=mask)
 
 
 def combine_recovered(holed: np.ndarray, model_output: np.ndarray,

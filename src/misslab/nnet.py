@@ -119,11 +119,8 @@ class FeedForward:
             acts.append(z)
         return acts
 
-    def logits(self, x: np.ndarray,
-               rng: np.random.Generator | None = None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        drop = None if rng is None else self.dropout_mask(rng, x.shape[0])
-        return self._forward(x, drop)[-1]
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return self._forward(np.asarray(x, dtype=np.float64), None)[-1]
 
     def loss(self, x: np.ndarray, y: np.ndarray,
              loss_mask: np.ndarray | None = None) -> float:

@@ -59,14 +59,12 @@ class ConfigError(ValueError):
     """Invalid configuration; maps to CLI exit code 1."""
 
 
-def _key(name: str, default, alias: str = "", within: str = "", names: tuple = (),
-         anycase: bool = False):
-    """An ExperimentConfig field read from the dotted config key `name`
-    (and from `alias`, when given). Each value, or each item of a list, must
-    lie in the interval `within` (such as "[1, inf)") or be one of `names`,
-    compared in any case when `anycase`; docs/config.md shows the same."""
-    metadata = {"key": name, "alias": alias, "within": within, "names": names,
-                "anycase": anycase}
+def _key(name: str, default, within: str = "", names: tuple = (), anycase: bool = False):
+    """An ExperimentConfig field read from the dotted config key `name`. Each
+    value, or each item of a list, must lie in the interval `within` (such
+    as "[1, inf)") or be one of `names`, compared in any case when
+    `anycase`; docs/config.md shows the same."""
+    metadata = {"key": name, "within": within, "names": names, "anycase": anycase}
     if isinstance(default, list):
         return field(default_factory=lambda: list(default), metadata=metadata)
     return field(default=default, metadata=metadata)
@@ -99,12 +97,11 @@ class ExperimentConfig:
     reserve_n: int = _key("synth.reserve", 5000, within="[10, inf)")
     scheme: str = _key("missing.scheme", "MCAR", names=SCHEMES, anycase=True)
     degrees: list[float] = _key("missing.degrees", [0.1, 0.2, 0.3, 0.4], within="(0, 1)")
-    protect_target: bool = _key("missing.protect_target", True)
     mar_drivers: list[int] = _key("missing.mar_drivers", [])
     imputers: list[str] = _key("imputers", ["mean", "knn", "mice", "missforest", "dae"],
                                names=METHODS, anycase=True)
     knn_k: int = _key("knn.k", 5, within="[1, inf)")
-    copies: int = _key("copies", 5, alias="mice.copies", within="[1, inf)")
+    copies: int = _key("copies", 5, within="[1, inf)")
     mice_sweeps: int = _key("mice.sweeps", 10, within="[0, inf)")
     mice_noise: bool = _key("mice.noise", True)
     mice_ridge: float = _key("mice.ridge", 0.0, within="[0, inf)")
@@ -151,15 +148,9 @@ class ExperimentConfig:
                                       f"got {item!r}")
         if self.input_kind == "csv" and not (self.input_path and self.input_target):
             raise ConfigError("input.kind=csv requires input.path and input.target")
-        if not self.protect_target:
-            raise ConfigError(
-                "missing.protect_target=false is not runnable end to end: "
-                "masked labels cannot train the classifier; induce label "
-                "missingness directly through the missingness functions instead")
-        if not self.degrees:
-            raise ConfigError("missing.degrees must name at least one degree")
-        if not self.imputers:
-            raise ConfigError("imputers must name at least one method")
+        for key in ("missing.degrees", "imputers", "gmm.kinds", "gmm.k_range"):
+            if not getattr(self, _CONFIG_KEYS[key][0]):
+                raise ConfigError(f"{key} must not be empty")
         if any(k > self.synth_n for k in self.clusters):
             raise ConfigError(f"clusters must each be at most synth.n={self.synth_n}")
         for net in ("classifier", "generator", "dae"):
@@ -202,13 +193,8 @@ def _parser(annotation):
 
 def _config_keys() -> dict:
     types = typing.get_type_hints(ExperimentConfig)
-    keys = {}
-    for f in dataclasses.fields(ExperimentConfig):
-        entry = (f.name, _parser(types[f.name]))
-        keys[f.metadata["key"]] = entry
-        if f.metadata["alias"]:
-            keys[f.metadata["alias"]] = entry
-    return keys
+    return {f.metadata["key"]: (f.name, _parser(types[f.name]))
+            for f in dataclasses.fields(ExperimentConfig)}
 
 
 # Dotted config key -> (ExperimentConfig attribute, parser), from the fields.
@@ -870,8 +856,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                        timings={"units": []})
     inputs = CellInputs(cfg, pool, src.names, eval_sets)
     units = len(cell_units(cfg)) + len(cfg.imputers) * len(cfg.clusters)
-    forkable = "fork" in multiprocessing.get_all_start_methods()
-    workers = min(_usable_cores(), units) if forkable else 1
+    workers = min(_usable_cores(), units)
     cells_started = time.perf_counter()
     with _worker_pool(workers, inputs) as executor:
         fills = run_cells(inputs, executor, report)

@@ -249,7 +249,8 @@ def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
                                    "clustering.degree = 5",
                                    "classifier.epochs = 0\nclassifier.patience = 0",
                                    "generator.epochs = 0\ngenerator.patience = 0",
-                                   "dae.epochs = 0\ndae.patience = 0"])
+                                   "dae.epochs = 0\ndae.patience = 0",
+                                   "gmm.kinds =", "gmm.k_range ="])
 def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)

@@ -7,7 +7,6 @@ import pytest
 
 from misslab.data import (
     ColumnSchema,
-    Dataset,
     apply_mask,
     conform_to_schema,
     drop_incomplete_rows,
@@ -77,13 +76,10 @@ def test_apply_mask_blanks_masked_cells():
         apply_mask(truth, np.zeros((3, 2)))
 
 
-def test_dataset_enforces_mask_coherence():
-    feats = np.array([[1.0, NAN]])
-    with pytest.raises(ValueError, match="disagrees"):
-        Dataset(feats, np.zeros((1, 2), dtype=np.uint8))
-    # Coherent mask is accepted for every cell.
-    d = from_matrix(feats)
+def test_dataset_mask_is_derived_from_features():
+    d = from_matrix(np.array([[1.0, NAN]]))
     assert d.mask.tolist() == [[0, 1]]
+    assert d.take_rows(np.array([0, 0])).mask.tolist() == [[0, 1], [0, 1]]
 
 
 def test_dataset_target_must_be_binary():

@@ -1,5 +1,6 @@
 """Gaussian mixtures: EM fitting, information criteria, model search, sampling."""
 
+import csv
 import math
 
 import numpy as np
@@ -194,10 +195,24 @@ def test_search_table_csv_columns(tmp_path):
     path = tmp_path / "search.csv"
     write_search_table(path, table)
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "k,kind,log_likelihood,aic,bic,converged,iterations"
+    assert lines[0] == "k,kind,log_likelihood,aic,bic,converged,iterations,error"
     for line in lines[1:]:
-        k, _, *numbers = line.split(",")
+        k, _, *numbers, error = line.split(",")
         assert all(math.isfinite(float(v)) for v in [k] + numbers), line
+        assert error == "", line
+
+
+def test_search_table_gives_the_reason_for_a_failed_cell(tmp_path):
+    x = np.random.default_rng(5).normal(size=(6, 2))
+    _, _, table = select_generator(x, k_range=[1, 7], kinds=["spherical"], criterion="bic")
+    path = tmp_path / "search.csv"
+    write_search_table(path, table)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["k"] for row in rows] == ["1", "7"]
+    assert rows[0]["error"] == ""
+    assert rows[1]["error"] == "k=7 exceeds the 6 available rows"
+    assert rows[1]["log_likelihood"] == "nan"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -230,6 +231,93 @@ def test_mice_survives_constant_column():
                   [4.0, 5.0, 0.4], [2.5, 5.0, NAN]])
     out = impute_mice(x, copies=1, sweeps=3, noise=False, seed=0)
     assert not np.isnan(out.copies[0]).any()
+
+
+# ---------------------------------------------------------------------------
+# Mean and MICE on random shapes, against plain oracles
+# ---------------------------------------------------------------------------
+
+def random_holed(rng):
+    """A holed matrix of random shape (n <= 200, d <= 8) and degree (<= 0.9)
+    with clipped, tied dyadic values; about one row in ten has every cell
+    missing, and every column keeps an observed cell."""
+    n, d = int(rng.integers(3, 201)), int(rng.integers(1, 9))
+    x = np.clip(rng.integers(-16, 80, size=(n, d)) / 64.0, 0.0, 1.0)
+    hide = rng.random((n, d)) < rng.uniform(0.0, 0.9)
+    hide[rng.random(n) < 0.1] = True
+    for j in np.flatnonzero(hide.all(axis=0)):
+        hide[rng.integers(n), j] = False
+    holed = x.copy()
+    holed[hide] = NAN
+    return holed
+
+
+def oracle_mean_fill(holed):
+    """Plain-Python column means; exact on dyadic values in any order."""
+    out = holed.copy()
+    for j in range(holed.shape[1]):
+        observed = [v for v in holed[:, j].tolist() if v == v]
+        out[np.isnan(holed[:, j]), j] = sum(observed) / len(observed)
+    return out
+
+
+def oracle_mice(holed, sweeps):
+    """Noise-free chained regressions: from the mean fill, regress each
+    incomplete column (fewest missing first) on an intercept and every other
+    column over its observed rows, and predict its missing rows."""
+    missing = np.isnan(holed)
+    current = oracle_mean_fill(holed)
+    d = holed.shape[1]
+    order = sorted((int(missing[:, j].sum()), j) for j in range(d) if missing[:, j].any())
+    for _ in range(sweeps):
+        for _, j in order:
+            others = [o for o in range(d) if o != j]
+            design = np.column_stack([np.ones(len(holed)), current[:, others]])
+            obs = ~missing[:, j]
+            beta = np.linalg.lstsq(design[obs], holed[obs, j], rcond=None)[0]
+            current[~obs, j] = design[~obs] @ beta
+    return current
+
+
+def test_mean_matches_plain_column_means_on_random_shapes():
+    rng = np.random.default_rng(21)
+    empty_rows = 0
+    for case in range(200):
+        holed = random_holed(rng)
+        empty_rows += int(np.isnan(holed).all(axis=1).sum())
+        result = impute_mean(holed)
+        assert np.array_equal(result.copies[0], oracle_mean_fill(holed)), case
+        assert_observed_preserved(holed, result)
+    assert empty_rows > 0
+
+
+def test_mice_without_noise_matches_a_plain_lstsq_loop_on_random_shapes():
+    rng = np.random.default_rng(22)
+    for case in range(120):
+        holed = random_holed(rng)
+        sweeps = int(rng.integers(0, 4))
+        result = impute_mice(holed, copies=2, sweeps=sweeps, noise=False, seed=case)
+        want = oracle_mice(holed, sweeps)
+        for copy in result.copies:
+            assert np.max(np.abs(copy - want), initial=0.0) <= 1e-12, case
+        assert_observed_preserved(holed, result)
+        noisy = impute_mice(holed, copies=2, sweeps=sweeps, noise=True, seed=case)
+        assert_observed_preserved(holed, noisy)
+
+
+@pytest.mark.parametrize("impute", [impute_mean, partial(impute_mice, copies=1, sweeps=2)],
+                         ids=["mean", "mice"])
+def test_a_column_emptied_by_masking_is_named(impute):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        holed = random_holed(rng)
+        j = int(rng.integers(holed.shape[1]))
+        holed[:, j] = NAN
+        with pytest.raises(ValueError, match=f"column {j} has no observed cells"):
+            impute(holed)
+        names = [f"c{i}" for i in range(holed.shape[1])]
+        with pytest.raises(ValueError, match=f"c{j} has no observed cells"):
+            impute(holed, names=names)
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def test_config_overrides(tmp_path):
         "imputers = mean, dae",
         "classifier.hidden = 16, 8",
         "mice.noise = false",
-        "mice.copies = 3",
+        "copies = 3",
         "synth.n = 50        # inline comment",
         "synth.reserve = 25",
         "seed = 42",
@@ -120,7 +120,7 @@ def test_bool_values_parse_loosely(tmp_path):
     {"degrees": [0.2, 1.5]},
     {"repetitions": 0},
     {"imputers": []},
-    {"protect_target": False},
+    {"gmm_kinds": []},
     {"scheme": "mar", "mar_drivers": []},
     {"synth_n": 5},
     {"reserve_n": 9},
@@ -159,6 +159,7 @@ def test_bool_values_parse_loosely(tmp_path):
     {"dae_batch": 0},
     {"gmm_kinds": ["Spherical"]},
     {"classifier_lr": float("nan")},
+    {"gmm_k_range": []},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
@@ -191,7 +192,6 @@ def test_docs_list_exactly_the_config_keys():
     text = DOCS_CONFIG.read_text(encoding="utf-8")
     keys_section = text.split("\n## Keys\n", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^\| `([^`]+)` \|", keys_section, re.M))
-    documented |= set(re.findall(r"alias `([^`]+)`", keys_section))
     assert documented == set(_CONFIG_KEYS)
     # Each row's `allowed` cell shows the bounds its field declares.
     allowed = dict(re.findall(r"^\| `([^`]+)` \| [^|]* \| ([^|]*?) ?\|",
@@ -215,8 +215,8 @@ def test_paper_config_is_the_documented_defaults():
         attr = _CONFIG_KEYS[key][0]
         if key not in ("seed", "output"):
             assert getattr(cfg, attr) == getattr(default, attr), key
-    # Only keys whose default is empty (and the alias) are left out.
-    for key in set(_CONFIG_KEYS) - set(keys) - {"mice.copies"}:
+    # Only keys whose default is empty are left out.
+    for key in set(_CONFIG_KEYS) - set(keys):
         assert not getattr(default, _CONFIG_KEYS[key][0]), key
 
 
