@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .data import (ColumnSchema, from_matrix, load_csv, load_scaler, save_csv,
-                   save_scaler)
+from .data import (ColumnSchema, from_matrix, load_csv, load_mask_csv, load_scaler,
+                   save_csv, save_scaler)
 from .gmm import load_model, save_model, write_search_table
 from .imputers import METHODS, ImputerSpec, run_imputer, save_imputation
 from .metrics import regression_metrics_masked
@@ -117,7 +117,7 @@ def cmd_impute(args) -> int:
 def cmd_evaluate(args) -> int:
     truth = load_csv(args.truth).features
     imputed = load_csv(args.imputed).features
-    mask = load_csv(args.mask).features.astype(np.uint8)
+    mask = load_mask_csv(args.mask)
     metrics = regression_metrics_masked(truth, imputed, mask)
     text = json.dumps(metrics, indent=2)
     if args.out:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import rng_for
-from .data import validate_matrix
+from .data import observed_matrix, validate_matrix
 from .neighbors import squared_distances
 
 MAX_LLOYD_ITERATIONS = 300
@@ -15,7 +15,6 @@ MAX_LLOYD_ITERATIONS = 300
 
 @dataclass
 class KMeansModel:
-    k: int
     centroids: np.ndarray
     inertia: float
     # Inertia after each Lloyd update; non-increasing by construction.
@@ -45,9 +44,7 @@ def fit_kmeans(data: np.ndarray, k: int, seed: int) -> KMeansModel:
     Runs until the assignment reaches a fixpoint or 300 iterations; the
     recorded inertia never increases between iterations.
     """
-    x = validate_matrix(data)
-    if np.isnan(x).any():
-        raise ValueError("k-means requires fully observed data")
+    x = observed_matrix(data, "k-means")
     n = x.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -82,7 +79,7 @@ def fit_kmeans(data: np.ndarray, k: int, seed: int) -> KMeansModel:
     final = float(np.sum(squared_distances(x, centers)[np.arange(n), labels]))
     if not trace:
         trace.append(final)
-    return KMeansModel(k=k, centroids=centers, inertia=final, inertia_trace=trace)
+    return KMeansModel(centroids=centers, inertia=final, inertia_trace=trace)
 
 
 def assign_kmeans(model: KMeansModel, data: np.ndarray) -> np.ndarray:

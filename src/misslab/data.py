@@ -3,6 +3,8 @@
 A data matrix is a 2-D float64 ndarray where missing cells are np.nan and
 every stored value is finite. A mask matrix is the companion uint8 ndarray
 with 1 exactly where the data cell is missing and 0 where it is observed.
+The NaN pattern is the only record of which cells are missing: masks are
+derived with `mask_of` and never stored beside their matrix.
 """
 
 from __future__ import annotations
@@ -57,15 +59,12 @@ def mask_of(m: np.ndarray) -> np.ndarray:
     return np.isnan(np.asarray(m, dtype=np.float64)).astype(np.uint8)
 
 
-def apply_mask(truth: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Copy of truth with mask=1 cells blanked to nan."""
-    truth = validate_matrix(truth)
-    mask = np.asarray(mask)
-    if mask.shape != truth.shape:
-        raise ValueError(f"mask shape {mask.shape} != data shape {truth.shape}")
-    holed = truth.copy()
-    holed[mask.astype(bool)] = np.nan
-    return holed
+def observed_matrix(m: np.ndarray, step: str) -> np.ndarray:
+    """validate_matrix(m) for a step that cannot take missing cells."""
+    m = validate_matrix(m)
+    if np.isnan(m).any():
+        raise ValueError(f"{step} requires fully observed data")
+    return m
 
 
 @dataclass
@@ -243,6 +242,21 @@ def save_mask_csv(path, mask: np.ndarray, names: list[str] | None = None) -> Non
         writer = csv.writer(fh)
         writer.writerow(names)
         writer.writerows(mask.tolist())
+
+
+def load_mask_csv(path) -> np.ndarray:
+    """Read a mask CSV as written by save_mask_csv. A cell other than 0 or 1,
+    an empty one included, raises ValueError naming the file, the row
+    (counting data rows from 1) and the column."""
+    d = load_csv(path)
+    bad = np.argwhere(~np.isin(d.features, (0.0, 1.0)))
+    if bad.size:
+        i, j = bad[0]
+        cell = d.features[i, j]
+        shown = "empty" if np.isnan(cell) else repr(float(cell))
+        raise ValueError(f"{path}: mask cell at row {i + 1}, column "
+                         f"{d.column_names()[j]!r} is {shown}, expected 0 or 1")
+    return d.features.astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

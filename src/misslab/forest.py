@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .data import validate_matrix
+from .data import observed_matrix
 
 
 @dataclass
@@ -257,9 +257,7 @@ class ForestModel:
 
 def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> ForestModel:
     """Bootstrap-sampled CART trees with per-node feature subsampling."""
-    x = validate_matrix(data)
-    if np.isnan(x).any():
-        raise ValueError("forest training requires fully observed data")
+    x = observed_matrix(data, "forest training")
     y = np.asarray(targets, dtype=np.float64)
     n, d = x.shape
     if n == 0:
@@ -284,9 +282,7 @@ def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> For
 
 def predict_forest(model: ForestModel, data: np.ndarray) -> np.ndarray:
     """Mean of the tree outputs."""
-    x = validate_matrix(data)
-    if np.isnan(x).any():
-        raise ValueError("forest prediction requires fully observed data")
+    x = observed_matrix(data, "forest prediction")
     if x.shape[0] == 0:
         return np.empty(0)
     per_tree = np.stack([tree.predict(x) for tree in model.trees])

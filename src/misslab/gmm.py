@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import child_seed, rng_for
 from .cluster import kmeans_plus_plus
-from .data import validate_matrix
+from .data import observed_matrix
 
 COVARIANCE_KINDS = ("full", "tied", "diagonal", "spherical")
 
@@ -235,9 +235,7 @@ def _initial_model(x: np.ndarray, k: int, kind: str, rng: np.random.Generator) -
 def fit_em(data: np.ndarray, k: int, kind: str, cfg: GmmConfig | None = None) -> tuple[GmmModel, FitReport]:
     """Fit one mixture by EM until relative LL improvement < TOL or max_iter."""
     cfg = cfg or GmmConfig()
-    x = validate_matrix(data)
-    if np.isnan(x).any():
-        raise ValueError("EM requires fully observed data")
+    x = observed_matrix(data, "EM")
     n = x.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")

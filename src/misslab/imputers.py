@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import child_seed, rng_for
-from .data import mask_of, save_csv, validate_matrix
+from .data import save_csv, validate_matrix
 from .forest import ForestSpec, predict_forest, train_forest
 from .missingness import combine_recovered
 from .neighbors import CHUNK, nearest, partial_distances, smallest
@@ -188,6 +188,10 @@ def impute_mice(holed: np.ndarray, copies: int = 5, sweeps: int = 10,
     """
     if copies < 1:
         raise ValueError("copies must be at least 1")
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be at least 0, got {sweeps}")
+    if not 0.0 <= ridge < np.inf:         # NaN fails too
+        raise ValueError(f"ridge must lie in [0, inf), got {ridge}")
     x = validate_matrix(holed)
     missing = np.isnan(x)
     order = _visit_order(missing)
@@ -231,6 +235,8 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
     over the previous sweep; the state before the worsening sweep is
     returned. max_sweeps = 0 leaves the column-mean initialization.
     """
+    if max_sweeps < 0:
+        raise ValueError(f"max_sweeps must be at least 0, got {max_sweeps}")
     forest = forest or ForestSpec(n_trees=20, max_depth=8, min_samples_leaf=5)
     x = validate_matrix(holed)
     missing = np.isnan(x)
@@ -300,9 +306,9 @@ def impute_dae(holed: np.ndarray, spec: DaeSpec | None = None,
     if obs_vals.size and (obs_vals.min() < -1e-6 or obs_vals.max() > 1.0 + 1e-6):
         raise ValueError("autoencoder input must be scaled to [0, 1]")
     n, d = x.shape
-    mask = mask_of(x)
+    mask = np.isnan(x)
     filled = _mean_filled(x, names)
-    observed = ~mask.astype(bool)
+    observed = ~mask
 
     if not mask.any():
         return ImputationResult("dae", [filled],
@@ -339,7 +345,7 @@ def impute_dae(holed: np.ndarray, spec: DaeSpec | None = None,
     record = fit(net, n, spec.epochs, spec.batch_size, spec.learning_rate,
                  spec.patience, rng_for(seed, "dae", "shuffle"), epoch, score)
     reconstruction = net.logits(inputs)
-    recovered = combine_recovered(x, reconstruction, mask)
+    recovered = combine_recovered(x, reconstruction)
     trace = record.training_history
     return ImputationResult("dae", [recovered],
                             [{"sweeps_run": len(trace), "best_epoch": record.best_epoch,

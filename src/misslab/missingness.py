@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .data import apply_mask, mask_of, save_csv, save_mask_csv, validate_matrix
+from .data import mask_of, save_csv, save_mask_csv, validate_matrix
 
 SCHEMES = ("MCAR", "MAR", "MNAR")
 _RTOL = 4 * np.finfo(float).eps        # scipy.optimize.bisect's default and floor
@@ -43,30 +43,20 @@ class MissingnessSpec:
 
 @dataclass
 class InducedDataset:
-    """Ground truth, its holed copy, and the exact mask that links them.
+    """A fully observed matrix with the induced cells blanked to NaN; the
+    NaN pattern is the mask.
 
     At 10,000+ eligible cells the realized fraction concentrates within
     half a percentage point of the spec's degree (binomial tail; checked
     statistically, not asserted per instance).
     """
 
-    truth: np.ndarray
     holed: np.ndarray
-    mask: np.ndarray
 
-    def __post_init__(self):
-        self.truth = validate_matrix(self.truth)
-        self.holed = validate_matrix(self.holed)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
-        if not (self.truth.shape == self.holed.shape == self.mask.shape):
-            raise ValueError("truth/holed/mask shapes differ")
-        if np.isnan(self.truth).any():
-            raise ValueError("truth must be fully observed")
-        if not np.array_equal(mask_of(self.holed), self.mask):
-            raise ValueError("holed cells disagree with the mask")
-        hidden = self.mask.astype(bool)
-        if not np.array_equal(self.holed[~hidden], self.truth[~hidden]):
-            raise ValueError("holed differs from truth at observed cells")
+    @property
+    def mask(self) -> np.ndarray:
+        """mask_of(holed): 1 where a cell was hidden."""
+        return mask_of(self.holed)
 
     @property
     def realized_fraction(self) -> float:
@@ -153,43 +143,33 @@ def induce_missingness(truth: np.ndarray, spec: MissingnessSpec, seed: int) -> I
     draws = rng.random((n, d))
 
     if spec.scheme == "MCAR":
-        mask = (draws < spec.degree).astype(np.uint8)
+        mask = draws < spec.degree
     elif spec.scheme == "MAR":
         drivers = list(spec.mar_drivers)
         check_drivers(drivers, d)
         score = np.mean([_standardize(x[:, j]) for j in drivers], axis=0)
         p_row = _calibrated_probs(score, spec.degree)
-        mask = (draws < p_row[:, None]).astype(np.uint8)
-        mask[:, drivers] = 0
+        mask = draws < p_row[:, None]
+        mask[:, drivers] = False
     else:  # MNAR: self-masking per column
-        mask = np.zeros((n, d), dtype=np.uint8)
+        mask = np.zeros((n, d), dtype=bool)
         for j in range(d):
             p = _calibrated_probs(_standardize(x[:, j]), spec.degree)
             mask[:, j] = draws[:, j] < p
 
-    return InducedDataset(truth=x, holed=apply_mask(x, mask), mask=mask)
+    return InducedDataset(holed=np.where(mask, np.nan, x))
 
 
-def combine_recovered(holed: np.ndarray, model_output: np.ndarray,
-                      mask: np.ndarray) -> np.ndarray:
-    """Observed cells from holed, masked cells from model_output.
-
-    Cell-wise: recovered = holed where mask = 0, model_output where mask = 1;
-    the result is always fully observed.
-    """
+def combine_recovered(holed: np.ndarray, model_output: np.ndarray) -> np.ndarray:
+    """Observed cells from holed, missing cells from model_output; the
+    result is always fully observed."""
     holed = validate_matrix(holed)
     model_output = validate_matrix(model_output)
-    mask = np.asarray(mask)
-    if not (holed.shape == model_output.shape == mask.shape):
-        raise ValueError("holed/model_output/mask shapes differ")
+    if holed.shape != model_output.shape:
+        raise ValueError("holed/model_output shapes differ")
     if np.isnan(model_output).any():
         raise ValueError("model_output must be fully observed")
-    if not np.array_equal(mask_of(holed), mask.astype(np.uint8)):
-        raise ValueError("holed observed cells disagree with the mask")
-    hidden = mask.astype(bool)
-    out = holed.copy()
-    out[hidden] = model_output[hidden]
-    return out
+    return np.where(np.isnan(holed), model_output, holed)
 
 
 def save_induced(stem: str, induced: InducedDataset,

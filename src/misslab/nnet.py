@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import rng_for
-from .data import Dataset, validate_matrix
+from .data import Dataset, observed_matrix
 
 
 @dataclass
@@ -236,8 +236,8 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
         raise ValueError("training set is empty")
     if train.target is None or valid.target is None:
         raise ValueError("train and valid need targets")
-    if train.mask.any() or valid.mask.any():
-        raise ValueError("training requires fully observed data")
+    observed_matrix(train.features, "training")
+    observed_matrix(valid.features, "training")
     if train.cols != valid.cols:
         raise ValueError("train/valid column counts differ")
 
@@ -269,9 +269,7 @@ def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
 
 def predict_mlp(model: MlpModel, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(probabilities, labels); label 1 wherever probability >= 0.5."""
-    x = validate_matrix(data)
-    if np.isnan(x).any():
-        raise ValueError("prediction requires fully observed data")
+    x = observed_matrix(data, "prediction")
     if x.shape[1] != model.net.layer_sizes[0]:
         raise ValueError(
             f"data has {x.shape[1]} columns, model expects {model.net.layer_sizes[0]}")

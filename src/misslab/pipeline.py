@@ -110,18 +110,18 @@ class ExperimentConfig:
     missforest_max_depth: int = _key("missforest.max_depth", 8, within="[0, inf)")
     missforest_min_leaf: int = _key("missforest.min_leaf", 5, within="[1, inf)")
     dae_epochs: int = _key("dae.epochs", 100, within="[1, inf)")
-    dae_patience: int = _key("dae.patience", 20)
+    dae_patience: int = _key("dae.patience", 20, within="[0, inf)")
     dae_corruption: float = _key("dae.corruption", 0.2, within="(0, 1)")
     dae_batch: int = _key("dae.batch", 64, within="[1, inf)")
     dae_lr: float = _key("dae.lr", 0.01, within="(0, inf)")
     classifier_hidden: list[int] = _key("classifier.hidden", [20, 20], within="[1, inf)")
     classifier_dropout: float = _key("classifier.dropout", 0.2, within="[0, 1)")
     classifier_epochs: int = _key("classifier.epochs", 100, within="[1, inf)")
-    classifier_patience: int = _key("classifier.patience", 10)
+    classifier_patience: int = _key("classifier.patience", 10, within="[0, inf)")
     classifier_batch: int = _key("classifier.batch", 64, within="[1, inf)")
     classifier_lr: float = _key("classifier.lr", 0.01, within="(0, inf)")
     generator_epochs: int = _key("generator.epochs", 50, within="[1, inf)")
-    generator_patience: int = _key("generator.patience", 10)
+    generator_patience: int = _key("generator.patience", 10, within="[0, inf)")
     clusters: list[int] = _key("clusters", [2, 3, 4], within="[2, inf)")
     clustering_degree: float = _key("clustering.degree", 0.3, within="(0, 1)")
     repetitions: int = _key("repetitions", 10, within="[1, inf)")
@@ -670,9 +670,10 @@ def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitRe
                                      inputs.names)
                 features = pool_copies(result)
             out.diagnostics = result.diagnostics
+            mask = induced.mask
             for c, copy in enumerate(result.copies):
                 out.direct.append({**key, "copy": c,
-                                   **regression_metrics_masked(x_synth, copy, induced.mask)})
+                                   **regression_metrics_masked(x_synth, copy, mask)})
             if rep == 0 and degree == clustering_degree(cfg):
                 out.fill = features
         with _timed(out.seconds, "classify"):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .data import Dataset, from_matrix
+from .data import Dataset, from_matrix, observed_matrix
 from .neighbors import kneighbors
 
 
@@ -28,8 +28,7 @@ class ResampleSpec:
 def _classes(d: Dataset) -> tuple[np.ndarray, np.ndarray]:
     if d.target is None:
         raise ValueError("resampling needs binary targets")
-    if d.mask.any():
-        raise ValueError("resampling requires fully observed data")
+    observed_matrix(d.features, "resampling")
     ones = np.flatnonzero(d.target == 1.0)
     zeros = np.flatnonzero(d.target == 0.0)
     if ones.size <= zeros.size:
@@ -75,8 +74,7 @@ def enn_undersample(d: Dataset, spec: ResampleSpec) -> Dataset:
     majority-vote the other class; one pass, applied to both classes."""
     if d.target is None:
         raise ValueError("resampling needs binary targets")
-    if d.mask.any():
-        raise ValueError("resampling requires fully observed data")
+    observed_matrix(d.features, "resampling")
     n = d.rows
     if n < spec.enn_k + 1:
         raise ValueError(f"need more than enn_k={spec.enn_k} samples, have {n}")

@@ -101,7 +101,7 @@ def test_criterion_02_recovery_combination(acceptance_log):
             holed = full.copy()
             holed[mask == 1] = np.nan
             model_output = rng.normal(size=(n, d))
-            combined = combine_recovered(holed, model_output, mask)
+            combined = combine_recovered(holed, model_output)
             assert np.array_equal(combined[mask == 0], holed[mask == 0])
             assert np.array_equal(combined[mask == 1], model_output[mask == 1])
             assert not np.isnan(combined).any()

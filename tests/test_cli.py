@@ -116,6 +116,41 @@ def test_impute_multiple_copies_naming(tmp_path):
     assert not os.path.exists(f"{istem}.imputed.mice.2.csv")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--method", "mice", "--sweeps", "-1"], "sweeps must be at least 0, got -1"),
+    (["--method", "mice", "--ridge", "-1"], "ridge must lie in [0, inf), got -1.0"),
+    (["--method", "mice", "--ridge", "nan"], "ridge must lie in [0, inf), got nan"),
+    (["--method", "mice", "--ridge", "inf"], "ridge must lie in [0, inf), got inf"),
+    (["--method", "missforest", "--max-sweeps", "-2"],
+     "max_sweeps must be at least 0, got -2"),
+], ids=["mice-sweeps", "mice-ridge", "mice-ridge-nan", "mice-ridge-inf",
+        "missforest-max-sweeps"])
+def test_impute_out_of_range_flag_exits_one_before_writing(tmp_path, capsys, flags,
+                                                           message):
+    data_path, _ = small_csv(tmp_path)
+    stem = str(tmp_path / "h")
+    main(["induce", "--input", str(data_path), "--out", stem, "--degree", "0.2"])
+    capsys.readouterr()
+    assert main(["impute", "--input", f"{stem}.holed.csv",
+                 "--out", str(tmp_path / "m"), *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("m.*"))
+
+
+@pytest.mark.parametrize("cell, shown", [("0.5", "0.5"), ("2", "2.0"), ("", "empty")],
+                         ids=["half", "two", "empty"])
+def test_evaluate_bad_mask_cell_exits_one_naming_the_place(tmp_path, capsys, cell,
+                                                            shown):
+    table = tmp_path / "t.csv"
+    table.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+    mask = tmp_path / "t.mask.csv"
+    mask.write_text(f"a,b\n0,1\n1,{cell}\n", encoding="utf-8")
+    assert main(["evaluate", "--truth", str(table), "--imputed", str(table),
+                 "--mask", str(mask)]) == 1
+    assert capsys.readouterr().err == (f"error: {mask}: mask cell at row 2, column "
+                                       f"'b' is {shown}, expected 0 or 1\n")
+
+
 def test_evaluate_missing_input_is_validation_error(tmp_path, capsys):
     code = main(["evaluate", "--truth", str(tmp_path / "nope.csv"),
                  "--imputed", str(tmp_path / "nope.csv"),
@@ -250,7 +285,10 @@ def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
                                    "classifier.epochs = 0\nclassifier.patience = 0",
                                    "generator.epochs = 0\ngenerator.patience = 0",
                                    "dae.epochs = 0\ndae.patience = 0",
-                                   "gmm.kinds =", "gmm.k_range ="])
+                                   "gmm.kinds =", "gmm.k_range =",
+                                   "classifier.patience = -3",
+                                   "generator.patience = -1",
+                                   "dae.patience = -2"])
 def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)

@@ -70,26 +70,26 @@ def test_fit_deterministic_per_seed():
 
 
 def test_assign_point_on_centroid_gets_that_label():
-    model = KMeansModel(k=3, centroids=np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 9.0]]),
+    model = KMeansModel(centroids=np.array([[0.0, 0.0], [5.0, 0.0], [9.0, 9.0]]),
                         inertia=0.0)
     labels = assign_kmeans(model, np.array([[9.0, 9.0]]))
     assert labels.tolist() == [2]
 
 
 def test_assign_equidistant_tie_goes_to_lower_index():
-    model = KMeansModel(k=2, centroids=np.array([[0.0], [2.0]]), inertia=0.0)
+    model = KMeansModel(centroids=np.array([[0.0], [2.0]]), inertia=0.0)
     labels = assign_kmeans(model, np.array([[1.0]]))
     assert labels.tolist() == [0]
 
 
 def test_assign_empty_data_gives_empty_labels():
-    model = KMeansModel(k=1, centroids=np.zeros((1, 2)), inertia=0.0)
+    model = KMeansModel(centroids=np.zeros((1, 2)), inertia=0.0)
     labels = assign_kmeans(model, np.empty((0, 2)))
     assert labels.shape == (0,)
 
 
 def test_assign_dimension_mismatch_errors():
-    model = KMeansModel(k=1, centroids=np.zeros((1, 2)), inertia=0.0)
+    model = KMeansModel(centroids=np.zeros((1, 2)), inertia=0.0)
     with pytest.raises(ValueError, match="columns"):
         assign_kmeans(model, np.zeros((3, 5)))
 

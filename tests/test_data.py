@@ -7,13 +7,13 @@ import pytest
 
 from misslab.data import (
     ColumnSchema,
-    apply_mask,
     conform_to_schema,
     drop_incomplete_rows,
     extract_target,
     fit_minmax,
     from_matrix,
     load_csv,
+    load_mask_csv,
     load_scaler,
     load_schema_file,
     mask_of,
@@ -25,6 +25,11 @@ from misslab.data import (
     split_indices,
     validate_matrix,
 )
+from misslab.cluster import fit_kmeans
+from misslab.forest import ForestSpec, predict_forest, train_forest
+from misslab.gmm import fit_em
+from misslab.nnet import FeedForward, MlpModel, predict_mlp, train_mlp
+from misslab.resampling import ResampleSpec, enn_undersample, smote_oversample
 
 NAN = np.nan
 
@@ -67,13 +72,32 @@ def test_mask_of_marks_missing_cells_only():
     assert mask_of(m).tolist() == [[0, 1], [1, 0]]
 
 
-def test_apply_mask_blanks_masked_cells():
-    truth = np.array([[1.0, 2.0], [3.0, 4.0]])
-    holed = apply_mask(truth, np.array([[0, 1], [0, 0]]))
-    assert np.isnan(holed[0, 1])
-    assert holed[1, 0] == 3.0
-    with pytest.raises(ValueError, match="mask shape"):
-        apply_mask(truth, np.zeros((3, 2)))
+Y8 = np.arange(8) % 2.0
+FOREST = train_forest(np.zeros((8, 2)), Y8, ForestSpec(n_trees=1))
+MLP = MlpModel(FeedForward([2, 1], output="sigmoid-binary"))
+
+# Every step that needs fully observed data, with the name its error gives.
+STEPS = {
+    "fit_em": ("EM", lambda m: fit_em(m, 1, "spherical")),
+    "train_forest": ("forest training", lambda m: train_forest(m, Y8, ForestSpec())),
+    "predict_forest": ("forest prediction", lambda m: predict_forest(FOREST, m)),
+    "fit_kmeans": ("k-means", lambda m: fit_kmeans(m, 1, seed=0)),
+    "train_mlp": ("training", lambda m: train_mlp(from_matrix(m, Y8),
+                                                  from_matrix(m, Y8))),
+    "predict_mlp": ("prediction", lambda m: predict_mlp(MLP, m)),
+    "smote_oversample": ("resampling", lambda m: smote_oversample(
+        from_matrix(m, Y8), ResampleSpec())),
+    "enn_undersample": ("resampling", lambda m: enn_undersample(
+        from_matrix(m, Y8), ResampleSpec())),
+}
+
+
+@pytest.mark.parametrize("step, call", STEPS.values(), ids=STEPS)
+def test_every_step_rejects_one_missing_cell_by_name(step, call):
+    m = np.arange(16.0).reshape(8, 2)
+    m[5, 1] = NAN
+    with pytest.raises(ValueError, match=f"^{step} requires fully observed data$"):
+        call(m)
 
 
 def test_dataset_mask_is_derived_from_features():
@@ -200,8 +224,8 @@ def test_mask_csv_round_trip(tmp_path):
     mask = np.array([[0, 1], [1, 0]], dtype=np.uint8)
     p = tmp_path / "m.mask.csv"
     save_mask_csv(p, mask)
-    back = load_csv(p).features
-    assert np.array_equal(back.astype(np.uint8), mask)
+    back = load_mask_csv(p)
+    assert back.dtype == np.uint8 and np.array_equal(back, mask)
 
 
 def test_load_schema_file_reads_every_column(tmp_path):

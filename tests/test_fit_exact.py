@@ -227,7 +227,7 @@ def oracle_impute_dae(holed, spec, seed=0):
                 break
     oracle_restore(net, best_snap)
     reconstruction = oracle_logits(net, inputs)
-    recovered = combine_recovered(x, reconstruction, mask)
+    recovered = combine_recovered(x, reconstruction)
     return recovered, {"sweeps_run": len(trace), "best_epoch": best_epoch,
                        "convergence_trace": trace}, net
 

@@ -1,4 +1,4 @@
-"""Behaviour lock: the desk run's result tables, byte for byte.
+"""Behaviour lock: every table the desk run writes, byte for byte.
 
 The digests were recorded from `misslab run` on configs/desk.cfg with BLAS
 pinned to one thread (silhouette_samples.csv changes in its last digits
@@ -27,6 +27,15 @@ DIGESTS = {
     "metrics.csv": "c1f4bece6e4bbb055ab6d957f38f409ce5afec8f1500cd6b79a52fec97859d47",
     "silhouette_samples.csv":
         "7db023dcbefe8e8b0d31a29902f9c784114d9e89dd1fbf9cf4cbf86817b0221d",
+    # Written before the workers fork: the source, the pool and the generators.
+    "clean.csv": "bb879a4e5d8bfc06b6f916ddfd314399ab113d95a0464d26679db6ed679dc246",
+    "synthetic.csv": "a21a86e0d46a7734cccd8ebd509c9fa786e346ab215a17281e50ab6fb459577c",
+    "reserved.csv": "bceed6bb74d89af86a4e9975e7226ee189b84a6f3336c5b9ce65175f03e30ba8",
+    "gmm_search.csv": "4fd3c68765009cac5bc8c7a7dc8f78c12bc93e87d82b80f8431b78c3a4a059ae",
+    "generator_components.csv":
+        "d3574c3486af5381f325c48dd0f913c8b139d892c0a283baa3dbb22c65b1b64a",
+    "target_history.csv":
+        "379fa6462f1b2ea4ac7ae67eb50574a8c482453cf901d61cd6c0ed9db6864215",
 }
 
 

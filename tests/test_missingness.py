@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import bisect as scipy_bisect
 from scipy.special import expit as scipy_expit
 
-from misslab.data import load_csv, mask_of
+from misslab.data import load_csv, load_mask_csv, mask_of
 from misslab.missingness import (
     MissingnessSpec,
     bisect,
@@ -68,10 +68,18 @@ def test_mcar_realized_fraction_concentrates():
     assert 0.095 <= out.realized_fraction <= 0.105
 
 
-def test_mask_exactness_invariant():
+@pytest.mark.parametrize("spec", [MissingnessSpec("MCAR", 0.3),
+                                  MissingnessSpec("MAR", 0.3, mar_drivers=(0, 2)),
+                                  MissingnessSpec("MNAR", 0.3)],
+                         ids=["MCAR", "MAR", "MNAR"])
+def test_mask_exactness_invariant(spec):
     x = uniform_matrix(4)
-    out = induce_missingness(x, MissingnessSpec("MCAR", 0.3), seed=5)
+    out = induce_missingness(x, spec, seed=5)
+    assert out.mask.dtype == np.uint8
+    assert np.array_equal(out.mask, np.isnan(out.holed))
     hidden = out.mask.astype(bool)
+    assert hidden.any()
+    assert not hidden[:, list(spec.mar_drivers)].any()
     assert np.isnan(out.holed[hidden]).all()
     assert np.array_equal(out.holed[~hidden], x[~hidden])
 
@@ -150,41 +158,37 @@ def test_calibrated_schemes_hit_requested_degree():
 def test_combine_zero_mask_returns_holed_exactly():
     x = uniform_matrix(22, (10, 3))
     filler = np.zeros_like(x)
-    out = combine_recovered(x, filler, np.zeros_like(x, dtype=np.uint8))
+    out = combine_recovered(x, filler)
     assert np.array_equal(out, x)
 
 
 def test_combine_full_mask_returns_model_output_exactly():
     x = uniform_matrix(23, (10, 3))
     holed = np.full_like(x, NAN)
-    out = combine_recovered(holed, x, np.ones_like(x, dtype=np.uint8))
+    out = combine_recovered(holed, x)
     assert np.array_equal(out, x)
 
 
 def test_combine_single_masked_cell():
     holed = np.array([[1.0, NAN], [2.0, 3.0]])
     model_output = np.array([[9.0, 8.0], [7.0, 6.0]])
-    mask = np.array([[0, 1], [0, 0]])
-    out = combine_recovered(holed, model_output, mask)
+    out = combine_recovered(holed, model_output)
     assert out.tolist() == [[1.0, 8.0], [2.0, 3.0]]
 
 
 def test_combine_output_is_fully_observed():
     x = uniform_matrix(24, (50, 5))
     induced = induce_missingness(x, MissingnessSpec("MCAR", 0.5), seed=25)
-    out = combine_recovered(induced.holed, np.zeros_like(x), induced.mask)
+    out = combine_recovered(induced.holed, np.zeros_like(x))
     assert not np.isnan(out).any()
 
 
 def test_combine_rejects_shape_and_mask_disagreement():
     holed = np.array([[1.0, NAN]])
-    good = np.array([[0.0, 0.0]])
     with pytest.raises(ValueError, match="shapes differ"):
-        combine_recovered(holed, np.zeros((2, 2)), np.zeros((1, 2)))
-    with pytest.raises(ValueError, match="disagree"):
-        combine_recovered(holed, good, np.zeros((1, 2)))
+        combine_recovered(holed, np.zeros((2, 2)))
     with pytest.raises(ValueError, match="fully observed"):
-        combine_recovered(holed, np.array([[NAN, 0.0]]), np.array([[0, 1]]))
+        combine_recovered(holed, np.array([[NAN, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,7 @@ def test_save_induced_round_trip(tmp_path):
     holed_path, mask_path = save_induced(str(tmp_path / "exp"), induced)
     assert holed_path.endswith(".holed.csv") and mask_path.endswith(".mask.csv")
     holed = load_csv(holed_path).features
-    mask = load_csv(mask_path).features.astype(np.uint8)
+    mask = load_mask_csv(mask_path)
     assert np.array_equal(mask_of(holed), induced.mask)
     assert np.array_equal(mask, induced.mask)
 

@@ -160,6 +160,9 @@ def test_bool_values_parse_loosely(tmp_path):
     {"gmm_kinds": ["Spherical"]},
     {"classifier_lr": float("nan")},
     {"gmm_k_range": []},
+    {"classifier_patience": -3},
+    {"generator_patience": -1},
+    {"dae_patience": -2},
 ])
 def test_validate_rejects(overrides):
     cfg = ExperimentConfig(**overrides)
