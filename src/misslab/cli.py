@@ -19,17 +19,19 @@ import numpy as np
 from .data import (ColumnSchema, from_matrix, load_csv, load_mask_csv, load_scaler,
                    save_csv, save_scaler)
 from .gmm import load_model, save_model, write_search_table
-from .imputers import METHODS, ImputerSpec, run_imputer, save_imputation
+from .imputers import METHODS, run_imputer, save_imputation
 from .metrics import regression_metrics_masked
 from .missingness import MissingnessSpec, induce_missingness, save_induced
-from .pipeline import (ConfigError, PreparedSource, emit_report, fit_generator,
-                       label_pool, load_report_json, parse_config,
-                       prepare_source, run_pipeline, save_pool,
-                       save_report_json, write_plot_tables)
+from .pipeline import (_CONFIG_KEYS, ConfigError, ExperimentConfig, PreparedSource,
+                       _imputer_spec, emit_report, fit_generator, label_pool,
+                       load_report_json, parse_config, prepare_source, run_pipeline,
+                       save_pool, save_report_json, write_plot_tables)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CELL_FAILURES = 2
+
+IMPUTE_KEYS = ("knn.k", "copies", "mice.sweeps", "missforest.max_sweeps", "mice.ridge")
 
 
 def cmd_genfit(args) -> int:
@@ -102,23 +104,23 @@ def cmd_induce(args) -> int:
 
 
 def cmd_impute(args) -> int:
+    cfg = ExperimentConfig(mice_noise=not args.no_noise)
+    for key in IMPUTE_KEYS:
+        setattr(cfg, _CONFIG_KEYS[key][0], getattr(args, key.split(".")[-1]))
+    cfg.validate()
     data = load_csv(args.input)
-    matrix, names = data.features, data.column_names()
-    spec = ImputerSpec(kind=args.method, knn_k=args.k, copies=args.copies,
-                       sweeps=args.sweeps, noise=not args.no_noise,
-                       max_sweeps=args.max_sweeps, ridge=args.ridge,
-                       seed=args.seed)
-    result = run_imputer(matrix, spec, names)
+    names = data.column_names()
+    result = run_imputer(data.features, _imputer_spec(cfg, args.method, args.seed), names)
     paths = save_imputation(args.out, result, names)
     print(f"{args.method}: {len(result.copies)} copies -> " + ", ".join(paths))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    truth = load_csv(args.truth).features
-    imputed = load_csv(args.imputed).features
-    mask = load_mask_csv(args.mask)
-    metrics = regression_metrics_masked(truth, imputed, mask)
+    truth = load_csv(args.truth)
+    imputed = load_csv(args.imputed, truth.schema).features
+    mask = load_mask_csv(args.mask, truth.schema)
+    metrics = regression_metrics_masked(truth.features, imputed, mask)
     text = json.dumps(metrics, indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -184,12 +186,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output stem")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=5, help="KNN neighbor count")
-    p.add_argument("--copies", type=int, default=5)
-    p.add_argument("--sweeps", type=int, default=10)
-    p.add_argument("--no-noise", action="store_true")
-    p.add_argument("--max-sweeps", type=int, default=3)
-    p.add_argument("--ridge", type=float, default=0.0)
+    for key in IMPUTE_KEYS:
+        attr, parse = _CONFIG_KEYS[key]
+        p.add_argument("--" + key.split(".")[-1].replace("_", "-"), type=parse,
+                       default=getattr(ExperimentConfig(), attr), help=f"sets {key}")
+    p.add_argument("--no-noise", action="store_true", help="sets mice.noise = false")
     p.set_defaults(func=cmd_impute)
 
     p = sub.add_parser("evaluate", help="masked-cell recovery metrics")

@@ -244,11 +244,11 @@ def save_mask_csv(path, mask: np.ndarray, names: list[str] | None = None) -> Non
         writer.writerows(mask.tolist())
 
 
-def load_mask_csv(path) -> np.ndarray:
-    """Read a mask CSV as written by save_mask_csv. A cell other than 0 or 1,
-    an empty one included, raises ValueError naming the file, the row
-    (counting data rows from 1) and the column."""
-    d = load_csv(path)
+def load_mask_csv(path, schema: list[ColumnSchema] | None = None) -> np.ndarray:
+    """Read a mask CSV as written by save_mask_csv; load_csv checks its header
+    against `schema`. A cell other than 0 or 1, an empty one included, raises
+    ValueError naming the file, the row (data rows from 1) and the column."""
+    d = load_csv(path, schema)
     bad = np.argwhere(~np.isin(d.features, (0.0, 1.0)))
     if bad.size:
         i, j = bad[0]

@@ -75,40 +75,44 @@ def silhouette_samples(data: np.ndarray, labels: np.ndarray) -> np.ndarray:
     a = mean distance to the sample's own cluster (excluding itself),
     b = smallest mean distance to any other cluster. Samples in singleton
     clusters score 0 by convention. Distances are accumulated in row
-    chunks so big inputs never materialize the full n*n matrix.
+    chunks so big inputs never materialize the full n*n matrix. An (m, n)
+    `labels` stacks m labelings that share each chunk: (m, n) scores, bit for
+    bit those of m calls.
     """
     x = validate_matrix(data)
     labels = np.asarray(labels)
-    if labels.shape != (x.shape[0],):
-        raise ValueError("labels length does not match row count")
-    uniq, dense = np.unique(labels, return_inverse=True)
-    k = uniq.size
-    if k < 2:
-        raise ValueError("silhouette needs at least 2 clusters")
     n = x.shape[0]
-    counts = np.bincount(dense, minlength=k).astype(np.float64)
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), dense] = 1.0
+    stack = labels if labels.ndim == 2 else labels[None]
+    if stack.ndim != 2 or stack.shape[1] != n:
+        raise ValueError("labels length does not match row count")
+    clusterings = []                   # (dense labels, cluster sizes, one-hot)
+    for row in stack:
+        uniq, dense = np.unique(row, return_inverse=True)
+        if uniq.size < 2:
+            raise ValueError("silhouette needs at least 2 clusters")
+        onehot = np.zeros((n, uniq.size))
+        onehot[np.arange(n), dense] = 1.0
+        clusterings.append((dense, onehot.sum(axis=0), onehot))
 
     sq = np.sum(x * x, axis=1)
-    scores = np.empty(n)
+    scores = np.empty((len(clusterings), n))
     for start in range(0, n, CHUNK):
         rows = slice(start, min(start + CHUNK, n))
         dist = squared_distances(x[rows], x, sq[rows], sq)  # (chunk, n)
         np.sqrt(dist, out=dist)
-        cluster_sums = dist @ onehot                   # (chunk, k)
-        own = dense[rows]
-        own_count = counts[own]
-        # Own-cluster mean excludes the sample itself (distance 0).
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = cluster_sums[np.arange(len(own)), own] / np.maximum(own_count - 1, 1)
-            means = cluster_sums / counts[None, :]
-        means[np.arange(len(own)), own] = np.inf
-        b = means.min(axis=1)
-        s = (b - a) / np.maximum(np.maximum(a, b), np.finfo(np.float64).tiny)
-        s[own_count < 2] = 0.0
-        scores[rows] = s
-    return scores
+        for out, (dense, counts, onehot) in zip(scores, clusterings):
+            cluster_sums = dist @ onehot               # (chunk, k)
+            own = dense[rows]
+            own_count = counts[own]
+            # Own-cluster mean excludes the sample itself (distance 0).
+            with np.errstate(invalid="ignore", divide="ignore"):
+                a = cluster_sums[np.arange(len(own)), own] / np.maximum(own_count - 1, 1)
+                means = cluster_sums / counts[None, :]
+            means[np.arange(len(own)), own] = np.inf
+            b = means.min(axis=1)
+            out[rows] = (b - a) / np.maximum(np.maximum(a, b), np.finfo(np.float64).tiny)
+            out[rows][own_count < 2] = 0.0
+    return scores if labels.ndim == 2 else scores[0]
 
 
 def silhouette_score(data: np.ndarray, labels: np.ndarray) -> float:

@@ -5,9 +5,9 @@ sampling, target-generator labeling, missingness induction per degree,
 every imputer per degree and repetition, classifier/clustering/direct
 evaluation, and CSV report emission. Every stage draws from seed streams
 derived from one master seed, so a run is a pure function of its config. The
-classification and clustering cells run in forked worker processes, one per
-usable core, and are merged in one fixed order, so the worker count moves no
-result.
+cells run in forked worker processes, one per usable core, each clustering
+its own fill where one is clustered, and are merged in one fixed order, so
+the worker count moves no result.
 """
 
 from __future__ import annotations
@@ -621,11 +621,11 @@ class UnitResult:
     seconds: dict = field(default_factory=dict)         # wall seconds per stage
     peak_rss_mb: float = 0.0                            # its process's peak so far
     lost_worker: str | None = None   # the error of a lost worker's future, rerun inline
-    rows: list[dict] = field(default_factory=list)      # cell or clustering rows
+    rows: list[dict] = field(default_factory=list)      # its cell's row
     direct: list[dict] = field(default_factory=list)
+    clustering: list[dict] = field(default_factory=list)
     plot: list[list] = field(default_factory=list)      # silhouette sample rows
     failures: list[dict] = field(default_factory=list)
-    fill: np.ndarray | None = None                      # pooled fill, for clustering
     diagnostics: list[dict] | None = None               # its imputer's, one per copy
     classifier: dict | None = None                      # its classifier's training record
 
@@ -650,13 +650,14 @@ def _timed(seconds: dict, stage: str):
 
 def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitResult:
     """One classification cell: the no-missingness baseline, or one imputer's
-    fill of the (degree, rep) mask, scored directly and classified. Each cell
-    induces its mask from the (degree, rep) seed, so the imputers of one
-    (degree, rep) fill the same holes."""
+    fill of the (degree, rep) mask, scored directly, classified and, at rep 0
+    and the clustering degree, clustered. Each cell induces its mask from the
+    (degree, rep) seed, so the imputers of one (degree, rep) fill the same holes."""
     cfg, x_synth = inputs.cfg, inputs.pool.x_synth
     key = _cell_key(method, degree, rep)
     out = UnitResult(key)
     stage, seed, features = "classify", _cell_seed(cfg, method, degree, rep), x_synth
+    fill = None
     try:
         if method != BASELINE_METHOD:
             stage, seed = "induce", child_seed(cfg.master_seed, "induce", repr(degree), rep)
@@ -674,8 +675,7 @@ def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitRe
             for c, copy in enumerate(result.copies):
                 out.direct.append({**key, "copy": c,
                                    **regression_metrics_masked(x_synth, copy, mask)})
-            if rep == 0 and degree == clustering_degree(cfg):
-                out.fill = features
+            fill = features
         with _timed(out.seconds, "classify"):
             scores, model = classify(cfg, features, method, degree, rep, inputs.eval_sets)
         out.rows.append({**key, "seed": seed, **scores})
@@ -684,46 +684,56 @@ def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitRe
                           "best_valid_loss": model.best_valid_loss}
     except Exception as exc:  # cell failures never stop the run
         out.failures.append(_failure(method, degree, rep, stage, exc, seed))
+    if method != BASELINE_METHOD and rep == 0 and degree == clustering_degree(cfg):
+        cluster_fill(inputs, method, fill, out)
+    out.peak_rss_mb = _peak_rss_mb()
     return out
 
 
-def run_clusters(inputs: CellInputs, method: str, k: int,
-                 data: np.ndarray | None) -> UnitResult:
-    """One clustering: k-means with `k` clusters on an imputer's fill (None
-    when its cell failed), scored by Rand index against the pool's mixture
-    components and by silhouette."""
+def cluster_fill(inputs: CellInputs, method: str, data: np.ndarray | None,
+                 out: UnitResult) -> None:
+    """k-means with every k of `clusters` on an imputer's fill (None when its
+    cell failed), scored by Rand index against the pool's mixture components
+    and by one silhouette pass for all k, into `out`. A k whose k-means or
+    silhouette fails is recorded alone."""
     cfg = inputs.cfg
-    seed = child_seed(cfg.master_seed, "cluster", method, k)
-    out = UnitResult({"method": method, "clusters": k})
+    seeds = {k: child_seed(cfg.master_seed, "cluster", method, k) for k in cfg.clusters}
+    labels, scores, errors = {}, {}, {}
     if data is None:
-        out.failures.append(_failure(method, clustering_degree(cfg), 0, "cluster",
-                                     "no imputed matrix available", seed))
-        return out
-    try:
+        errors = dict.fromkeys(cfg.clusters, "no imputed matrix available")
+    else:
         with _timed(out.seconds, "kmeans"):
-            labels = assign_kmeans(fit_kmeans(data, k, seed), data)
+            for k in cfg.clusters:
+                try:
+                    labels[k] = assign_kmeans(fit_kmeans(data, k, seeds[k]), data)
+                except Exception as exc:
+                    errors[k] = exc
         with _timed(out.seconds, "silhouette"):
-            per_sample = silhouette_samples(data, labels)
-        out.rows.append({"method": method, "clusters": k,
-                         "rand": rand_index(labels, inputs.pool.components),
-                         "silhouette": float(np.mean(per_sample))})
+            try:
+                stacked = silhouette_samples(data, np.stack(list(labels.values())))
+                scores = dict(zip(labels, stacked))
+            except Exception:   # score each k alone, so a failure stays its own
+                for k in labels:
+                    try:
+                        scores[k] = silhouette_samples(data, labels[k])
+                    except Exception as exc:
+                        errors[k] = exc
+    for k in cfg.clusters:
+        if k in errors:
+            out.failures.append(_failure(method, clustering_degree(cfg), 0, "cluster",
+                                         errors[k], seeds[k]))
+            continue
+        out.clustering.append({"method": method, "clusters": k,
+                               "rand": rand_index(labels[k], inputs.pool.components),
+                               "silhouette": float(np.mean(scores[k]))})
         for cluster_id in range(k):
             out.plot += [[method, k, cluster_id, float(v)]
-                         for v in per_sample[labels == cluster_id]]
-    except Exception as exc:
-        out.failures.append(_failure(method, clustering_degree(cfg), 0, "cluster", exc, seed))
-    return out
+                         for v in scores[k][labels[k] == cluster_id]]
 
 
 def _peak_rss_mb() -> float:
     """This process's peak resident set size (ru_maxrss is in KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-
-
-def _run_unit(inputs: CellInputs, unit_fn, unit: tuple) -> UnitResult:
-    out = unit_fn(inputs, *unit)
-    out.peak_rss_mb = _peak_rss_mb()
-    return out
 
 
 _WORKER_INPUTS: CellInputs | None = None   # set in forked workers only
@@ -734,29 +744,29 @@ def _enter_worker(inputs: CellInputs) -> None:
     _WORKER_INPUTS = inputs
 
 
-def _in_worker(unit_fn, unit: tuple) -> UnitResult:
-    return _run_unit(_WORKER_INPUTS, unit_fn, unit)
+def _in_worker(unit: tuple) -> UnitResult:
+    return run_cell(_WORKER_INPUTS, *unit)
 
 
-def _map_units(executor, inputs: CellInputs, unit_fn, units: list[tuple]) -> list:
-    """unit_fn(inputs, *unit) for every unit, in order: in the executor's
+def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
+    """run_cell(inputs, *unit) for every unit, in order: in the executor's
     workers, or inline without one. A unit whose future raises (a worker
     died, so the pool is broken) runs again inline, as does every unit after
     it, so a lost worker costs time but no result."""
     futures = [None] * len(units)
     if executor is not None:
-        with contextlib.suppress(BrokenProcessPool):   # broken in an earlier phase
-            futures = [executor.submit(_in_worker, unit_fn, unit) for unit in units]
-    return [_outcome(future, inputs, unit_fn, unit) for future, unit in zip(futures, units)]
+        with contextlib.suppress(BrokenProcessPool):   # a worker died mid-submission
+            futures = [executor.submit(_in_worker, unit) for unit in units]
+    return [_outcome(future, inputs, unit) for future, unit in zip(futures, units)]
 
 
-def _outcome(future, inputs: CellInputs, unit_fn, unit: tuple) -> UnitResult:
+def _outcome(future, inputs: CellInputs, unit: tuple) -> UnitResult:
     if future is None:
-        return _run_unit(inputs, unit_fn, unit)
+        return run_cell(inputs, *unit)
     try:
         return future.result()
     except Exception as exc:                 # its worker was lost
-        out = _run_unit(inputs, unit_fn, unit)
+        out = run_cell(inputs, *unit)
         out.lost_worker = f"{type(exc).__name__}: {exc}"
         return out
 
@@ -768,29 +778,13 @@ def cell_units(cfg: ExperimentConfig) -> list[tuple]:
             + [(method, degree, rep) for degree in cfg.degrees for method in cfg.imputers]]
 
 
-def run_cells(inputs: CellInputs, executor, report: RunReport) -> dict[str, np.ndarray]:
-    """Step 5: every cell of cell_units. Cells, direct rows, failures and
-    unit timings go into `report`; returns each imputer's pooled fill at the
-    clustering degree of repetition 0."""
-    fills = {}
-    units = cell_units(inputs.cfg)
-    for unit, out in zip(units, _map_units(executor, inputs, run_cell, units)):
+def run_cells(inputs: CellInputs, executor, report: RunReport) -> None:
+    """Steps 5 and 6: every cell of cell_units, clusterings included; their
+    rows, samples, failures and unit timings go into `report` in unit order."""
+    for out in _map_units(executor, inputs, cell_units(inputs.cfg)):
         report.cells += out.rows
         report.direct_cells += out.direct
-        report.failures += out.failures
-        report.timings["units"].append(out.timing())
-        if out.fill is not None:
-            fills[unit[0]] = out.fill
-    return fills
-
-
-def run_clustering(inputs: CellInputs, executor, fills: dict[str, np.ndarray],
-                   report: RunReport) -> None:
-    """Step 6: run_clusters for each imputer and every k."""
-    units = [(method, k, fills.get(method)) for method in inputs.cfg.imputers
-             for k in inputs.cfg.clusters]
-    for out in _map_units(executor, inputs, run_clusters, units):
-        report.clustering_rows += out.rows
+        report.clustering_rows += out.clustering
         report.plot["silhouette_samples"] += out.plot
         report.failures += out.failures
         report.timings["units"].append(out.timing())
@@ -856,12 +850,10 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                        failures=[], plot={**pool.plot_rows(), "silhouette_samples": []},
                        timings={"units": []})
     inputs = CellInputs(cfg, pool, src.names, eval_sets)
-    units = len(cell_units(cfg)) + len(cfg.imputers) * len(cfg.clusters)
-    workers = min(_usable_cores(), units)
+    workers = min(_usable_cores(), len(cell_units(cfg)))
     cells_started = time.perf_counter()
     with _worker_pool(workers, inputs) as executor:
-        fills = run_cells(inputs, executor, report)
-        run_clustering(inputs, executor, fills, report)
+        run_cells(inputs, executor, report)
     report.timings["wall_s"] = time.perf_counter() - cells_started
     # Each process's peak, summed: a bound on the run's resident memory (the
     # peaks need not coincide, and pages shared since the fork count in each).

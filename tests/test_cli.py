@@ -10,6 +10,8 @@ import pytest
 
 from misslab.cli import main
 from misslab.data import load_csv, save_csv
+from misslab.imputers import run_imputer
+from misslab.pipeline import ExperimentConfig, _imputer_spec
 from misslab._rng import child_seed, rng_for
 
 
@@ -117,14 +119,18 @@ def test_impute_multiple_copies_naming(tmp_path):
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--method", "mice", "--sweeps", "-1"], "sweeps must be at least 0, got -1"),
-    (["--method", "mice", "--ridge", "-1"], "ridge must lie in [0, inf), got -1.0"),
-    (["--method", "mice", "--ridge", "nan"], "ridge must lie in [0, inf), got nan"),
-    (["--method", "mice", "--ridge", "inf"], "ridge must lie in [0, inf), got inf"),
+    (["--method", "mice", "--sweeps", "-1"], "mice.sweeps must lie in [0, inf), got -1"),
+    (["--method", "mice", "--ridge", "-1"], "mice.ridge must lie in [0, inf), got -1.0"),
+    (["--method", "mice", "--ridge", "nan"], "mice.ridge must lie in [0, inf), got nan"),
+    (["--method", "mice", "--ridge", "inf"], "mice.ridge must lie in [0, inf), got inf"),
     (["--method", "missforest", "--max-sweeps", "-2"],
-     "max_sweeps must be at least 0, got -2"),
+     "missforest.max_sweeps must lie in [0, inf), got -2"),
+    # A flag its method does not read is still checked against its key.
+    (["--method", "mean", "--copies", "0"], "copies must lie in [1, inf), got 0"),
+    (["--method", "knn", "--sweeps", "-3", "--copies", "-5"],
+     "copies must lie in [1, inf), got -5"),
 ], ids=["mice-sweeps", "mice-ridge", "mice-ridge-nan", "mice-ridge-inf",
-        "missforest-max-sweeps"])
+        "missforest-max-sweeps", "mean-copies", "knn-sweeps-copies"])
 def test_impute_out_of_range_flag_exits_one_before_writing(tmp_path, capsys, flags,
                                                            message):
     data_path, _ = small_csv(tmp_path)
@@ -135,6 +141,19 @@ def test_impute_out_of_range_flag_exits_one_before_writing(tmp_path, capsys, fla
                  "--out", str(tmp_path / "m"), *flags]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not list(tmp_path.glob("m.*"))
+
+
+def test_impute_dae_trains_under_the_config_defaults(tmp_path):
+    data_path = tmp_path / "scaled.csv"         # the autoencoder reads [0, 1] data
+    save_csv(data_path, rng_for(2, "cli-dae").uniform(size=(60, 3)), ["c0", "c1", "c2"])
+    stem = str(tmp_path / "h")
+    main(["induce", "--input", str(data_path), "--out", stem, "--degree", "0.2"])
+    assert main(["impute", "--method", "dae", "--input", f"{stem}.holed.csv",
+                 "--out", str(tmp_path / "m"), "--seed", "3"]) == 0
+    holed = load_csv(f"{stem}.holed.csv").features
+    expected = run_imputer(holed, _imputer_spec(ExperimentConfig(), "dae", 3))
+    written = load_csv(tmp_path / "m.imputed.dae.0.csv").features
+    assert np.array_equal(written, expected.copies[0])
 
 
 @pytest.mark.parametrize("cell, shown", [("0.5", "0.5"), ("2", "2.0"), ("", "empty")],
@@ -149,6 +168,20 @@ def test_evaluate_bad_mask_cell_exits_one_naming_the_place(tmp_path, capsys, cel
                  "--mask", str(mask)]) == 1
     assert capsys.readouterr().err == (f"error: {mask}: mask cell at row 2, column "
                                        f"'b' is {shown}, expected 0 or 1\n")
+
+
+@pytest.mark.parametrize("which", ["imputed", "mask"])
+def test_evaluate_header_unlike_the_truth_exits_one_naming_the_file(tmp_path, capsys,
+                                                                     which):
+    files = {"truth": "a,b\n1,2\n3,4\n", "imputed": "a,b\n1,2\n3,4\n",
+             "mask": "a,b\n0,1\n1,0\n"}
+    files[which] = files[which].replace("a,b", "x,y")
+    for name, text in files.items():
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+    assert main(["evaluate", *(arg for name in files
+                               for arg in (f"--{name}", str(tmp_path / f"{name}.csv")))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / which}.csv: header mismatch")
 
 
 def test_evaluate_missing_input_is_validation_error(tmp_path, capsys):
@@ -442,7 +475,6 @@ def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
     lost = next(u for u in units if (u["method"], u.get("repetition")) == ("mean", 1))
     assert lost["lost_worker"].startswith("BrokenProcessPool")
     assert lost["pid"] == parent
-    assert [u["pid"] for u in units if "clusters" in u] == [parent]
     assert tables[2] == tables[1]
 
 

@@ -190,11 +190,26 @@ def test_silhouette_chunking_matches_direct_computation():
     assert np.max(np.abs(fast - slow)) < 1e-10
 
 
+def test_silhouette_stacked_labelings_match_single_calls_bit_for_bit():
+    rng = np.random.default_rng(6)
+    n = 1100   # crosses two chunk boundaries
+    x = rng.normal(size=(n, 3))
+    stack = np.stack([rng.integers(0, k, size=n) for k in (2, 3, 4)])
+    scores = silhouette_samples(x, stack)
+    assert scores.shape == (3, n)
+    for row, labels in zip(scores, stack):
+        assert np.array_equal(row, silhouette_samples(x, labels))
+
+
 def test_silhouette_validation():
     with pytest.raises(ValueError, match="2 clusters"):
         silhouette_samples(np.zeros((3, 2)), np.zeros(3))
+    with pytest.raises(ValueError, match="2 clusters"):
+        silhouette_samples(np.zeros((3, 2)), np.array([[0, 1, 1], [0, 0, 0]]))
     with pytest.raises(ValueError, match="length"):
         silhouette_samples(np.zeros((3, 2)), np.zeros(4))
+    with pytest.raises(ValueError, match="length"):
+        silhouette_samples(np.zeros((3, 2)), np.zeros((2, 4)))
 
 
 # ---------------------------------------------------------------------------

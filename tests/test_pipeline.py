@@ -12,8 +12,8 @@ from misslab._rng import child_seed
 from misslab.pipeline import (_CONFIG_KEYS, BASELINE_METHOD, EVAL_COLUMNS,
                               ConfigError, ExperimentConfig, LabeledPool,
                               RunReport, builtin_source, cell_units,
-                              check_no_leakage, emit_report, fit_generator,
-                              label_pool, load_report_json, parse_config,
+                              check_no_leakage, clustering_degree, emit_report,
+                              fit_generator, label_pool, load_report_json, parse_config,
                               prepare_source, run_pipeline, save_report_json,
                               write_plot_tables)
 
@@ -468,8 +468,11 @@ def test_failed_cells_recorded_not_fatal(tmp_path, monkeypatch):
     tail = impute_failures[0]["traceback"]
     assert tail[-1] == "ValueError: injected imputer fault"
     assert any("broken_imputer" in line for line in tail)
-    cluster_failure = next(f for f in report.failures if f["stage"] == "cluster")
-    assert cluster_failure["seed"] == child_seed(cfg.master_seed, "cluster", "knn", 2)
+    cluster_failures = [f for f in report.failures if f["stage"] == "cluster"]
+    assert [(f["method"], f["degree"], f["repetition"], f["error"], f["seed"])
+            for f in cluster_failures] == [
+        ("knn", 0.2, 0, "no imputed matrix available",
+         child_seed(cfg.master_seed, "cluster", "knn", k)) for k in cfg.clusters]
     assert report.manifest["n_failures"] == len(report.failures)
     # Emission still works off the surviving baseline cells.
     emit_report(report, tmp_path / "broken-report")
@@ -494,20 +497,50 @@ def test_failures_match_under_one_and_two_workers(tmp_path, monkeypatch):
     assert failures[1] == failures[2]
 
 
+def test_a_failed_k_is_recorded_alone_and_the_other_k_still_score(tmp_path, monkeypatch):
+    # k = 2 fails in k-means and k = 3 gets a one-cluster labeling, so the
+    # shared silhouette pass fails; k = 4 is then scored alone, as before.
+    from misslab import pipeline
+    fit_kmeans, assign_kmeans = pipeline.fit_kmeans, pipeline.assign_kmeans
+
+    def kmeans_failing_at_two(data, k, seed):
+        if k == 2:
+            raise ValueError("injected k-means fault")
+        return fit_kmeans(data, k, seed)
+
+    def one_cluster_at_three(model, data):
+        labels = assign_kmeans(model, data)
+        return labels * 0 if len(model.centroids) == 3 else labels
+
+    cfg = desk_config(tmp_path / "k")
+    cfg.imputers, cfg.repetitions, cfg.clusters = ["mean"], 1, [2, 3, 4]
+    clean = run_pipeline(cfg)
+    monkeypatch.setattr("misslab.pipeline.fit_kmeans", kmeans_failing_at_two)
+    monkeypatch.setattr("misslab.pipeline.assign_kmeans", one_cluster_at_three)
+    report = run_pipeline(cfg)
+    assert [(f["stage"], f["error"], f["seed"]) for f in report.failures] == [
+        ("cluster", "ValueError: injected k-means fault",
+         child_seed(cfg.master_seed, "cluster", "mean", 2)),
+        ("cluster", "ValueError: silhouette needs at least 2 clusters",
+         child_seed(cfg.master_seed, "cluster", "mean", 3))]
+    assert report.clustering_rows == clean.clustering_rows[2:]
+    assert report.plot["silhouette_samples"] == [
+        row for row in clean.plot["silhouette_samples"] if row[1] == 4]
+
+
 def test_timings_list_every_unit_once(desk_run):
     cfg, report = desk_run
     timings = report.timings
-    cells = [(t["method"], t["degree"], t["repetition"]) for t in timings["units"]
-             if "repetition" in t]
-    clusterings = [(t["method"], t["clusters"]) for t in timings["units"]
-                   if "clusters" in t]
-    assert sorted(cells) == sorted(cell_units(cfg))
-    assert len(set(cells)) == len(cells)
-    assert sorted(clusterings) == sorted((m, k) for m in cfg.imputers for k in cfg.clusters)
-    assert len(cells) + len(clusterings) == len(timings["units"])
-    for unit in timings["units"]:
-        assert set(unit["seconds"]) in ({"classify"}, {"induce", "impute", "classify"},
-                                        {"kmeans", "silhouette"})
+    cells = [(t["method"], t["degree"], t["repetition"]) for t in timings["units"]]
+    assert cells == cell_units(cfg)
+    clustering = [(m, clustering_degree(cfg), 0) for m in cfg.imputers]
+    for unit, cell in zip(timings["units"], cells):
+        stages = {"classify"}
+        if cell[0] != BASELINE_METHOD:
+            stages |= {"induce", "impute"}
+        if cell in clustering:      # k-means summed over every k, one silhouette pass
+            stages |= {"kmeans", "silhouette"}
+        assert set(unit["seconds"]) == stages
         assert 0.0 < unit["peak_rss_mb"] <= timings["summed_peak_rss_mb"]
         assert unit["lost_worker"] is None
     assert 0.0 < timings["wall_s"]
@@ -522,7 +555,7 @@ def test_imputer_cells_carry_their_diagnostics(tmp_path):
     cfg.dae_epochs, cfg.dae_patience = 6, 3
     report = run_pipeline(cfg)
     assert report.failures == []
-    records = {t["method"]: t for t in report.timings["units"] if "repetition" in t}
+    records = {t["method"]: t for t in report.timings["units"]}
     assert "diagnostics" not in records[BASELINE_METHOD]
     (forest,) = records["missforest"]["diagnostics"]
     assert 1 <= forest["sweeps_run"] <= cfg.missforest_max_sweeps
@@ -531,12 +564,10 @@ def test_imputer_cells_carry_their_diagnostics(tmp_path):
     assert len(dae["convergence_trace"]) == dae["sweeps_run"] <= cfg.dae_epochs
     assert 1 <= dae["best_epoch"] <= dae["sweeps_run"]
     assert dae["convergence_trace"][dae["best_epoch"] - 1] == min(dae["convergence_trace"])
-    assert all("diagnostics" not in t for t in report.timings["units"] if "clusters" in t)
     for record in records.values():
         clf = record["classifier"]
         assert 1 <= clf["best_epoch"] <= clf["epochs_run"] <= cfg.classifier_epochs
         assert np.isfinite(clf["best_valid_loss"])
-    assert all("classifier" not in t for t in report.timings["units"] if "clusters" in t)
     save_report_json(report, tmp_path)
     units = load_report_json(tmp_path / "report.json").timings["units"]
     for name in ("diagnostics", "classifier"):
