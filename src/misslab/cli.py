@@ -3,8 +3,8 @@
 Subcommands: genfit (clean/scale/mixture search), synth (sample + labels),
 induce (mask a matrix), impute (fill one holed CSV), evaluate (masked-error
 metrics), run (full experiment from a config), report (re-emit tables).
-Exit codes: 0 success, 1 validation/configuration error, 2 completed run
-with recorded cell failures.
+Exit codes: 0 success, 1 validation/configuration error or an output file
+that cannot be written, 2 completed run with recorded cell failures.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .data import (ColumnSchema, from_matrix, load_csv, load_mask_csv, load_scaler,
-                   save_csv, save_scaler)
+                   save_csv, save_scaler, write_json)
 from .gmm import load_model, save_model, write_search_table
 from .imputers import METHODS, run_imputer, save_imputation
 from .metrics import regression_metrics_masked
@@ -45,7 +45,7 @@ def cmd_genfit(args) -> int:
     save_csv(os.path.join(cfg.output_dir, "clean_scaled.csv"),
              np.column_stack([src.x_orig, src.y_orig]),
              src.names + ["label"])
-    meta = {
+    write_json(os.path.join(cfg.output_dir, "meta.json"), {
         "names": src.names,
         "schema": [{"name": c.name, "kind": c.kind, "lower": c.lower,
                     "upper": c.upper} for c in src.schema_w],
@@ -55,9 +55,7 @@ def cmd_genfit(args) -> int:
         "log_likelihood": report.log_likelihood,
         "aic": report.aic,
         "bic": report.bic,
-    }
-    with open(os.path.join(cfg.output_dir, "meta.json"), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
+    })
     print(f"selected k={generator.k} kind={generator.kind} "
           f"by {cfg.gmm_criterion} over {len(table)} grid cells "
           f"-> {cfg.output_dir}/")
@@ -91,13 +89,13 @@ def cmd_synth(args) -> int:
 
 def cmd_induce(args) -> int:
     data = load_csv(args.input)
-    matrix, names = data.features, data.column_names()
-    drivers = tuple(int(t) for t in args.drivers.split(",") if t.strip()) \
-        if args.drivers else ()
-    spec = MissingnessSpec(scheme=args.scheme, degree=args.degree,
-                           mar_drivers=drivers)
-    induced = induce_missingness(matrix, spec, args.seed)
-    holed_path, mask_path = save_induced(args.out, induced, names)
+    cfg = ExperimentConfig(scheme=args.scheme, degrees=[args.degree],
+                           mar_drivers=_CONFIG_KEYS["missing.mar_drivers"][1](args.drivers))
+    cfg.validate(columns=data.cols)
+    spec = MissingnessSpec(scheme=cfg.scheme, degree=args.degree,
+                           mar_drivers=cfg.mar_drivers)
+    induced = induce_missingness(data.features, spec, args.seed)
+    holed_path, mask_path = save_induced(args.out, induced, data.column_names())
     print(f"masked {int(induced.mask.sum())} of {induced.mask.size} cells "
           f"(fraction {induced.realized_fraction:.4f}) -> {holed_path}, {mask_path}")
     return EXIT_OK
@@ -121,11 +119,9 @@ def cmd_evaluate(args) -> int:
     imputed = load_csv(args.imputed, truth.schema).features
     mask = load_mask_csv(args.mask, truth.schema)
     metrics = regression_metrics_masked(truth.features, imputed, mask)
-    text = json.dumps(metrics, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        write_json(args.out, metrics)
+    print(json.dumps(metrics, indent=2))
     return EXIT_OK
 
 
@@ -175,10 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", help="mask a fully observed CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True, help="output stem")
-    p.add_argument("--scheme", default="mcar", choices=["mcar", "mar", "mnar"])
-    p.add_argument("--degree", type=float, required=True)
+    p.add_argument("--scheme", default=ExperimentConfig().scheme,
+                   help="sets missing.scheme")
+    p.add_argument("--degree", type=float, required=True, help="sets missing.degrees")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--drivers", default="", help="MAR driver column indices, comma-separated")
+    p.add_argument("--drivers", default="",
+                   help="sets missing.mar_drivers: column indices, comma-separated")
     p.set_defaults(func=cmd_induce)
 
     p = sub.add_parser("impute", help="fill missing cells of a holed CSV")
@@ -216,7 +214,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -9,7 +9,9 @@ derived with `mask_of` and never stored beside their matrix.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -136,7 +138,8 @@ def extract_target(d: Dataset, name: str) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion and persistence
+# CSV ingestion and persistence: every text file misslab writes goes through
+# write_csv or write_json
 # ---------------------------------------------------------------------------
 
 def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
@@ -222,26 +225,43 @@ def _schema_number(path, row: int, column: str, text: str) -> float:
                          f"column {column!r}: {text!r}") from None
 
 
+def write_csv(path, header: list, rows) -> None:
+    """Write a header and rows as comma-separated text (RFC 4180); a float,
+    numpy's float64 included, is written as repr writes a Python float."""
+    with _writing(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, payload) -> None:
+    """Write `payload` as JSON indented by 2, with sorted keys."""
+    with _writing(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """A text file opened for writing; a failure raises OSError naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def save_csv(path, matrix: np.ndarray, names: list[str] | None = None) -> None:
     """Write a data matrix as CSV; missing cells become empty fields."""
     matrix = validate_matrix(matrix)
-    names = names or [f"x{j}" for j in range(matrix.shape[1])]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        # Python floats: v != v only for NaN, and repr is float64's shortest.
-        writer.writerows(["" if v != v else repr(v) for v in row]
-                         for row in matrix.tolist())
+    # Python floats: v != v only for NaN.
+    write_csv(path, names or [f"x{j}" for j in range(matrix.shape[1])],
+              (["" if v != v else v for v in row] for row in matrix.tolist()))
 
 
 def save_mask_csv(path, mask: np.ndarray, names: list[str] | None = None) -> None:
     """Write a mask matrix as a 0/1 CSV of the same shape as its data."""
     mask = np.asarray(mask, dtype=np.uint8)
-    names = names or [f"x{j}" for j in range(mask.shape[1])]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(mask.tolist())
+    write_csv(path, names or [f"x{j}" for j in range(mask.shape[1])], mask.tolist())
 
 
 def load_mask_csv(path, schema: list[ColumnSchema] | None = None) -> np.ndarray:

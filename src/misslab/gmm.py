@@ -7,14 +7,13 @@ matrix), "diagonal" (per-component variance vectors), "spherical"
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import child_seed, rng_for
 from .cluster import kmeans_plus_plus
-from .data import observed_matrix
+from .data import observed_matrix, write_csv
 
 COVARIANCE_KINDS = ("full", "tied", "diagonal", "spherical")
 
@@ -335,14 +334,10 @@ def select_generator(data: np.ndarray, k_range, kinds, criterion: str = "bic",
 
 
 def write_search_table(path, table: list[SearchRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "kind", "log_likelihood", "aic", "bic",
-                         "converged", "iterations", "error"])
-        for row in table:
-            writer.writerow([row.k, row.kind, repr(row.log_likelihood),
-                             repr(row.aic), repr(row.bic),
-                             int(row.converged), row.iterations, row.error])
+    write_csv(path, ["k", "kind", "log_likelihood", "aic", "bic", "converged",
+                     "iterations", "error"],
+              ([row.k, row.kind, row.log_likelihood, row.aic, row.bic, int(row.converged),
+                row.iterations, row.error] for row in table))
 
 
 def save_model(path, model: GmmModel) -> None:

@@ -8,13 +8,12 @@ bit-for-bit at observed cells and contain no missing cells.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._rng import child_seed, rng_for
-from .data import save_csv, validate_matrix
+from .data import save_csv, validate_matrix, write_json
 from .forest import ForestSpec, predict_forest, train_forest
 from .missingness import combine_recovered
 from .neighbors import CHUNK, nearest, partial_distances, smallest
@@ -401,8 +400,7 @@ def save_imputation(stem: str, r: ImputationResult,
         save_csv(path, copy, names)
         paths.append(path)
     diag_path = f"{stem}.imputed.{r.method}.diagnostics.json"
-    with open(diag_path, "w", encoding="utf-8") as fh:
-        json.dump({"method": r.method, "copies": len(r.copies),
-                   "diagnostics": r.diagnostics}, fh, indent=2)
+    write_json(diag_path, {"method": r.method, "copies": len(r.copies),
+                           "diagnostics": r.diagnostics})
     paths.append(diag_path)
     return paths

@@ -13,12 +13,12 @@ the worker count moves no result.
 from __future__ import annotations
 
 import contextlib
-import csv
 import dataclasses
 import json
 import multiprocessing
 import os
 import resource
+import tempfile
 import time
 import traceback
 import typing
@@ -34,7 +34,8 @@ from ._rng import child_seed, rng_for
 from .cluster import assign_kmeans, fit_kmeans
 from .data import (ColumnSchema, Dataset, drop_incomplete_rows, extract_target,
                    fit_minmax, from_matrix, load_csv, load_schema_file, save_csv,
-                   scaler_transform, split_indices, conform_to_schema)
+                   scaler_transform, split_indices, conform_to_schema, write_csv,
+                   write_json)
 from .forest import ForestSpec
 from .gmm import (COVARIANCE_KINDS, GmmConfig, GmmModel, sample, select_generator,
                   write_search_table)
@@ -135,7 +136,7 @@ class ExperimentConfig:
         """Raise ConfigError naming the first bad key: each key's own bounds,
         then the rules that span keys. `columns` is the source table's
         width, which a csv input knows only once read; the MAR drivers are
-        checked against it (builtin: builtin.features)."""
+        checked against it (by default builtin.features, for a builtin input)."""
         for f in dataclasses.fields(self):
             key, within, names = (f.metadata[m] for m in ("key", "within", "names"))
             fold = str.lower if f.metadata["anycase"] else str
@@ -151,6 +152,11 @@ class ExperimentConfig:
         for key in ("missing.degrees", "imputers", "gmm.kinds", "gmm.k_range"):
             if not getattr(self, _CONFIG_KEYS[key][0]):
                 raise ConfigError(f"{key} must not be empty")
+        for key in ("missing.degrees", "imputers", "clusters", "missing.mar_drivers"):
+            values = [str(v).lower() for v in getattr(self, _CONFIG_KEYS[key][0])]
+            for i, v in enumerate(values):      # a repeat would rerun cells and rows
+                if v in values[:i]:
+                    raise ConfigError(f"{key} must not repeat a value, got {v} twice")
         if any(k > self.synth_n for k in self.clusters):
             raise ConfigError(f"clusters must each be at most synth.n={self.synth_n}")
         for net in ("classifier", "generator", "dae"):
@@ -158,7 +164,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{net}.patience must not exceed {net}.epochs")
         if self.scheme.upper() == "MAR" and not self.mar_drivers:
             raise ConfigError("missing.scheme=mar requires missing.mar_drivers")
-        if self.input_kind == "builtin":
+        if columns is None and self.input_kind == "builtin":
             columns = self.builtin_features
         if columns is not None and self.scheme.upper() == "MAR":
             try:
@@ -267,23 +273,6 @@ class RunReport:
     timings: dict = field(default_factory=dict)    # wall_s, peak RSS, one record per unit
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_rows(path, header: list[str], rows: list[list]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-    except OSError as exc:
-        raise OSError(f"cannot write report file {path}: {exc}") from exc
-
-
 # Plot payload key -> (file name, header) of the table it is written to.
 PLOT_TABLES = {
     "component_counts": ("generator_components.csv", ["component", "count"]),
@@ -299,15 +288,9 @@ def write_plot_tables(out_dir, plot: dict) -> list[str]:
     written = []
     for key, rows in plot.items():
         name, header = PLOT_TABLES[key]
-        path = os.path.join(out_dir, name)
-        _write_rows(path, header, rows)
-        written.append(path)
+        written.append(os.path.join(out_dir, name))
+        write_csv(written[-1], header, rows)
     return written
-
-
-def _write_json(path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -368,18 +351,18 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
     written = []
     for name, (header, rows) in tables.items():
         written.append(os.path.join(out_dir, f"{name}.csv"))
-        _write_rows(written[-1], header, rows)
+        write_csv(written[-1], header, rows)
     written += write_plot_tables(
         out_dir, {key: report.plot.get(key, []) for key in PLOT_TABLES})
 
     written.append(os.path.join(out_dir, "manifest.json"))
-    _write_json(written[-1], report.manifest)
+    write_json(written[-1], report.manifest)
     return written
 
 
 def save_report_json(report: RunReport, out_dir) -> str:
     path = os.path.join(out_dir, "report.json")
-    _write_json(path, dataclasses.asdict(report))
+    write_json(path, dataclasses.asdict(report))
     return path
 
 
@@ -773,9 +756,10 @@ def _outcome(future, inputs: CellInputs, unit: tuple) -> UnitResult:
 
 def cell_units(cfg: ExperimentConfig) -> list[tuple]:
     """Every classification cell's (method, degree, rep), in report order:
-    per repetition the baseline, then per degree every imputer."""
+    per repetition the baseline, then per degree every imputer, named in
+    lower case as its seeds and rows are."""
     return [unit for rep in range(cfg.repetitions) for unit in [(BASELINE_METHOD, 0.0, rep)]
-            + [(method, degree, rep) for degree in cfg.degrees for method in cfg.imputers]]
+            + [(m.lower(), degree, rep) for degree in cfg.degrees for m in cfg.imputers]]
 
 
 def run_cells(inputs: CellInputs, executor, report: RunReport) -> None:
@@ -809,10 +793,8 @@ def _worker_pool(workers: int, inputs: CellInputs):
 def _check_writable(out_dir) -> None:
     try:
         os.makedirs(out_dir, exist_ok=True)
-        probe = os.path.join(out_dir, ".write-probe")
-        with open(probe, "w", encoding="utf-8") as fh:
-            fh.write("ok")
-        os.remove(probe)
+        with tempfile.TemporaryFile(dir=out_dir):    # gone once closed
+            pass
     except OSError as exc:
         raise ConfigError(f"output dir {out_dir!r} is not writable: {exc}") from exc
 

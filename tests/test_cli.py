@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +144,43 @@ def test_impute_out_of_range_flag_exits_one_before_writing(tmp_path, capsys, fla
     assert not list(tmp_path.glob("m.*"))
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--degree", "0"], "missing.degrees must lie in (0, 1), got 0.0"),
+    (["--degree", "1"], "missing.degrees must lie in (0, 1), got 1.0"),
+    (["--degree", "nan"], "missing.degrees must lie in (0, 1), got nan"),
+    (["--degree", "0.2", "--scheme", "mar", "--drivers", "0,0"],
+     "missing.mar_drivers must not repeat a value, got 0 twice"),
+    # Checked against the table's 3 columns, not builtin.features.
+    (["--degree", "0.2", "--scheme", "mar", "--drivers", "3"],
+     "missing.mar_drivers: driver column out of range for 3 columns: [3]"),
+    (["--degree", "0.2", "--scheme", "mar"],
+     "missing.scheme=mar requires missing.mar_drivers"),
+    (["--degree", "0.2", "--scheme", "mar", "--drivers", "x"],
+     "invalid literal for int() with base 10: 'x'"),
+    (["--degree", "0.2", "--scheme", "mcr"],
+     "missing.scheme must be one of MCAR, MAR, MNAR, got 'mcr'"),
+], ids=["degree-0", "degree-1", "degree-nan", "repeated-driver", "driver-outside",
+        "mar-no-drivers", "text-driver", "unknown-scheme"])
+def test_induce_bad_flag_exits_one_before_writing(tmp_path, capsys, flags, message):
+    data_path, _ = small_csv(tmp_path)
+    assert main(["induce", "--input", str(data_path), "--out", str(tmp_path / "h"),
+                 *flags]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not list(tmp_path.glob("h.*"))
+
+
+@pytest.mark.parametrize("scheme", ["MCAR", "Mar", "mnar"])
+def test_induce_takes_the_scheme_in_any_case(tmp_path, scheme):
+    data_path, _ = small_csv(tmp_path)
+    assert main(["induce", "--input", str(data_path), "--out", str(tmp_path / "h"),
+                 "--scheme", scheme, "--degree", "0.3", "--drivers", "0"]) == 0
+    lower = str(tmp_path / "lower")
+    main(["induce", "--input", str(data_path), "--out", lower,
+          "--scheme", scheme.lower(), "--degree", "0.3", "--drivers", "0"])
+    for suffix in (".holed.csv", ".mask.csv"):
+        assert (tmp_path / f"h{suffix}").read_bytes() == Path(lower + suffix).read_bytes()
+
+
 def test_impute_dae_trains_under_the_config_defaults(tmp_path):
     data_path = tmp_path / "scaled.csv"         # the autoencoder reads [0, 1] data
     save_csv(data_path, rng_for(2, "cli-dae").uniform(size=(60, 3)), ["c0", "c1", "c2"])
@@ -274,6 +312,73 @@ def test_run_and_report_reemission(tmp_path, capsys):
     assert (other / "clustering.csv").read_bytes() == (out / "clustering.csv").read_bytes()
 
 
+def test_imputer_names_in_any_case_write_the_same_tables(tmp_path):
+    tables = {}
+    for names in ("KNN, Mean", "knn, mean"):
+        out = tmp_path / names.replace(", ", "-")
+        cfg = write_cfg(tmp_path, out, extra=f"imputers = {names}", name=f"{out.name}.cfg")
+        assert main(["run", "--config", str(cfg)]) == 0
+        tables[names] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    assert len(tables["knn, mean"]) == 12
+    assert tables["KNN, Mean"] == tables["knn, mean"]
+
+
+def unwritable(path: Path) -> Path:
+    """A directory where the file `path` goes, so writing it fails."""
+    path.mkdir(parents=True)
+    return path
+
+
+def run_blocked(tmp_path, blocked):
+    return ["run", "--config", str(write_cfg(tmp_path, tmp_path / "o")),
+            unwritable(tmp_path / "o" / blocked)]
+
+
+def genfit_blocked(tmp_path):
+    return ["genfit", "--config", str(write_cfg(tmp_path, tmp_path / "o")),
+            unwritable(tmp_path / "o" / "meta.json")]
+
+
+def induce_blocked(tmp_path):
+    data_path, _ = small_csv(tmp_path)
+    return ["induce", "--input", str(data_path), "--out", str(tmp_path / "h"),
+            "--degree", "0.2", unwritable(tmp_path / "h.mask.csv")]
+
+
+def impute_blocked(tmp_path):
+    data_path, _ = small_csv(tmp_path)
+    main(["induce", "--input", str(data_path), "--out", str(tmp_path / "h"),
+          "--degree", "0.2"])
+    return ["impute", "--method", "mean", "--input", str(tmp_path / "h.holed.csv"),
+            "--out", str(tmp_path / "m"),
+            unwritable(tmp_path / "m.imputed.mean.diagnostics.json")]
+
+
+def evaluate_blocked(tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
+    mask = tmp_path / "t.mask.csv"
+    mask.write_text("a,b\n0,1\n1,0\n", encoding="utf-8")
+    out = unwritable(tmp_path / "metrics.json")
+    return ["evaluate", "--truth", str(table), "--imputed", str(table), "--mask",
+            str(mask), "--out", str(out), out]
+
+
+@pytest.mark.parametrize("command", [
+    lambda tmp_path: run_blocked(tmp_path, "synthetic.csv"),
+    lambda tmp_path: run_blocked(tmp_path, "accuracy.csv"),     # after every cell ran
+    genfit_blocked, induce_blocked, impute_blocked, evaluate_blocked,
+], ids=["run-synthetic", "run-accuracy", "genfit-meta", "induce-mask",
+        "impute-diagnostics", "evaluate-out"])
+def test_a_file_that_cannot_be_written_exits_one_naming_it(tmp_path, capsys, command):
+    *argv, blocked = command(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocked}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def test_report_requires_report_json(tmp_path, capsys):
     os.makedirs(tmp_path / "bare")
     assert main(["report", str(tmp_path / "bare")]) == 1
@@ -343,9 +448,15 @@ def test_out_of_range_number_exits_one_before_any_work(tmp_path, capsys, extra):
     ("dae.corruption = 0", "dae.corruption"),
     ("dae.lr = 0", "dae.lr"),
     ("dae.batch = 0", "dae.batch"),
+    ("missing.degrees = 0.2, 0.4, 0.2", "missing.degrees must not repeat a value, got 0.2"),
+    ("imputers = mean, Mean", "imputers must not repeat a value, got mean"),
+    ("clusters = 2, 2", "clusters must not repeat a value, got 2"),
+    ("missing.scheme = mar\nmissing.mar_drivers = 1, 1",
+     "missing.mar_drivers must not repeat a value, got 1"),
 ], ids=["classifier-patience", "generator-patience", "dae-patience", "mar-driver",
         "classifier-lr", "classifier-batch", "classifier-dropout", "classifier-hidden",
-        "dae-corruption", "dae-lr", "dae-batch"])
+        "dae-corruption", "dae-lr", "dae-batch", "repeated-degree", "repeated-imputer",
+        "repeated-k", "repeated-driver"])
 def test_late_failing_value_exits_one_before_any_work(tmp_path, capsys, extra, key):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra=extra)

@@ -1,6 +1,8 @@
 """Tabular data model: masks, schemas, CSV ingestion, scaling, splitting."""
 
+import ast
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from misslab.data import (
     split_dataset,
     split_indices,
     validate_matrix,
+    write_csv,
 )
 from misslab.cluster import fit_kmeans
 from misslab.forest import ForestSpec, predict_forest, train_forest
@@ -218,6 +221,41 @@ def test_csv_writers_match_the_old_writers_byte_for_byte(tmp_path):
     save_mask_csv(tmp_path / "new.mask.csv", mask_of(m), names)
     assert (tmp_path / "new.csv").read_bytes() == old.read_bytes()
     assert (tmp_path / "new.mask.csv").read_bytes() == old_mask.read_bytes()
+
+
+def test_write_csv_writes_a_float64_as_its_python_float(tmp_path):
+    values = [0.5, 0.1 + 0.2, 1e-300, -0.0, 2.0 ** 53, float("nan")]
+    write_csv(tmp_path / "py.csv", ["v"], [[v] for v in values])
+    write_csv(tmp_path / "np.csv", ["v"], [[np.float64(v)] for v in values])
+    text = (tmp_path / "np.csv").read_text(encoding="utf-8")
+    assert text == (tmp_path / "py.csv").read_text(encoding="utf-8")
+    assert text.split()[1:] == ["0.5", "0.30000000000000004", "1e-300", "-0.0",
+                                "9007199254740992.0", "nan"]
+
+
+def file_writes(tree: ast.AST) -> list[str]:
+    """The calls in `tree` that write a file: csv.writer, json.dump and open
+    with a writing mode."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = ast.unparse(node.func)
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        writes = isinstance(mode, ast.Constant) and set(str(mode.value)) & set("wax+")
+        if func in ("csv.writer", "json.dump") or (func == "open" and writes):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_the_data_module_writes_files():
+    package = Path(__file__).resolve().parent.parent / "src" / "misslab"
+    assert file_writes(ast.parse((package / "data.py").read_text(encoding="utf-8")))
+    for path in sorted(package.glob("*.py")):
+        if path.name != "data.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert file_writes(tree) == [], path.name
 
 
 def test_mask_csv_round_trip(tmp_path):

@@ -118,6 +118,11 @@ def test_bool_values_parse_loosely(tmp_path):
     {"degrees": [0.0]},
     {"degrees": [1.0]},
     {"degrees": [0.2, 1.5]},
+    {"degrees": [0.1, 0.3, 0.1]},
+    {"imputers": ["knn", "mean", "KNN"]},
+    {"clusters": [2, 3, 2]},
+    {"mar_drivers": [1, 1]},
+    {"scheme": "mar", "mar_drivers": [0, 0]},
     {"repetitions": 0},
     {"imputers": []},
     {"gmm_kinds": []},
@@ -181,6 +186,10 @@ def test_validate_checks_mar_drivers_against_a_known_width():
     cfg.validate(columns=5)
     with pytest.raises(ConfigError, match="missing.mar_drivers"):
         cfg.validate(columns=4)
+    builtin = ExperimentConfig(scheme="mar", mar_drivers=[4])  # builtin.features = 10
+    builtin.validate()
+    with pytest.raises(ConfigError, match="for 4 columns"):
+        builtin.validate(columns=4)        # a given width counts over builtin.features
 
 
 def test_validate_accepts_imputer_names_in_any_case():
