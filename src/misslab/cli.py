@@ -3,8 +3,9 @@
 Subcommands: genfit (clean/scale/mixture search), synth (sample + labels),
 induce (mask a matrix), impute (fill one holed CSV), evaluate (masked-error
 metrics), run (full experiment from a config), report (re-emit tables).
-Exit codes: 0 success, 1 validation/configuration error or an output file
-that cannot be written, 2 completed run with recorded cell failures.
+Exit codes: 0 success, 1 usage, validation or configuration error or an
+output file that cannot be written, 2 completed run with recorded cell
+failures.
 """
 
 from __future__ import annotations
@@ -153,8 +154,16 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a validation error: exit 1 with one `error:` line,
+    not argparse's exit 2, which misslab keeps for recorded cell failures."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="misslab",
         description="Synthetic-data missingness experiments: generate, "
                     "induce, impute, evaluate.")
@@ -210,9 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -331,19 +331,20 @@ def impute_dae(holed: np.ndarray, spec: DaeSpec | None = None,
     train_w = train_cells.astype(np.float64)
     hold_w = holdout.astype(np.float64)
 
-    def epoch(order):
-        batch_in, batch_out, batch_w = inputs[order], filled[order], train_w[order]
+    def epoch(live, orders):      # a stack of one network: orders holds one row
+        batch_in, batch_out, batch_w = (np.take(a, orders[0], axis=0)
+                                        for a in (inputs, filled, train_w))
         batch_in[:, :d][corrupt_rng.random((n, d)) < spec.corruption_rate] = 0.0
         return lambda batch: net.grads(batch_in[batch], batch_out[batch],
                                        loss_mask=batch_w[batch])
 
-    def score():
-        valid_loss = net.loss(inputs, filled, loss_mask=hold_w)
+    def score(live):
+        valid_loss = net.loss(inputs, filled, loss_mask=hold_w).tolist()
         return valid_loss, valid_loss
 
-    record = fit(net, n, spec.epochs, spec.batch_size, spec.learning_rate,
-                 spec.patience, rng_for(seed, "dae", "shuffle"), epoch, score)
-    reconstruction = net.logits(inputs)
+    (record,) = fit(net, n, spec.epochs, spec.batch_size, spec.learning_rate,
+                    spec.patience, [rng_for(seed, "dae", "shuffle")], epoch, score)
+    reconstruction = record.net.logits(inputs)[0]
     recovered = combine_recovered(x, reconstruction)
     trace = record.training_history
     return ImputationResult("dae", [recovered],

@@ -7,15 +7,24 @@ head is a single sigmoid unit trained with binary cross entropy or a linear
 layer trained with squared error restricted to a cell mask. Dropout (inverted
 scaling, so inference needs no rescaling) hits the last hidden layer only.
 
-A network's weights live in one flat vector and a step is one update of it.
-Each epoch, `fit` hands the shuffled row order to its caller once; the caller
-gathers that epoch's rows and draws its dropout or corruption in one call, and
-batches are slices. Classification cells score only the validation loss per
-epoch; the target generator keeps the full four-column history.
+Networks of one shape train side by side as a stack: network s keeps its
+weights in row s of one (networks x parameters) array, each layer's pass is
+one `np.matmul` over the stack, and a step is one update of the array. Each
+network keeps its own seed, shuffle and dropout streams, patience and best
+weights, and leaves the stack when it stops early; numpy computes a stacked
+product as one BLAS call per network, so each ends with the bits it would
+get trained alone. The target generator and the autoencoder are stacks of
+one, and a run's classification cells are stacks of many (`train_mlps`).
+Each epoch, `fit` hands the shuffled row orders to its caller once; the
+caller gathers that epoch's rows and draws its dropout or corruption in one
+call, and batches are slices. Classification cells score only the
+validation loss per epoch; the target generator keeps the full four-column
+history.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,27 +60,37 @@ class TrainConfig:
             raise ValueError("patience cannot exceed max_epochs")
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in one pass.
-    e = np.exp(-np.abs(z))
+def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in one
+    # pass; e = exp(-|z|), when the caller has it.
+    e = np.exp(-np.abs(z)) if e is None else e
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> float:
+def _bce_with_logits(z: np.ndarray, y: np.ndarray, e: np.ndarray | None = None) -> float:
     # max(z,0) - y*z + log(1 + exp(-|z|)) is the stable per-sample form.
-    per = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
+    e = np.exp(-np.abs(z)) if e is None else e
+    per = np.maximum(z, 0.0) - y * z + np.log1p(e)
     return float(per.mean())
 
 
 class FeedForward:
-    """Weights, forward pass, and analytic gradients for one network.
+    """Weights, forward pass, and analytic gradients for a stack of networks
+    of one shape, trained side by side; a stack of one is one network.
 
-    Every weight matrix and bias vector is a view into one flat vector,
-    `params`; `grads` fills `grad`, laid out the same way, so a step is one
-    vector update."""
+    Network s keeps every weight matrix and bias vector as a view into row s
+    of `params` (networks x parameters). Each layer has one (networks,
+    fan_in, fan_out) weight view and one (networks, 1, fan_out) bias view,
+    so a layer's pass is one `np.matmul` over the stack, which numpy makes
+    as one BLAS call per network: each network gets the bits it would get
+    alone. A stack of one drops the leading axis: its `grads` takes 2-D
+    rows and computes in 2-D, where numpy spends less per call. `grads`
+    fills `grad`, laid out as `params`, so a step is one update. Inputs,
+    targets and loss masks are stacked (one slice per network) or shared by
+    every network."""
 
     def __init__(self, layer_sizes: list[int], output: str = "sigmoid-binary",
-                 dropout_rate: float = 0.0, seed: int = 0):
+                 dropout_rate: float = 0.0, seed: int | list[int] = 0):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = [int(s) for s in layer_sizes]
@@ -79,31 +98,47 @@ class FeedForward:
         self.dropout_rate = float(dropout_rate)
         pairs = list(zip(self.layer_sizes[:-1], self.layer_sizes[1:]))
         self.n_layers = len(pairs)
-        self.params = np.zeros(sum((fan_in + 1) * fan_out for fan_in, fan_out in pairs))
-        self.grad = np.empty_like(self.params)
+        seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+        self._bind(np.zeros((len(seeds), sum((fan_in + 1) * fan_out
+                                             for fan_in, fan_out in pairs))))
+        for s, net_seed in enumerate(seeds):
+            rng = rng_for(net_seed, "init")
+            for w in self._views(self.params[s:s + 1])[0]:
+                w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+
+    def _bind(self, params: np.ndarray) -> None:
+        """Make `params` the stack's weights, with a gradient of its layout."""
+        self.params = params
+        self.grad = np.empty_like(params)
         self.weights, self.biases = self._views(self.params)
-        self._grad_w, self._grad_b = self._views(self.grad)
-        rng = rng_for(seed, "init")
-        for w in self.weights:
-            w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
+        self._grad_w, grad_b = self._views(self.grad)
+        # Bias gradients shaped as a sum over rows returns them.
+        self._grad_b = [b.reshape(b.shape[0], b.shape[-1]) if b.ndim == 3 else b
+                        for b in grad_b]
 
     def _views(self, flat: np.ndarray):
-        """Per-layer (weights, biases) views into a parameter-shaped vector."""
+        """Per-layer (weights, biases) views into a parameter-shaped array."""
         weights, biases, start = [], [], 0
+        size = flat.shape[0]
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            weights.append(flat[start:start + fan_in * fan_out].reshape(fan_in, fan_out))
+            weights.append(flat[:, start:start + fan_in * fan_out].reshape(
+                (size, fan_in, fan_out) if size > 1 else (fan_in, fan_out)))
             start += fan_in * fan_out
-            biases.append(flat[start:start + fan_out])
+            biases.append(flat[:, start:start + fan_out].reshape(
+                (size, 1, fan_out) if size > 1 else (fan_out,)))
             start += fan_out
         return weights, biases
 
-    def dropout_mask(self, rng: np.random.Generator, rows: int) -> np.ndarray | None:
+    def dropout_mask(self, rngs: list[np.random.Generator],
+                     rows: int) -> np.ndarray | None:
         """Inverted-dropout factors for `rows` rows of the last hidden layer,
-        or None when nothing drops."""
+        drawn for network s from rngs[s], or None when nothing drops."""
         if self.dropout_rate == 0.0 or self.n_layers < 2:
             return None
         keep = 1.0 - self.dropout_rate
-        return (rng.random((rows, self.layer_sizes[-2])) < keep) / keep
+        return np.stack([rng.random((rows, self.layer_sizes[-2])) < keep
+                         for rng in rngs]) / keep
 
     def _forward(self, x: np.ndarray, drop: np.ndarray | None):
         """Activations per layer; `drop` multiplies the last hidden layer."""
@@ -120,62 +155,71 @@ class FeedForward:
         return acts
 
     def logits(self, x: np.ndarray) -> np.ndarray:
-        return self._forward(np.asarray(x, dtype=np.float64), None)[-1]
+        """(networks, rows, outputs)."""
+        z = self._forward(np.asarray(x, dtype=np.float64), None)[-1]
+        return z if z.ndim == 3 else z[None]
 
     def loss(self, x: np.ndarray, y: np.ndarray,
-             loss_mask: np.ndarray | None = None) -> float:
+             loss_mask: np.ndarray | None = None) -> np.ndarray:
+        """Each network's loss, reduced over that network's rows alone."""
         z = self.logits(x)
         if self.output == "sigmoid-binary":
-            return _bce_with_logits(z.ravel(), np.asarray(y, dtype=np.float64))
-        diff = z - y
+            y = np.broadcast_to(np.asarray(y, dtype=np.float64), z.shape[:-1])
+            return np.array([_bce_with_logits(zs, ys) for zs, ys in zip(z[..., 0], y)])
+        diffs = z - y
         if loss_mask is None:
-            return float(np.mean(diff * diff))
-        w = np.asarray(loss_mask, dtype=np.float64)
-        total = w.sum()
-        if total == 0:
-            raise ValueError("loss mask selects no cells")
-        return float(np.sum(w * diff * diff) / total)
+            return np.array([np.mean(diff * diff) for diff in diffs])
+        losses = []
+        for w, diff in zip(np.broadcast_to(np.asarray(loss_mask, dtype=np.float64),
+                                           diffs.shape), diffs):
+            total = w.sum()
+            if total == 0:
+                raise ValueError("loss mask selects no cells")
+            losses.append(np.sum(w * diff * diff) / total)
+        return np.array(losses)
 
     def grads(self, x: np.ndarray, y: np.ndarray,
               loss_mask: np.ndarray | None = None,
               drop: np.ndarray | None = None) -> np.ndarray:
         """dL/d`params` by backpropagation, written into and returned as
-        `grad`. A loss mask that selects no cell gives a zero gradient."""
-        x = np.asarray(x, dtype=np.float64)
-        acts = self._forward(x, drop)
+        `grad`. A network whose loss mask selects no cell gets a zero
+        gradient."""
+        acts = self._forward(np.asarray(x, dtype=np.float64), drop)
         z = acts[-1]
+        empty = None
+        # The output deltas are computed in place, in the order of
+        # (sigmoid(z) - y) / rows and 2 * w * (z - y) / total.
         if self.output == "sigmoid-binary":
-            y = np.asarray(y, dtype=np.float64).reshape(-1, 1)
-            delta = (_sigmoid(z) - y) / z.shape[0]
+            delta = _sigmoid(z)
+            delta -= np.asarray(y, dtype=np.float64)[..., None]
+            delta /= z.shape[-2]
         else:
-            diff = z - y
+            delta = z - y
             if loss_mask is None:
-                delta = 2.0 * diff / diff.size
+                delta *= 2.0
+                delta /= z.shape[-2] * z.shape[-1]
             else:
                 w = np.asarray(loss_mask, dtype=np.float64)
-                total = w.sum()
-                if total == 0:
-                    self.grad.fill(0.0)
-                    return self.grad
-                delta = 2.0 * w * diff / total
+                total = w.sum(axis=(-2, -1), keepdims=w.ndim == 3)
+                if not all(total.flat):          # a network's mask selects no cell
+                    empty = (total == 0).ravel()
+                    total = np.where(total == 0, 1.0, total)
+                delta *= 2.0 * w
+                delta /= total
 
         head = self.n_layers - 1
         for layer in range(head, -1, -1):
-            np.matmul(acts[layer].T, delta, out=self._grad_w[layer])
-            np.add.reduce(delta, axis=0, out=self._grad_b[layer])
+            np.matmul(acts[layer].swapaxes(-1, -2), delta, out=self._grad_w[layer])
+            np.add.reduce(delta, axis=-2, out=self._grad_b[layer])
             if layer == 0:
                 break
-            delta = delta @ self.weights[layer].T
+            delta = delta @ self._weights_t[layer]
             if drop is not None and layer == head:
                 delta *= drop
             delta *= acts[layer] > 0.0
+        if empty is not None:
+            self.grad[np.broadcast_to(empty, self.grad.shape[:1])] = 0.0
         return self.grad
-
-    def snapshot(self) -> np.ndarray:
-        return self.params.copy()
-
-    def restore(self, snap: np.ndarray) -> None:
-        self.params[...] = snap
 
 
 @dataclass
@@ -188,83 +232,133 @@ class MlpModel:
 
 
 def fit(net: FeedForward, rows: int, epochs: int, batch_size: int, lr: float,
-        patience: int, shuffle_rng: np.random.Generator, epoch, score) -> MlpModel:
-    """Mini-batch descent on `rows` rows. Each epoch hands its shuffled row
-    order to `epoch(order)` once, which gathers that epoch's arrays and
-    returns `grads(batch)`, the gradient on a slice of the order; one step
-    per batch follows it. Each epoch then records `score()` = (validation
-    loss, history row). Stops after `patience` epochs without improvement
-    and restores the best epoch's weights."""
-    model = MlpModel(net=net)
-    best_snap = net.snapshot()
-    since_best = 0
+        patience: int, shuffle_rngs: list[np.random.Generator], epoch,
+        score) -> list[MlpModel]:
+    """Mini-batch descent of every network of the stack `net` on `rows` rows
+    each. Network s shuffles with shuffle_rngs[s]. Each epoch hands the live
+    networks' positions in the original stack and their shuffled row orders
+    (live networks x rows) to `epoch(live, orders)` once, which gathers that
+    epoch's arrays and returns `grads(batch)`, the gradient on a slice of the
+    orders; one step per batch follows it. Each epoch then records
+    `score(live)` = (validation losses, history rows), one per live network.
+    A network stops after `patience` epochs without improvement and leaves
+    the stack; at the end each holds its best epoch's weights. Returns one
+    model per network, each a stack of one."""
+    models = [MlpModel(net=net) for _ in shuffle_rngs]
+    best = net.params.copy()
+    since_best = [0] * len(models)
+    live = np.arange(len(models))
     for number in range(1, epochs + 1):
-        grads = epoch(shuffle_rng.permutation(rows))
+        grads = epoch(live, np.array([shuffle_rngs[s].permutation(rows) for s in live]))
         for start in range(0, rows, batch_size):
-            net.params -= lr * grads(slice(start, start + batch_size))
-        valid_loss, row = score()
-        model.training_history.append(row)
-        if valid_loss < model.best_valid_loss:
-            model.best_valid_loss = valid_loss
-            model.best_epoch = number
-            best_snap = net.snapshot()
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= patience:
+            step = grads(slice(start, start + batch_size))
+            step *= lr
+            net.params -= step
+        losses, history = score(live)
+        going = []
+        for i, s in enumerate(live.tolist()):
+            model = models[s]
+            model.training_history.append(history[i])
+            if losses[i] < model.best_valid_loss:
+                model.best_valid_loss = losses[i]
+                model.best_epoch = number
+                best[s] = net.params[i]
+                since_best[s] = 0
+                going.append(i)
+            else:
+                since_best[s] += 1
+                if since_best[s] < patience:
+                    going.append(i)
+        if len(going) < live.size:
+            if not going:
                 break
-    net.restore(best_snap)
-    return model
+            net._bind(net.params[going])          # the stopped leave the stack
+            live = live[going]
+    net._bind(best)
+    for s, model in enumerate(models):       # each a stack of one on its row
+        model.net = copy.copy(net)
+        model.net._bind(best[s:s + 1])
+    return models
 
 
 def _loss_and_accuracy(net: FeedForward, x: np.ndarray,
-                       y: np.ndarray) -> tuple[float, float]:
-    """Cross entropy and 0.5-threshold accuracy from one forward pass."""
-    z = net.logits(x).ravel()
-    accuracy = float(np.mean((_sigmoid(z) >= 0.5).astype(np.float64) == y))
-    return _bce_with_logits(z, y), accuracy
+                       y: np.ndarray) -> list[tuple[float, float]]:
+    """Per network: cross entropy and 0.5-threshold accuracy from one
+    forward pass."""
+    out = []
+    for z, labels in zip(net.logits(x)[..., 0], y):
+        e = np.exp(-np.abs(z))             # shared by the sigmoid and the loss
+        accuracy = float(np.mean((_sigmoid(z, e) >= 0.5).astype(np.float64) == labels))
+        out.append((_bce_with_logits(z, labels, e), accuracy))
+    return out
+
+
+def train_mlps(tasks: list[tuple[Dataset, Dataset, int]], spec: MlpSpec | None = None,
+               cfg: TrainConfig | None = None,
+               full_history: bool = True) -> list[MlpModel]:
+    """Binary classifiers of one shape, each early-stopped on validation
+    loss, trained as one stack: a task is (train, valid, seed), and each
+    network trains on its own rows with its own seed (cfg.seed is not
+    read). Every task needs as many training rows, and as many validation
+    rows, as the first. History rows are (train_loss, valid_loss, train_acc,
+    valid_acc), or the validation loss alone when not `full_history`; the
+    weights are the same either way, and the same as trained alone."""
+    spec = spec or MlpSpec()
+    cfg = cfg or TrainConfig()
+    for train, valid, _ in tasks:
+        if train.rows == 0:
+            raise ValueError("training set is empty")
+        if train.target is None or valid.target is None:
+            raise ValueError("train and valid need targets")
+        observed_matrix(train.features, "training")
+        observed_matrix(valid.features, "training")
+        if train.cols != valid.cols:
+            raise ValueError("train/valid column counts differ")
+        if (train.rows, valid.rows) != (tasks[0][0].rows, tasks[0][1].rows):
+            raise ValueError("stacked networks need equal row counts")
+
+    seeds = [seed for _, _, seed in tasks]
+    sizes = [tasks[0][0].cols] + list(spec.hidden_layers) + [1]
+    net = FeedForward(sizes, output="sigmoid-binary",
+                      dropout_rate=spec.dropout_rate, seed=seeds)
+    x = np.stack([train.features for train, _, _ in tasks])
+    y = np.stack([train.target for train, _, _ in tasks])
+    xv = np.stack([valid.features for _, valid, _ in tasks])
+    yv = np.stack([valid.target for _, valid, _ in tasks])
+    dropout_rngs = [rng_for(seed, "dropout") for seed in seeds]
+
+    def epoch(live, orders):
+        rows = orders + (live * orders.shape[1])[:, None]   # into the stacked tables
+        xo, yo = np.take(x.reshape(-1, x.shape[-1]), rows, axis=0), np.take(y, rows)
+        drop = net.dropout_mask([dropout_rngs[s] for s in live], orders.shape[1])
+        if live.size == 1:                 # a stack of one takes 2-D rows
+            xo, yo, drop = xo[0], yo[0], None if drop is None else drop[0]
+            return lambda batch: net.grads(xo[batch], yo[batch],
+                                           drop=None if drop is None else drop[batch])
+        return lambda batch: net.grads(xo[:, batch], yo[:, batch],
+                                       drop=None if drop is None else drop[:, batch])
+
+    def score(live):
+        live = slice(None) if live.size == len(tasks) else live    # no copy while all live
+        if not full_history:
+            valid_loss = net.loss(xv[live], yv[live]).tolist()
+            return valid_loss, valid_loss
+        train_scores = _loss_and_accuracy(net, x[live], y[live])
+        valid_scores = _loss_and_accuracy(net, xv[live], yv[live])
+        rows = [(train_loss, valid_loss, train_acc, valid_acc) for (train_loss, train_acc),
+                (valid_loss, valid_acc) in zip(train_scores, valid_scores)]
+        return [row[1] for row in rows], rows
+
+    return fit(net, x.shape[1], cfg.max_epochs, cfg.batch_size, cfg.learning_rate,
+               cfg.patience, [rng_for(seed, "shuffle") for seed in seeds], epoch, score)
 
 
 def train_mlp(train: Dataset, valid: Dataset, spec: MlpSpec | None = None,
               cfg: TrainConfig | None = None, full_history: bool = True) -> MlpModel:
-    """Binary classifier early-stopped on validation loss. History rows are
-    (train_loss, valid_loss, train_acc, valid_acc), or the validation loss
-    alone when not `full_history`; the weights are the same either way."""
-    spec = spec or MlpSpec()
+    """One binary classifier early-stopped on validation loss: a stack of
+    one, seeded with cfg.seed (see `train_mlps`)."""
     cfg = cfg or TrainConfig()
-    if train.rows == 0:
-        raise ValueError("training set is empty")
-    if train.target is None or valid.target is None:
-        raise ValueError("train and valid need targets")
-    observed_matrix(train.features, "training")
-    observed_matrix(valid.features, "training")
-    if train.cols != valid.cols:
-        raise ValueError("train/valid column counts differ")
-
-    sizes = [train.cols] + list(spec.hidden_layers) + [1]
-    net = FeedForward(sizes, output="sigmoid-binary",
-                      dropout_rate=spec.dropout_rate, seed=cfg.seed)
-    x, y = train.features, train.target
-    xv, yv = valid.features, valid.target
-    dropout_rng = rng_for(cfg.seed, "dropout")
-
-    def epoch(order):
-        xo, yo = x[order], y[order]
-        drop = net.dropout_mask(dropout_rng, order.size)
-        if drop is None:
-            return lambda batch: net.grads(xo[batch], yo[batch])
-        return lambda batch: net.grads(xo[batch], yo[batch], drop=drop[batch])
-
-    def score():
-        if not full_history:
-            valid_loss = net.loss(xv, yv)
-            return valid_loss, valid_loss
-        train_loss, train_acc = _loss_and_accuracy(net, x, y)
-        valid_loss, valid_acc = _loss_and_accuracy(net, xv, yv)
-        return valid_loss, (train_loss, valid_loss, train_acc, valid_acc)
-
-    return fit(net, x.shape[0], cfg.max_epochs, cfg.batch_size, cfg.learning_rate,
-               cfg.patience, rng_for(cfg.seed, "shuffle"), epoch, score)
+    return train_mlps([(train, valid, cfg.seed)], spec, cfg, full_history)[0]
 
 
 def predict_mlp(model: MlpModel, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -4,10 +4,17 @@ A run executes: ingest and clean, min-max scale, mixture fit and synthetic
 sampling, target-generator labeling, missingness induction per degree,
 every imputer per degree and repetition, classifier/clustering/direct
 evaluation, and CSV report emission. Every stage draws from seed streams
-derived from one master seed, so a run is a pure function of its config. The
-cells run in forked worker processes, one per usable core, each clustering
-its own fill where one is clustered, and are merged in one fixed order, so
-the worker count moves no result.
+derived from one master seed, so a run is a pure function of its config.
+
+The cells run as two maps over work units on forked worker processes, one
+per usable core. Map 1 fills every imputer cell (induce, impute, direct
+scores) and sends its fill back, and trains every repetition's baseline
+classifier as one stack. Map 2 trains each repetition's filled cells as one
+stack (cut into contiguous stacks when there are fewer repetitions than
+workers) and clusters each clustered fill as its own unit. Results are
+merged in one fixed cell order, and a stacked network keeps the bits it
+would get alone, so neither the worker count nor the stacking moves a
+result.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from .metrics import (classification_metrics, regression_metrics_masked,
                       silhouette_samples, rand_index)
 from .metrics import silhouette_score  # noqa: F401 - perfbench/tracer.py wraps it
 from .missingness import SCHEMES, MissingnessSpec, check_drivers, induce_missingness
-from .nnet import MlpModel, MlpSpec, TrainConfig, predict_mlp, train_mlp
+from .nnet import MlpSpec, TrainConfig, predict_mlp, train_mlp, train_mlps
 from .resampling import ResampleSpec, smote_enn
 
 EVAL_COLUMNS = ("training", "validation", "synthetic", "testing", "original",
@@ -362,7 +369,7 @@ def emit_report(report: RunReport, out_dir) -> list[str]:
 
 def save_report_json(report: RunReport, out_dir) -> str:
     path = os.path.join(out_dir, "report.json")
-    write_json(path, dataclasses.asdict(report))
+    write_json(path, {f.name: getattr(report, f.name) for f in dataclasses.fields(report)})
     return path
 
 
@@ -400,20 +407,19 @@ def _imputer_spec(cfg: ExperimentConfig, method: str, seed: int) -> ImputerSpec:
         seed=seed)
 
 
-def _train_mlp(cfg: ExperimentConfig, x: np.ndarray, y: np.ndarray,
-               train_idx: np.ndarray, valid_idx: np.ndarray, epochs: int,
-               patience: int, seed: int, full_history: bool = True) -> MlpModel:
-    """The configured classifier network, trained on rows `train_idx` of
-    (x, y) and early-stopped on rows `valid_idx`."""
-    return train_mlp(
-        from_matrix(x[train_idx], y[train_idx]),
-        from_matrix(x[valid_idx], y[valid_idx]),
-        MlpSpec(hidden_layers=list(cfg.classifier_hidden),
-                dropout_rate=cfg.classifier_dropout),
-        TrainConfig(max_epochs=epochs, patience=patience,
-                    batch_size=cfg.classifier_batch,
-                    learning_rate=cfg.classifier_lr, seed=seed),
-        full_history)
+def _classifier_spec(cfg: ExperimentConfig, epochs: int, patience: int,
+                     seed: int = 0) -> tuple[MlpSpec, TrainConfig]:
+    """The configured classifier network and its training settings."""
+    return (MlpSpec(hidden_layers=list(cfg.classifier_hidden),
+                    dropout_rate=cfg.classifier_dropout),
+            TrainConfig(max_epochs=epochs, patience=patience,
+                        batch_size=cfg.classifier_batch,
+                        learning_rate=cfg.classifier_lr, seed=seed))
+
+
+def _split(x: np.ndarray, y: np.ndarray, train_idx: np.ndarray,
+           valid_idx: np.ndarray) -> tuple[Dataset, Dataset]:
+    return from_matrix(x[train_idx], y[train_idx]), from_matrix(x[valid_idx], y[valid_idx])
 
 
 @dataclass
@@ -495,9 +501,10 @@ def label_pool(cfg: ExperimentConfig, src: PreparedSource,
     x_reserve, _ = draw_samples(generator, src, cfg.reserve_n, "reserve", master)
     train_idx, valid_idx = split_indices(src.x_orig.shape[0], [0.8, 0.2],
                                          child_seed(master, "gensplit"))
-    target_gen = _train_mlp(cfg, src.x_orig, src.y_orig, train_idx, valid_idx,
-                            cfg.generator_epochs, cfg.generator_patience,
-                            child_seed(master, "target-gen"))
+    target_gen = train_mlp(*_split(src.x_orig, src.y_orig, train_idx, valid_idx),
+                           *_classifier_spec(cfg, cfg.generator_epochs,
+                                             cfg.generator_patience,
+                                             child_seed(master, "target-gen")))
     _, y_synth = predict_mlp(target_gen, x_synth)
     _, y_reserve = predict_mlp(target_gen, x_reserve)
     return LabeledPool(x_synth=x_synth, y_synth=y_synth.astype(np.float64),
@@ -531,29 +538,46 @@ def check_no_leakage(pool: LabeledPool, src: PreparedSource) -> None:
             raise ValueError(f"leakage: a pool row is also a row of the {name} set")
 
 
-def classify(cfg: ExperimentConfig, features: np.ndarray, method: str,
-             degree: float, rep: int, eval_sets: dict) -> tuple[dict, MlpModel]:
-    """Train the cell's classifier on `features` (the pool, filled or not,
-    labeled as eval_sets["synthetic"]) and score it on its own training and
-    validation rows and on the fixed `eval_sets`; returns accuracy_<set> and
-    loss_<set> for every EVAL_COLUMNS set, and the trained model."""
-    tag = (method, repr(degree), rep)
-    train_idx, valid_idx = split_indices(
-        cfg.synth_n, [0.8, 0.2], child_seed(cfg.master_seed, "clfsplit", *tag))
+def classify(cfg: ExperimentConfig, cells: list[tuple], features: list[np.ndarray],
+             eval_sets: dict) -> list:
+    """Train the classifiers of `cells`, each on its own features (the pool,
+    filled or not, labeled as eval_sets["synthetic"]), as one stack, then
+    score each alone on its own training and validation rows and on the
+    fixed `eval_sets`. Per cell: (accuracy_<set> and loss_<set> for every
+    EVAL_COLUMNS set, the trained model), or the exception that failed it.
+    A stack that fails trains again one network at a time, so a failing
+    cell fails alone."""
     y = eval_sets["synthetic"][1]
+    splits = [split_indices(cfg.synth_n, [0.8, 0.2],
+                            child_seed(cfg.master_seed, "clfsplit", m, repr(d), r))
+              for m, d, r in cells]
     # Cells read only the epoch count and the best epoch's validation loss.
-    model = _train_mlp(cfg, features, y, train_idx, valid_idx, cfg.classifier_epochs,
-                       cfg.classifier_patience, child_seed(cfg.master_seed, "clf", *tag),
-                       full_history=False)
-    scored = {"training": (features[train_idx], y[train_idx]),
-              "validation": (features[valid_idx], y[valid_idx]), **eval_sets}
-    out = {}
-    for col, (x, labels) in scored.items():
-        probs, _ = predict_mlp(model, x)
-        m = classification_metrics(labels, probs)
-        out[f"accuracy_{col}"] = m["accuracy"]
-        out[f"loss_{col}"] = m["log_loss"]
-    return out, model
+    try:
+        models = train_mlps(
+            [(*_split(x, y, *split), child_seed(cfg.master_seed, "clf", m, repr(d), r))
+             for x, split, (m, d, r) in zip(features, splits, cells)],
+            *_classifier_spec(cfg, cfg.classifier_epochs, cfg.classifier_patience),
+            full_history=False)
+    except Exception as exc:
+        if len(cells) == 1:
+            return [exc]
+        return [result for i in range(len(cells))
+                for result in classify(cfg, cells[i:i + 1], features[i:i + 1], eval_sets)]
+    results = []
+    for model, x, (train_idx, valid_idx) in zip(models, features, splits):
+        scored = {"training": (x[train_idx], y[train_idx]),
+                  "validation": (x[valid_idx], y[valid_idx]), **eval_sets}
+        try:
+            out = {}
+            for col, (data, labels) in scored.items():
+                probs, _ = predict_mlp(model, data)
+                m = classification_metrics(labels, probs)
+                out[f"accuracy_{col}"] = m["accuracy"]
+                out[f"loss_{col}"] = m["log_loss"]
+            results.append((out, model))
+        except Exception as exc:
+            results.append(exc)
+    return results
 
 
 def _cell_key(method: str, degree: float, rep: int) -> dict:
@@ -599,26 +623,27 @@ class CellInputs:
 class UnitResult:
     """What one work unit adds to the report, and where its time went."""
 
-    key: dict
+    key: dict                                           # its kind and its cells
     pid: int = field(default_factory=os.getpid)
     seconds: dict = field(default_factory=dict)         # wall seconds per stage
     peak_rss_mb: float = 0.0                            # its process's peak so far
     lost_worker: str | None = None   # the error of a lost worker's future, rerun inline
-    rows: list[dict] = field(default_factory=list)      # its cell's row
+    rows: list[dict] = field(default_factory=list)      # its cells' rows
     direct: list[dict] = field(default_factory=list)
     clustering: list[dict] = field(default_factory=list)
     plot: list[list] = field(default_factory=list)      # silhouette sample rows
     failures: list[dict] = field(default_factory=list)
+    fill: np.ndarray | None = None                      # an imputer cell's pooled fill
     diagnostics: list[dict] | None = None               # its imputer's, one per copy
-    classifier: dict | None = None                      # its classifier's training record
+    classifiers: list[dict] | None = None               # per trained cell, its record
 
     def timing(self) -> dict:
         record = {**self.key, "pid": self.pid, "seconds": self.seconds,
                   "peak_rss_mb": self.peak_rss_mb, "lost_worker": self.lost_worker}
         if self.diagnostics is not None:
             record["diagnostics"] = self.diagnostics
-        if self.classifier is not None:
-            record["classifier"] = self.classifier
+        if self.classifiers is not None:
+            record["classifiers"] = self.classifiers
         return record
 
 
@@ -631,55 +656,71 @@ def _timed(seconds: dict, stage: str):
         seconds[stage] = time.perf_counter() - start
 
 
-def run_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitResult:
-    """One classification cell: the no-missingness baseline, or one imputer's
-    fill of the (degree, rep) mask, scored directly, classified and, at rep 0
-    and the clustering degree, clustered. Each cell induces its mask from the
-    (degree, rep) seed, so the imputers of one (degree, rep) fill the same holes."""
+def impute_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitResult:
+    """One imputer cell's fill of the (degree, rep) mask, scored directly;
+    the pooled fill goes back in `fill`, to be classified and, at rep 0 and
+    the clustering degree, clustered. Each cell induces its mask from the
+    (degree, rep) seed, so the imputers of one (degree, rep) fill the same
+    holes."""
     cfg, x_synth = inputs.cfg, inputs.pool.x_synth
     key = _cell_key(method, degree, rep)
-    out = UnitResult(key)
-    stage, seed, features = "classify", _cell_seed(cfg, method, degree, rep), x_synth
-    fill = None
+    out = UnitResult({"unit": "impute", "cells": [key]})
+    stage, seed = "induce", child_seed(cfg.master_seed, "induce", repr(degree), rep)
     try:
-        if method != BASELINE_METHOD:
-            stage, seed = "induce", child_seed(cfg.master_seed, "induce", repr(degree), rep)
-            spec = MissingnessSpec(scheme=cfg.scheme, degree=degree,
-                                   mar_drivers=tuple(cfg.mar_drivers))
-            with _timed(out.seconds, "induce"):
-                induced = induce_missingness(x_synth, spec, seed)
-            stage, seed = "impute+classify", _cell_seed(cfg, method, degree, rep)
-            with _timed(out.seconds, "impute"):
-                result = run_imputer(induced.holed, _imputer_spec(cfg, method, seed),
-                                     inputs.names)
-                features = pool_copies(result)
-            out.diagnostics = result.diagnostics
-            mask = induced.mask
-            for c, copy in enumerate(result.copies):
-                out.direct.append({**key, "copy": c,
-                                   **regression_metrics_masked(x_synth, copy, mask)})
-            fill = features
-        with _timed(out.seconds, "classify"):
-            scores, model = classify(cfg, features, method, degree, rep, inputs.eval_sets)
-        out.rows.append({**key, "seed": seed, **scores})
-        out.classifier = {"epochs_run": len(model.training_history),
-                          "best_epoch": model.best_epoch,
-                          "best_valid_loss": model.best_valid_loss}
+        spec = MissingnessSpec(scheme=cfg.scheme, degree=degree,
+                               mar_drivers=tuple(cfg.mar_drivers))
+        with _timed(out.seconds, "induce"):
+            induced = induce_missingness(x_synth, spec, seed)
+        stage, seed = "impute+classify", _cell_seed(cfg, method, degree, rep)
+        with _timed(out.seconds, "impute"):
+            result = run_imputer(induced.holed, _imputer_spec(cfg, method, seed),
+                                 inputs.names)
+            fill = pool_copies(result)
+        out.diagnostics = result.diagnostics
+        mask = induced.mask
+        for c, copy in enumerate(result.copies):
+            out.direct.append({**key, "copy": c,
+                               **regression_metrics_masked(x_synth, copy, mask)})
+        out.fill = fill
     except Exception as exc:  # cell failures never stop the run
         out.failures.append(_failure(method, degree, rep, stage, exc, seed))
-    if method != BASELINE_METHOD and rep == 0 and degree == clustering_degree(cfg):
-        cluster_fill(inputs, method, fill, out)
-    out.peak_rss_mb = _peak_rss_mb()
     return out
 
 
-def cluster_fill(inputs: CellInputs, method: str, data: np.ndarray | None,
-                 out: UnitResult) -> None:
-    """k-means with every k of `clusters` on an imputer's fill (None when its
-    cell failed), scored by Rand index against the pool's mixture components
-    and by one silhouette pass for all k, into `out`. A k whose k-means or
-    silhouette fails is recorded alone."""
+def classify_cells(inputs: CellInputs, cells: list[tuple],
+                   fills: list[np.ndarray] | None) -> UnitResult:
+    """The classifiers of `cells`, trained as one stack and scored (see
+    `classify`): baseline cells on the pool (`fills` None), imputer cells on
+    their fills. A failed cell is recorded alone."""
     cfg = inputs.cfg
+    out = UnitResult({"unit": "classify", "cells": [_cell_key(*cell) for cell in cells]},
+                     classifiers=[])
+    features = fills or [inputs.pool.x_synth] * len(cells)
+    with _timed(out.seconds, "classify"):
+        results = classify(cfg, cells, features, inputs.eval_sets)
+    for cell, result in zip(cells, results):
+        seed = _cell_seed(cfg, *cell)
+        if isinstance(result, Exception):
+            stage = "classify" if cell[0] == BASELINE_METHOD else "impute+classify"
+            out.failures.append(_failure(*cell, stage, result, seed))
+            continue
+        scores, model = result
+        out.rows.append({**_cell_key(*cell), "seed": seed, **scores})
+        out.classifiers.append({**_cell_key(*cell),
+                                "epochs_run": len(model.training_history),
+                                "best_epoch": model.best_epoch,
+                                "best_valid_loss": model.best_valid_loss})
+    return out
+
+
+def cluster_fill(inputs: CellInputs, method: str, data: np.ndarray | None) -> UnitResult:
+    """k-means with every k of `clusters` on the fill of `method`'s cell at
+    rep 0 and the clustering degree (None when that cell failed), scored by
+    Rand index against the pool's mixture components and by one silhouette
+    pass for all k. A k whose k-means or silhouette fails is recorded alone."""
+    cfg = inputs.cfg
+    degree = clustering_degree(cfg)
+    out = UnitResult({"unit": "cluster", "cells": [_cell_key(method, degree, 0)]})
     seeds = {k: child_seed(cfg.master_seed, "cluster", method, k) for k in cfg.clusters}
     labels, scores, errors = {}, {}, {}
     if data is None:
@@ -703,8 +744,7 @@ def cluster_fill(inputs: CellInputs, method: str, data: np.ndarray | None,
                         errors[k] = exc
     for k in cfg.clusters:
         if k in errors:
-            out.failures.append(_failure(method, clustering_degree(cfg), 0, "cluster",
-                                         errors[k], seeds[k]))
+            out.failures.append(_failure(method, degree, 0, "cluster", errors[k], seeds[k]))
             continue
         out.clustering.append({"method": method, "clusters": k,
                                "rand": rand_index(labels[k], inputs.pool.components),
@@ -712,11 +752,22 @@ def cluster_fill(inputs: CellInputs, method: str, data: np.ndarray | None,
         for cluster_id in range(k):
             out.plot += [[method, k, cluster_id, float(v)]
                          for v in scores[k][labels[k] == cluster_id]]
+    return out
 
 
 def _peak_rss_mb() -> float:
     """This process's peak resident set size (ru_maxrss is in KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def run_unit(inputs: CellInputs, unit: tuple) -> UnitResult:
+    """One work unit: ("impute", method, degree, rep), ("classify", cells,
+    fills) or ("cluster", method, fill)."""
+    kind, *args = unit
+    run = {"impute": impute_cell, "classify": classify_cells, "cluster": cluster_fill}[kind]
+    out = run(inputs, *args)
+    out.peak_rss_mb = _peak_rss_mb()
+    return out
 
 
 _WORKER_INPUTS: CellInputs | None = None   # set in forked workers only
@@ -728,11 +779,11 @@ def _enter_worker(inputs: CellInputs) -> None:
 
 
 def _in_worker(unit: tuple) -> UnitResult:
-    return run_cell(_WORKER_INPUTS, *unit)
+    return run_unit(_WORKER_INPUTS, unit)
 
 
 def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
-    """run_cell(inputs, *unit) for every unit, in order: in the executor's
+    """run_unit(inputs, unit) for every unit, in order: in the executor's
     workers, or inline without one. A unit whose future raises (a worker
     died, so the pool is broken) runs again inline, as does every unit after
     it, so a lost worker costs time but no result."""
@@ -745,11 +796,11 @@ def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
 
 def _outcome(future, inputs: CellInputs, unit: tuple) -> UnitResult:
     if future is None:
-        return run_cell(inputs, *unit)
+        return run_unit(inputs, unit)
     try:
         return future.result()
     except Exception as exc:                 # its worker was lost
-        out = run_cell(inputs, *unit)
+        out = run_unit(inputs, unit)
         out.lost_worker = f"{type(exc).__name__}: {exc}"
         return out
 
@@ -762,15 +813,47 @@ def cell_units(cfg: ExperimentConfig) -> list[tuple]:
             + [(m.lower(), degree, rep) for degree in cfg.degrees for m in cfg.imputers]]
 
 
-def run_cells(inputs: CellInputs, executor, report: RunReport) -> None:
-    """Steps 5 and 6: every cell of cell_units, clusterings included; their
-    rows, samples, failures and unit timings go into `report` in unit order."""
-    for out in _map_units(executor, inputs, cell_units(inputs.cfg)):
-        report.cells += out.rows
-        report.direct_cells += out.direct
+def _parts(items: list, n: int) -> list[list]:
+    """`items` cut into at most n contiguous parts of near-equal size."""
+    size = max(1, -(-len(items) // n))
+    return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+def run_cells(inputs: CellInputs, executor, workers: int, report: RunReport) -> None:
+    """Steps 5 and 6 as two maps over work units. Map 1 fills every imputer
+    cell and trains every baseline classifier as one stack; map 2 trains
+    each repetition's filled cells as one stack (cut into contiguous stacks
+    when there are fewer repetitions than workers) and clusters each
+    clustered fill as its own unit. Rows, samples, failures and unit
+    timings go into `report` in cell_units order."""
+    cfg = inputs.cfg
+    cells = cell_units(cfg)
+    imputed = [cell for cell in cells if cell[0] != BASELINE_METHOD]
+    first = _map_units(executor, inputs, [
+        ("classify", [cell for cell in cells if cell[0] == BASELINE_METHOD], None),
+        *[("impute", *cell) for cell in imputed]])
+    fills = {cell: out.fill for cell, out in zip(imputed, first[1:])}
+    stacks = [stack for rep in range(cfg.repetitions) for stack in _parts(
+        [cell for cell in imputed if cell[2] == rep and fills[cell] is not None],
+        -(-workers // cfg.repetitions))]
+    clustered = [cell for cell in imputed if cell[1:] == (clustering_degree(cfg), 0)]
+    second = _map_units(executor, inputs, [
+        *[("classify", stack, [fills[cell] for cell in stack]) for stack in stacks],
+        *[("cluster", cell[0], fills[cell]) for cell in clustered]])
+
+    units = first + second
+    position = {cell: i for i, cell in enumerate(cells)}
+
+    def in_cell_order(records):
+        return sorted(records, key=lambda r: position[r["method"], r["degree"],
+                                                      r["repetition"]])
+
+    report.cells += in_cell_order(row for out in units for row in out.rows)
+    report.direct_cells += in_cell_order(row for out in units for row in out.direct)
+    report.failures += in_cell_order(f for out in units for f in out.failures)
+    for out in units:
         report.clustering_rows += out.clustering
         report.plot["silhouette_samples"] += out.plot
-        report.failures += out.failures
         report.timings["units"].append(out.timing())
 
 
@@ -835,7 +918,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     workers = min(_usable_cores(), len(cell_units(cfg)))
     cells_started = time.perf_counter()
     with _worker_pool(workers, inputs) as executor:
-        run_cells(inputs, executor, report)
+        run_cells(inputs, executor, workers, report)
     report.timings["wall_s"] = time.perf_counter() - cells_started
     # Each process's peak, summed: a bound on the run's resident memory (the
     # peaks need not coincide, and pages shared since the fork count in each).

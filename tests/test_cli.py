@@ -392,6 +392,29 @@ def test_bad_config_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "unknown key" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["induce", "--input", "t.csv", "--out", "h", "--degree", "abc"],
+     "argument --degree: invalid float value: 'abc'"),
+    (["impute", "--method", "mean", "--input", "t.csv", "--out", "h", "--k", "x"],
+     "argument --k: invalid int value: 'x'"),
+    (["run"], "the following arguments are required: --config"),
+], ids=["induce-degree", "impute-k", "run-without-config"])
+def test_usage_error_exits_one(tmp_path, capsys, monkeypatch, argv, message):
+    # Exit 2 means a finished run with recorded cell failures, never a bad
+    # command line.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == []
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["induce", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: misslab induce")
+
+
 def test_unknown_imputer_exits_one_before_any_work(tmp_path, capsys):
     out = tmp_path / "never"
     cfg = write_cfg(tmp_path, out, extra="imputers = mean, mcie")
@@ -557,16 +580,16 @@ def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
 
 
 def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
-    # The worker running cell (mean, 0.2, rep 1) dies. That cell and every
-    # unit after it run again in the main process, so the run loses no row
-    # and its tables match those of a one-process run.
+    # In map 2 the worker training the stack of repetition 1 dies. That
+    # stack and every unit after it run again in the main process, so the
+    # run loses no row and its tables match those of a one-process run.
     from misslab import pipeline
     parent, classify = os.getpid(), pipeline.classify
 
-    def dying_classify(cfg, features, method, degree, rep, eval_sets):
-        if (method, rep) == ("mean", 1) and os.getpid() != parent:
+    def dying_classify(cfg, cells, features, eval_sets):
+        if ("mean", 0.2, 1) in cells and os.getpid() != parent:
             os._exit(3)
-        return classify(cfg, features, method, degree, rep, eval_sets)
+        return classify(cfg, cells, features, eval_sets)
 
     monkeypatch.setattr("misslab.pipeline.classify", dying_classify)
     tables = {}
@@ -583,9 +606,12 @@ def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
         assert report["failures"] == []
     units = json.loads((tmp_path / "w2" / "report.json").read_text(
         encoding="utf-8"))["timings"]["units"]
-    lost = next(u for u in units if (u["method"], u.get("repetition")) == ("mean", 1))
-    assert lost["lost_worker"].startswith("BrokenProcessPool")
-    assert lost["pid"] == parent
+    at = next(i for i, u in enumerate(units) if u["unit"] == "classify" and
+              {"method": "mean", "degree": 0.2, "repetition": 1} in u["cells"])
+    assert units[at]["lost_worker"].startswith("BrokenProcessPool")
+    assert [u["unit"] for u in units[at:]] == ["classify", "cluster"]
+    assert {u["pid"] for u in units[at:]} == {parent}
+    assert parent not in {u["pid"] for u in units[:3]}       # map 1 ran in workers
     assert tables[2] == tables[1]
 
 

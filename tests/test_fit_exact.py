@@ -1,10 +1,11 @@
 """The shared training loop, bit for bit against the loops it replaced:
 `train_mlp`'s (classifier and target generator, dropout drawn per batch) and
-`impute_dae`'s (corruption drawn per batch, masked held-out loss). The
-oracle below is that code, kept as it was: per-layer weight lists stepped
-one by one, the network's old `_forward(train=...)` and `loss_and_grads`,
-the two-branch sigmoid, and every draw made batch by batch. Only the
-network object, used as storage for its weights, is shared.
+`impute_dae`'s (corruption drawn per batch, masked held-out loss), and
+stacked training (`train_mlps`) against each network trained alone by that
+oracle. The oracle below is that code, kept as it was: one network at a
+time, per-layer weight lists stepped one by one, the old
+`_forward(train=...)` and `loss_and_grads`, the two-branch sigmoid, and
+every draw made batch by batch. It keeps its weights in its own `OracleNet`.
 """
 
 import importlib.util
@@ -18,7 +19,8 @@ from misslab._rng import child_seed, rng_for
 from misslab.data import from_matrix, mask_of, validate_matrix
 from misslab.imputers import DaeSpec, ImputerSpec, _mean_filled, impute_dae, run_imputer
 from misslab.missingness import combine_recovered
-from misslab.nnet import FeedForward, MlpModel, MlpSpec, TrainConfig, _sigmoid, train_mlp
+from misslab.nnet import (FeedForward, MlpModel, MlpSpec, TrainConfig, _sigmoid, train_mlp,
+                          train_mlps)
 
 NAN = np.nan
 
@@ -49,6 +51,15 @@ def oracle_init(layer_sizes, seed):
         weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
         biases.append(np.zeros(fan_out))
     return weights, biases
+
+
+class OracleNet:
+    """One network's settings and its per-layer weight and bias arrays."""
+
+    def __init__(self, layer_sizes, output, dropout_rate, seed):
+        self.output, self.dropout_rate = output, dropout_rate
+        self.n_layers = len(layer_sizes) - 1
+        self.weights, self.biases = oracle_init(layer_sizes, seed)
 
 
 def oracle_forward(net, x, train, rng):
@@ -137,9 +148,7 @@ def oracle_restore(net, snap):
 
 def oracle_train_mlp(train, valid, spec, cfg):
     sizes = [train.cols] + list(spec.hidden_layers) + [1]
-    net = FeedForward(sizes, output="sigmoid-binary",
-                      dropout_rate=spec.dropout_rate, seed=cfg.seed)
-    oracle_restore(net, sum(oracle_init(sizes, cfg.seed), []))
+    net = OracleNet(sizes, "sigmoid-binary", spec.dropout_rate, cfg.seed)
     x, y = train.features, train.target
     xv, yv = valid.features, valid.target
     shuffle_rng = rng_for(cfg.seed, "shuffle")
@@ -189,9 +198,7 @@ def oracle_impute_dae(holed, spec, seed=0):
     widths = list(spec.encoder_widths) if spec.encoder_widths else [2 * d, d]
     hidden = widths + widths[-2::-1]
     sizes = [2 * d] + hidden + [d]
-    net_seed = child_seed(seed, "dae", "net")
-    net = FeedForward(sizes, output="linear", dropout_rate=0.0, seed=net_seed)
-    oracle_restore(net, sum(oracle_init(sizes, net_seed), []))
+    net = OracleNet(sizes, "linear", 0.0, child_seed(seed, "dae", "net"))
     inputs = np.column_stack([filled, mask.astype(np.float64)])
     target = filled
     shuffle_rng = rng_for(seed, "dae", "shuffle")
@@ -241,9 +248,11 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def assert_same_weights(net, other):
-    for w, v in zip(net.weights + net.biases, other.weights + other.biases):
-        assert_same_bits(w, v)
+def assert_same_weights(net, oracle, s=0):
+    """Network s of the stack `net` holds the oracle network's weights."""
+    size = net.params.shape[0]
+    for w, v in zip(net.weights + net.biases, oracle.weights + oracle.biases):
+        assert_same_bits(w.reshape(size, *v.shape)[s], v)
 
 
 def blobs(seed, n, flip=False):
@@ -297,7 +306,7 @@ def test_validation_only_score_trains_the_same_network(case):
     train, valid, spec, cfg, _ = mlp_case(case)
     full = train_mlp(train, valid, spec, cfg)
     lean = train_mlp(train, valid, spec, cfg, full_history=False)
-    assert_same_weights(lean.net, full.net)
+    assert_same_bits(lean.net.params, full.net.params)
     assert lean.best_epoch == full.best_epoch
     assert lean.best_valid_loss == full.best_valid_loss
     assert lean.training_history == [row[1] for row in full.training_history]
@@ -310,9 +319,100 @@ def test_flat_parameters_start_from_the_old_draws(sizes, output):
     net = FeedForward(sizes, output=output, seed=5)
     weights, biases = oracle_init(sizes, 5)
     for now, kept in zip(net.weights + net.biases, weights + biases):
-        assert_same_bits(now, kept)
+        assert_same_bits(now.reshape(kept.shape), kept)
         assert np.shares_memory(now, net.params)
     assert net.params.size == sum(w.size + b.size for w, b in zip(weights, biases))
+    # A stack starts each network from its own seed's draws.
+    stack = FeedForward(sizes, output=output, seed=[9, 5, 6])
+    for s, seed in enumerate([9, 5, 6]):
+        assert_same_weights(stack, OracleNet(sizes, output, 0.0, seed), s)
+
+
+# name: (flipped validation labels per network, dropout, max_epochs, patience,
+#        batch_size, learning rate, rows, hidden layer widths, whether early
+#        stopping ends each network's run)
+STACK_CASES = {
+    "one-network": ((False,), 0.2, 40, 4, 16, 0.5, 160, [8, 6], [True]),
+    "two-no-dropout-shrinks": ((False, False), 0.0, 40, 4, 16, 0.5, 160, [8, 6],
+                               [True, True]),
+    "five-shrink-often": ((True, False, True, False, True), 0.2, 40, 4, 16, 0.5, 160,
+                          [8, 6], [True] * 5),
+    "five-some-run-out": ((True, False, True, False, True), 0.2, 12, 5, 32, 0.05, 160,
+                          [8, 6], [True, False, True, False, True]),
+    "five-all-run-out": ((False,) * 5, 0.2, 12, 5, 32, 0.05, 160, [8, 6], [False] * 5),
+    "no-hidden-layer": ((True, False), 0.2, 15, 3, 37, 0.3, 101, [], [True, False]),
+    "partial-last-batch": ((True, False, True, False, True), 0.2, 15, 3, 37, 0.3, 101,
+                           [8, 6], [True, False, True, False, True]),
+}
+
+
+@pytest.mark.parametrize("full_history", [True, False], ids=["full", "lean"])
+@pytest.mark.parametrize("case", list(STACK_CASES))
+def test_stacked_networks_match_each_trained_alone(case, full_history):
+    # Each network has its own rows, validation rows and seed, so the stack
+    # shrinks as networks stop; each must end as the oracle trains it alone.
+    flips, dropout, epochs, patience, batch, lr, rows, hidden, stops = STACK_CASES[case]
+    tasks = [(blobs(10 + s, rows), blobs(20 + s, 60, flip), 7 + s)
+             for s, flip in enumerate(flips)]
+    spec = MlpSpec(hidden_layers=hidden, dropout_rate=dropout)
+    cfg = TrainConfig(max_epochs=epochs, batch_size=batch, learning_rate=lr,
+                      patience=patience, seed=0)
+    models = train_mlps(tasks, spec, cfg, full_history)
+    for model, (train, valid, seed), stop in zip(models, tasks, stops):
+        expected = oracle_train_mlp(train, valid, spec, TrainConfig(
+            max_epochs=epochs, batch_size=batch, learning_rate=lr, patience=patience,
+            seed=seed))
+        assert_same_weights(model.net, expected.net)
+        history = expected.training_history
+        assert model.training_history == (history if full_history
+                                          else [row[1] for row in history])
+        assert model.best_epoch == expected.best_epoch
+        assert model.best_valid_loss == expected.best_valid_loss
+        assert (len(history) < epochs) == stop
+    if len(tasks) > 1 and any(stops):        # networks left the stack mid-run
+        assert len({len(m.training_history) for m in models}) > 1
+
+
+def test_stacked_tasks_need_equal_row_counts():
+    train, valid = blobs(1, 40), blobs(2, 20)
+    with pytest.raises(ValueError, match="equal row counts"):
+        train_mlps([(train, valid, 1), (blobs(3, 41), valid, 2)])
+    with pytest.raises(ValueError, match="equal row counts"):
+        train_mlps([(train, valid, 1), (train, blobs(4, 21), 2)])
+
+
+# The stack keeps each network's bits only because numpy computes a stacked
+# product as one BLAS call per slice, and a stacked row sum as each slice's
+# own sum. The shapes are those of the classifier (10 -> 20 -> 20 -> 1, 64-row
+# batches and a partial one) and its validation pass; a numpy or BLAS build
+# that breaks this must fail here, not move a table.
+PRODUCT_SHAPES = [(64, 10, 20), (64, 20, 20), (64, 20, 1), (27, 20, 20), (27, 20, 1),
+                  (400, 10, 20), (400, 20, 1), (1, 8, 6), (37, 8, 6)]
+
+
+@pytest.mark.parametrize("rows, fan_in, fan_out", PRODUCT_SHAPES)
+def test_stacked_products_equal_per_slice_products(rows, fan_in, fan_out):
+    rng = np.random.default_rng(rows * 1000 + fan_in * 10 + fan_out)
+    size = 5
+    # Slices as the training loop takes them: batches out of epoch arrays, and
+    # weights out of one flat parameter row per network.
+    a = rng.normal(size=(size, rows + 9, fan_in))[:, 4:4 + rows]
+    d = rng.normal(size=(size, rows + 9, fan_out))[:, 4:4 + rows]
+    flat = rng.normal(size=(size, fan_in * fan_out + 3))
+    w = flat[:, 3:].reshape(size, fan_in, fan_out)
+    grad = np.empty((size, fan_in * fan_out + fan_out + 3))
+    out = grad[:, 3:3 + fan_in * fan_out].reshape(size, fan_in, fan_out)
+    bias = grad[:, 3 + fan_in * fan_out:]
+    forward, shared = a @ w, a[0] @ w
+    back = d @ w.swapaxes(-1, -2)
+    np.matmul(a.swapaxes(-1, -2), d, out=out)
+    np.add.reduce(d, axis=-2, out=bias)
+    for s in range(size):
+        assert_same_bits(forward[s], a[s] @ w[s])
+        assert_same_bits(shared[s], a[0] @ w[s])
+        assert_same_bits(back[s], d[s] @ w[s].T)
+        assert_same_bits(out[s], a[s].T @ d[s])
+        assert_same_bits(bias[s], np.add.reduce(d[s], axis=0))
 
 
 def unit_table(seed, n, d, rate, full_column=None):

@@ -88,7 +88,7 @@ def test_dropout_expectation_matches_inference():
     mask_rng = np.random.default_rng(5)
     samples = np.empty((draws, 8))
     for i in range(draws):
-        samples[i] = net._forward(x, net.dropout_mask(mask_rng, 8))[-1].ravel()
+        samples[i] = net._forward(x, net.dropout_mask([mask_rng], 8)[0])[-1].ravel()
     se = samples.std(axis=0, ddof=1) / np.sqrt(draws)
     gap = np.abs(samples.mean(axis=0) - reference)
     assert (gap <= 3.0 * se + 1e-12).all()

@@ -1,6 +1,7 @@
 """End-to-end runner tests at desk scale, plus config parsing."""
 
 import dataclasses
+import json
 import os
 import re
 from pathlib import Path
@@ -455,6 +456,14 @@ def test_report_json_round_trip(desk_run, tmp_path):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
 
+def test_report_json_is_the_reports_fields_as_json(desk_run, tmp_path):
+    # Written from the fields themselves, not from a deep copy; same bytes.
+    _, report = desk_run
+    path = save_report_json(report, tmp_path)
+    expected = json.dumps(dataclasses.asdict(report), indent=2, sort_keys=True)
+    assert Path(path).read_text(encoding="utf-8") == expected
+
+
 def test_failed_cells_recorded_not_fatal(tmp_path, monkeypatch):
     def broken_imputer(*args, **kwargs):
         raise ValueError("injected imputer fault")
@@ -483,6 +492,11 @@ def test_failed_cells_recorded_not_fatal(tmp_path, monkeypatch):
         ("knn", 0.2, 0, "no imputed matrix available",
          child_seed(cfg.master_seed, "cluster", "knn", k)) for k in cfg.clusters]
     assert report.manifest["n_failures"] == len(report.failures)
+    # Map 1 imputed the cell and failed it, so no stack of map 2 trained it;
+    # its cluster unit still ran, to record each k.
+    units = [(u["unit"], [c["method"] for c in u["cells"]]) for u in report.timings["units"]]
+    assert units == [("classify", [BASELINE_METHOD]), ("impute", ["knn"]),
+                     ("cluster", ["knn"])]
     # Emission still works off the surviving baseline cells.
     emit_report(report, tmp_path / "broken-report")
 
@@ -538,21 +552,93 @@ def test_a_failed_k_is_recorded_alone_and_the_other_k_still_score(tmp_path, monk
 
 
 def test_timings_list_every_unit_once(desk_run):
+    # Map 1: the baseline stack, then one unit per imputer cell. Map 2: one
+    # stack per repetition (two repetitions fill two workers), then one
+    # cluster unit per clustered fill. Each cell is imputed, classified and
+    # (at rep 0 and the clustering degree) clustered exactly once.
     cfg, report = desk_run
     timings = report.timings
-    cells = [(t["method"], t["degree"], t["repetition"]) for t in timings["units"]]
-    assert cells == cell_units(cfg)
-    clustering = [(m, clustering_degree(cfg), 0) for m in cfg.imputers]
-    for unit, cell in zip(timings["units"], cells):
-        stages = {"classify"}
-        if cell[0] != BASELINE_METHOD:
-            stages |= {"induce", "impute"}
-        if cell in clustering:      # k-means summed over every k, one silhouette pass
-            stages |= {"kmeans", "silhouette"}
-        assert set(unit["seconds"]) == stages
+    units = timings["units"]
+    cells = cell_units(cfg)
+    imputed = [c for c in cells if c[0] != BASELINE_METHOD]
+    clustered = [(m, clustering_degree(cfg), 0) for m in cfg.imputers]
+    assert [u["unit"] for u in units] == (["classify"] + ["impute"] * len(imputed)
+                                          + ["classify"] * cfg.repetitions
+                                          + ["cluster"] * len(clustered))
+    served = [[(c["method"], c["degree"], c["repetition"]) for c in u["cells"]]
+              for u in units]
+    assert served[0] == [c for c in cells if c[0] == BASELINE_METHOD]
+    assert sum(served[1:1 + len(imputed)], []) == imputed
+    stacks = served[1 + len(imputed):1 + len(imputed) + cfg.repetitions]
+    assert stacks == [[c for c in imputed if c[2] == rep] for rep in range(cfg.repetitions)]
+    assert sum(served[-len(clustered):], []) == clustered
+    stages = {"impute": {"induce", "impute"}, "classify": {"classify"},
+              "cluster": {"kmeans", "silhouette"}}
+    for unit, cells_served in zip(units, served):
+        assert set(unit["seconds"]) == stages[unit["unit"]]
         assert 0.0 < unit["peak_rss_mb"] <= timings["summed_peak_rss_mb"]
         assert unit["lost_worker"] is None
+        if unit["unit"] == "classify":      # one training record per cell
+            assert [(r["method"], r["degree"], r["repetition"])
+                    for r in unit["classifiers"]] == cells_served
     assert 0.0 < timings["wall_s"]
+
+
+def test_stacks_split_when_fewer_repetitions_than_workers(tmp_path, monkeypatch):
+    # One repetition on two workers: its four filled cells train as two
+    # contiguous stacks of two. Stacking moves no bit.
+    reports = {}
+    for workers in (1, 2):
+        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: workers)
+        cfg = desk_config(tmp_path / f"w{workers}")
+        cfg.repetitions = 1
+        reports[workers] = run_pipeline(cfg)
+        stacks = [[(c["method"], c["degree"]) for c in u["cells"]]
+                  for u in reports[workers].timings["units"][1:] if u["unit"] == "classify"]
+        cells = [(m, d) for d in cfg.degrees for m in cfg.imputers]
+        assert stacks == ([cells] if workers == 1 else [cells[:2], cells[2:]])
+    for name in ("cells", "direct_cells", "clustering_rows", "failures", "plot"):
+        assert getattr(reports[1], name) == getattr(reports[2], name)
+
+
+def test_a_fill_that_is_not_fully_observed_fails_alone(tmp_path, monkeypatch):
+    # The knn fills keep a NaN in an observed cell: they pass the direct
+    # scores, then fail the classifier's "fully observed" check. Each such
+    # cell is recorded alone, with its key, stage and seed, and the mean
+    # cells of its stack still score as in a clean run.
+    from misslab import pipeline
+    run_imputer = pipeline.run_imputer
+
+    def nan_in_knn_fills(holed, spec, names):
+        result = run_imputer(holed, spec, names)
+        if spec.kind == "knn":
+            row, col = np.argwhere(~np.isnan(holed))[0]
+            for copy in result.copies:
+                copy[row, col] = np.nan
+        return result
+
+    clean = run_pipeline(desk_config(tmp_path / "clean"))
+    monkeypatch.setattr("misslab.pipeline.run_imputer", nan_in_knn_fills)
+    cfg = desk_config(tmp_path / "nan")
+    report = run_pipeline(cfg)
+    expected = []
+    for method, degree, rep in cell_units(cfg):
+        if method == "knn":
+            expected.append((method, degree, rep, "impute+classify",
+                             "ValueError: training requires fully observed data",
+                             child_seed(cfg.master_seed, "impute", "knn", repr(degree), rep)))
+        if method == "knn" and (degree, rep) == (clustering_degree(cfg), 0):
+            expected += [(method, degree, rep, "cluster",
+                          "ValueError: k-means requires fully observed data",
+                          child_seed(cfg.master_seed, "cluster", "knn", k))
+                         for k in cfg.clusters]
+    assert [(f["method"], f["degree"], f["repetition"], f["stage"], f["error"], f["seed"])
+            for f in report.failures] == expected
+    assert report.cells == [row for row in clean.cells if row["method"] != "knn"]
+    assert report.direct_cells == clean.direct_cells
+    stacks = [[c["method"] for c in u["cells"]] for u in report.timings["units"][1:]
+              if u["unit"] == "classify"]
+    assert stacks == [["mean", "knn", "mean", "knn"]] * cfg.repetitions
 
 
 def test_imputer_cells_carry_their_diagnostics(tmp_path):
@@ -564,8 +650,9 @@ def test_imputer_cells_carry_their_diagnostics(tmp_path):
     cfg.dae_epochs, cfg.dae_patience = 6, 3
     report = run_pipeline(cfg)
     assert report.failures == []
-    records = {t["method"]: t for t in report.timings["units"]}
-    assert "diagnostics" not in records[BASELINE_METHOD]
+    units = report.timings["units"]
+    records = {u["cells"][0]["method"]: u for u in units if u["unit"] == "impute"}
+    assert all("diagnostics" not in u for u in units if u["unit"] != "impute")
     (forest,) = records["missforest"]["diagnostics"]
     assert 1 <= forest["sweeps_run"] <= cfg.missforest_max_sweeps
     assert len(forest["convergence_trace"]) >= forest["sweeps_run"]
@@ -573,14 +660,16 @@ def test_imputer_cells_carry_their_diagnostics(tmp_path):
     assert len(dae["convergence_trace"]) == dae["sweeps_run"] <= cfg.dae_epochs
     assert 1 <= dae["best_epoch"] <= dae["sweeps_run"]
     assert dae["convergence_trace"][dae["best_epoch"] - 1] == min(dae["convergence_trace"])
-    for record in records.values():
-        clf = record["classifier"]
+    classifiers = [r for u in units if u["unit"] == "classify" for r in u["classifiers"]]
+    assert [r["method"] for r in classifiers] == [BASELINE_METHOD, "missforest", "dae"]
+    assert all("classifiers" not in u for u in units if u["unit"] != "classify")
+    for clf in classifiers:
         assert 1 <= clf["best_epoch"] <= clf["epochs_run"] <= cfg.classifier_epochs
         assert np.isfinite(clf["best_valid_loss"])
     save_report_json(report, tmp_path)
-    units = load_report_json(tmp_path / "report.json").timings["units"]
-    for name in ("diagnostics", "classifier"):
-        assert [u.get(name) for u in units] == [t.get(name) for t in report.timings["units"]]
+    loaded = load_report_json(tmp_path / "report.json").timings["units"]
+    for name in ("diagnostics", "classifiers"):
+        assert [u.get(name) for u in loaded] == [t.get(name) for t in units]
 
 
 def test_pool_row_copied_from_the_reserve_fails_before_any_cell(tmp_path, monkeypatch):
