@@ -143,7 +143,7 @@ def extract_target(d: Dataset, name: str) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
-    """Load a UTF-8 comma-separated file against a declared schema.
+    """Load a UTF-8 comma-separated file, BOM or not, against a declared schema.
 
     The header row must match the schema names in order; without a schema,
     every header name becomes a plain continuous column. Empty fields and
@@ -151,7 +151,7 @@ def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
     as a finite number.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except FileNotFoundError:
         raise FileNotFoundError(f"input file not found: {path}") from None
     with fh:
@@ -188,6 +188,8 @@ def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
                         f"{path}: non-finite cell at row {i + 1}, column {col.name!r}")
                 row.append(np.nan if value in col.missing_codes else value)
             rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
     features = np.array(rows, dtype=np.float64).reshape(len(rows), len(schema))
     return Dataset(features, None, list(schema))
 
@@ -199,7 +201,7 @@ def load_schema_file(path) -> list[ColumnSchema]:
     rows from 1) and the column.
     """
     schema = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.DictReader(fh)
         if "name" not in (reader.fieldnames or []):
             raise ValueError(f"{path}: schema header has no 'name' column, "

@@ -166,9 +166,9 @@ class FeedForward:
         if self.output == "sigmoid-binary":
             y = np.broadcast_to(np.asarray(y, dtype=np.float64), z.shape[:-1])
             return np.array([_bce_with_logits(zs, ys) for zs, ys in zip(z[..., 0], y)])
-        diffs = z - y
         if loss_mask is None:
-            return np.array([np.mean(diff * diff) for diff in diffs])
+            raise ValueError("a linear head needs a loss mask")
+        diffs = z - y
         losses = []
         for w, diff in zip(np.broadcast_to(np.asarray(loss_mask, dtype=np.float64),
                                            diffs.shape), diffs):
@@ -193,19 +193,17 @@ class FeedForward:
             delta = _sigmoid(z)
             delta -= np.asarray(y, dtype=np.float64)[..., None]
             delta /= z.shape[-2]
+        elif loss_mask is None:
+            raise ValueError("a linear head needs a loss mask")
         else:
             delta = z - y
-            if loss_mask is None:
-                delta *= 2.0
-                delta /= z.shape[-2] * z.shape[-1]
-            else:
-                w = np.asarray(loss_mask, dtype=np.float64)
-                total = w.sum(axis=(-2, -1), keepdims=w.ndim == 3)
-                if not all(total.flat):          # a network's mask selects no cell
-                    empty = (total == 0).ravel()
-                    total = np.where(total == 0, 1.0, total)
-                delta *= 2.0 * w
-                delta /= total
+            w = np.asarray(loss_mask, dtype=np.float64)
+            total = w.sum(axis=(-2, -1), keepdims=w.ndim == 3)
+            if not all(total.flat):              # a network's mask selects no cell
+                empty = (total == 0).ravel()
+                total = np.where(total == 0, 1.0, total)
+            delta *= 2.0 * w
+            delta /= total
 
         head = self.n_layers - 1
         for layer in range(head, -1, -1):

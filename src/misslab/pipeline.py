@@ -10,11 +10,11 @@ The cells run as two maps over work units on forked worker processes, one
 per usable core. Map 1 fills every imputer cell (induce, impute, direct
 scores) and sends its fill back, and trains every repetition's baseline
 classifier as one stack. Map 2 trains each repetition's filled cells as one
-stack (cut into contiguous stacks when there are fewer repetitions than
-workers) and clusters each clustered fill as its own unit. Results are
-merged in one fixed cell order, and a stacked network keeps the bits it
-would get alone, so neither the worker count nor the stacking moves a
-result.
+stack and clusters each clustered fill as its own unit. The units depend
+only on the config and on which fills failed, never on the worker count.
+Results are merged in one fixed cell order, and a stacked network keeps the
+bits it would get alone, so neither the worker count nor the stacking moves
+a result.
 """
 
 from __future__ import annotations
@@ -217,7 +217,7 @@ _CONFIG_KEYS = _config_keys()
 def parse_config(path) -> ExperimentConfig:
     """Flat `key = value` file with dotted keys; see docs/config.md."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
@@ -786,12 +786,17 @@ def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
     """run_unit(inputs, unit) for every unit, in order: in the executor's
     workers, or inline without one. A unit whose future raises (a worker
     died, so the pool is broken) runs again inline, as does every unit after
-    it, so a lost worker costs time but no result."""
+    it, even one a live worker finished before the pool saw the loss: a lost
+    worker costs time but no result, and where a unit ran is no race."""
     futures = [None] * len(units)
     if executor is not None:
         with contextlib.suppress(BrokenProcessPool):   # a worker died mid-submission
             futures = [executor.submit(_in_worker, unit) for unit in units]
-    return [_outcome(future, inputs, unit) for future, unit in zip(futures, units)]
+    outs, lost = [], False
+    for future, unit in zip(futures, units):
+        outs.append(_outcome(None if lost else future, inputs, unit))
+        lost = lost or outs[-1].lost_worker is not None
+    return outs
 
 
 def _outcome(future, inputs: CellInputs, unit: tuple) -> UnitResult:
@@ -813,19 +818,14 @@ def cell_units(cfg: ExperimentConfig) -> list[tuple]:
             + [(m.lower(), degree, rep) for degree in cfg.degrees for m in cfg.imputers]]
 
 
-def _parts(items: list, n: int) -> list[list]:
-    """`items` cut into at most n contiguous parts of near-equal size."""
-    size = max(1, -(-len(items) // n))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def run_cells(inputs: CellInputs, executor, workers: int, report: RunReport) -> None:
+def run_cells(inputs: CellInputs, executor, report: RunReport) -> None:
     """Steps 5 and 6 as two maps over work units. Map 1 fills every imputer
     cell and trains every baseline classifier as one stack; map 2 trains
-    each repetition's filled cells as one stack (cut into contiguous stacks
-    when there are fewer repetitions than workers) and clusters each
-    clustered fill as its own unit. Rows, samples, failures and unit
-    timings go into `report` in cell_units order."""
+    each repetition's filled cells as one stack (none when every fill of the
+    repetition failed) and clusters each clustered fill as its own unit. The
+    units depend only on the config and on which fills failed. Rows,
+    samples, failures and unit timings go into `report` in cell_units
+    order."""
     cfg = inputs.cfg
     cells = cell_units(cfg)
     imputed = [cell for cell in cells if cell[0] != BASELINE_METHOD]
@@ -833,12 +833,11 @@ def run_cells(inputs: CellInputs, executor, workers: int, report: RunReport) -> 
         ("classify", [cell for cell in cells if cell[0] == BASELINE_METHOD], None),
         *[("impute", *cell) for cell in imputed]])
     fills = {cell: out.fill for cell, out in zip(imputed, first[1:])}
-    stacks = [stack for rep in range(cfg.repetitions) for stack in _parts(
-        [cell for cell in imputed if cell[2] == rep and fills[cell] is not None],
-        -(-workers // cfg.repetitions))]
+    stacks = [[cell for cell in imputed if cell[2] == rep and fills[cell] is not None]
+              for rep in range(cfg.repetitions)]
     clustered = [cell for cell in imputed if cell[1:] == (clustering_degree(cfg), 0)]
     second = _map_units(executor, inputs, [
-        *[("classify", stack, [fills[cell] for cell in stack]) for stack in stacks],
+        *[("classify", stack, [fills[cell] for cell in stack]) for stack in stacks if stack],
         *[("cluster", cell[0], fills[cell]) for cell in clustered]])
 
     units = first + second
@@ -918,7 +917,7 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     workers = min(_usable_cores(), len(cell_units(cfg)))
     cells_started = time.perf_counter()
     with _worker_pool(workers, inputs) as executor:
-        run_cells(inputs, executor, workers, report)
+        run_cells(inputs, executor, report)
     report.timings["wall_s"] = time.perf_counter() - cells_started
     # Each process's peak, summed: a bound on the run's resident memory (the
     # peaks need not coincide, and pages shared since the fork count in each).

@@ -28,7 +28,7 @@ from misslab.metrics import (classification_metrics, log_loss, rand_index,
                              silhouette_score)
 from misslab.missingness import (MissingnessSpec, combine_recovered,
                                  induce_missingness)
-from misslab.nnet import FeedForward, MlpSpec, TrainConfig, predict_mlp, train_mlp
+from misslab.nnet import FeedForward, MlpSpec, TrainConfig, predict_mlp, train_mlps
 from misslab.pipeline import builtin_source, emit_report, parse_config, run_pipeline
 
 DESK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
@@ -265,14 +265,17 @@ def test_criterion_08_trend_reproduction(acceptance_log):
         rmse20 = {m: [] for m in ("mice", "missforest", "dae")}
         accuracy = {m: [] for m in ("none", "mean", "knn", "mice", "missforest", "dae")}
 
-        def classify(features, tag, s, tr, va):
-            model = train_mlp(
-                from_matrix(features[tr], y[tr]), from_matrix(features[va], y[va]),
+        def classify(filled, s, tr, va):
+            # One stack per seed: each network keeps the bits it gets alone.
+            models = train_mlps(
+                [(from_matrix(features[tr], y[tr]), from_matrix(features[va], y[va]),
+                  child_seed(8, "clf", tag, s)) for tag, features in filled.items()],
                 MlpSpec(hidden_layers=[20, 20], dropout_rate=0.2),
                 TrainConfig(max_epochs=100, patience=100, batch_size=64,
-                            learning_rate=0.05, seed=child_seed(8, "clf", tag, s)))
-            probs, _ = predict_mlp(model, features[va])
-            return classification_metrics(y[va], probs)["accuracy"]
+                            learning_rate=0.05))
+            for (tag, features), model in zip(filled.items(), models):
+                probs, _ = predict_mlp(model, features[va])
+                accuracy[tag].append(classification_metrics(y[va], probs)["accuracy"])
 
         for s in range(n_seeds):
             filled20 = {}
@@ -304,9 +307,7 @@ def test_criterion_08_trend_reproduction(acceptance_log):
                         rmse20[m].append(regression_metrics_masked(
                             x, filled20[m], induced.mask)["rmse"])
             tr, va = split_indices(2000, [0.8, 0.2], child_seed(8, "split", s))
-            accuracy["none"].append(classify(x, "none", s, tr, va))
-            for m, filled in filled20.items():
-                accuracy[m].append(classify(filled, m, s, tr, va))
+            classify({"none": x, **filled20}, s, tr, va)
 
         # KNN error rises cleanly with the missingness degree.
         knn_curve = per_seed["knn"].mean(axis=0)

@@ -234,7 +234,8 @@ def test_evaluate_missing_input_is_validation_error(tmp_path, capsys):
     ("c0,c1,c2\n1,2,3\n4,5\n", "row 2 has 2 fields, expected 3"),
     ("c0,c1,c2\n1,2,3\n4,x,6\n", "row 2, column 'c1'"),
     ("", "file is empty"),
-], ids=["ragged-row", "text-cell", "empty-file"])
+    ("c0,c1,c2\n", "no data rows after the header"),
+], ids=["ragged-row", "text-cell", "empty-file", "header-only"])
 def test_induce_bad_csv_exits_one_naming_the_place(tmp_path, capsys, text, where):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
@@ -242,6 +243,7 @@ def test_induce_bad_csv_exits_one_naming_the_place(tmp_path, capsys, text, where
                  "--degree", "0.2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and where in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]    # wrote nothing
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,13 @@ def test_load_csv_without_schema_takes_continuous_columns_from_header(tmp_path):
     assert d.mask.tolist() == [[0, 1], [0, 0]]
 
 
+def test_load_csv_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,2\n", encoding="utf-8-sig")
+    assert load_csv(p).column_names() == ["a", "b"]
+    assert load_csv(p, [ColumnSchema("a"), ColumnSchema("b")]).features.tolist() == [[1, 2]]
+
+
 def test_load_csv_unparseable_cell_reports_row_and_column(tmp_path):
     p = write(tmp_path / "t.csv", "a,b\n1,2\n1,zap\n")
     with pytest.raises(ValueError, match="row 2.*'b'"):
@@ -277,6 +284,12 @@ def test_load_schema_file_reads_every_column(tmp_path):
         ColumnSchema("flag", "binary", 0.0, 1.0),
         ColumnSchema("w"),
     ]
+
+
+def test_load_schema_file_skips_a_byte_order_mark(tmp_path):
+    p = tmp_path / "schema.csv"
+    p.write_text("name,kind\nage,integer\n", encoding="utf-8-sig")
+    assert load_schema_file(p) == [ColumnSchema("age", "integer")]
 
 
 def test_load_schema_file_without_name_column_names_the_file(tmp_path):

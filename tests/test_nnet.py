@@ -67,6 +67,15 @@ def test_gradient_check_masked_linear_head():
     assert gradient_check(net, x, y, loss_mask=mask, eps=1e-5) < 1e-4
 
 
+def test_linear_head_without_a_loss_mask_is_an_error():
+    rng = np.random.default_rng(3)
+    net = FeedForward([6, 5, 3], output="linear", seed=5)
+    x, y = rng.normal(size=(4, 6)), rng.normal(size=(4, 3))
+    for step in (net.loss, net.grads):
+        with pytest.raises(ValueError, match="linear head needs a loss mask"):
+            step(x, y)
+
+
 def test_mask_selecting_no_cell_gives_zero_gradient_but_no_loss():
     rng = np.random.default_rng(2)
     net = FeedForward([6, 5, 3], output="linear", seed=4)

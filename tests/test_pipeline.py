@@ -75,6 +75,12 @@ def test_config_overrides(tmp_path):
     assert cfg.output_dir == "out-here"
 
 
+def test_config_file_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.cfg"
+    path.write_text("seed = 42\n", encoding="utf-8-sig")
+    assert parse_config(path).master_seed == 42
+
+
 def test_unknown_key_reports_line_number(tmp_path):
     path = write_cfg(tmp_path, "seed = 1\n# filler\nbogus.key = 3\n")
     with pytest.raises(ConfigError, match=r":3: unknown key 'bogus\.key'"):
@@ -584,21 +590,47 @@ def test_timings_list_every_unit_once(desk_run):
     assert 0.0 < timings["wall_s"]
 
 
-def test_stacks_split_when_fewer_repetitions_than_workers(tmp_path, monkeypatch):
-    # One repetition on two workers: its four filled cells train as two
-    # contiguous stacks of two. Stacking moves no bit.
-    reports = {}
-    for workers in (1, 2):
-        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: workers)
-        cfg = desk_config(tmp_path / f"w{workers}")
+def test_unit_plan_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
+    # One repetition on one, two and four cores: the same units in the same
+    # order, with its four filled cells trained as one stack. Stacking moves
+    # no bit.
+    reports, plans = {}, {}
+    for cores in (1, 2, 4):
+        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
+        cfg = desk_config(tmp_path / f"c{cores}")
         cfg.repetitions = 1
-        reports[workers] = run_pipeline(cfg)
-        stacks = [[(c["method"], c["degree"]) for c in u["cells"]]
-                  for u in reports[workers].timings["units"][1:] if u["unit"] == "classify"]
-        cells = [(m, d) for d in cfg.degrees for m in cfg.imputers]
-        assert stacks == ([cells] if workers == 1 else [cells[:2], cells[2:]])
+        reports[cores] = run_pipeline(cfg)
+        plans[cores] = [(u["unit"], [(c["method"], c["degree"]) for c in u["cells"]])
+                        for u in reports[cores].timings["units"]]
+        stacks = [cells for unit, cells in plans[cores][1:] if unit == "classify"]
+        assert stacks == [[(m, d) for d in cfg.degrees for m in cfg.imputers]]
+    assert plans[1] == plans[2] == plans[4]
     for name in ("cells", "direct_cells", "clustering_rows", "failures", "plot"):
-        assert getattr(reports[1], name) == getattr(reports[2], name)
+        assert getattr(reports[1], name) == getattr(reports[2], name) \
+            == getattr(reports[4], name)
+
+
+def test_every_unit_after_a_lost_worker_runs_inline(monkeypatch):
+    # Unit "b" finished in a live worker before the pool saw the loss of
+    # unit "a"'s worker; it still runs again in the main process.
+    from concurrent.futures import Future
+    from concurrent.futures.process import BrokenProcessPool
+
+    from misslab import pipeline
+    monkeypatch.setattr("misslab.pipeline.run_unit",
+                        lambda inputs, unit: pipeline.UnitResult({"unit": unit}))
+    lost, done = Future(), Future()
+    lost.set_exception(BrokenProcessPool("a worker died"))
+    done.set_result(pipeline.UnitResult({"unit": "b"}, pid=-1))
+
+    class Pool:
+        def submit(self, fn, unit):
+            return {"a": lost, "b": done}[unit]
+
+    outs = pipeline._map_units(Pool(), None, ["a", "b"])
+    assert [out.pid for out in outs] == [os.getpid()] * 2
+    assert outs[0].lost_worker == "BrokenProcessPool: a worker died"
+    assert outs[1].lost_worker is None
 
 
 def test_a_fill_that_is_not_fully_observed_fails_alone(tmp_path, monkeypatch):
