@@ -786,28 +786,28 @@ def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
     """run_unit(inputs, unit) for every unit, in order: in the executor's
     workers, or inline without one. A unit whose future raises (a worker
     died, so the pool is broken) runs again inline, as does every unit after
-    it, even one a live worker finished before the pool saw the loss: a lost
-    worker costs time but no result, and where a unit ran is no race."""
+    it, even one a live worker finished: a lost worker costs time, no result."""
     futures = [None] * len(units)
     if executor is not None:
         with contextlib.suppress(BrokenProcessPool):   # a worker died mid-submission
             futures = [executor.submit(_in_worker, unit) for unit in units]
     outs, lost = [], False
     for future, unit in zip(futures, units):
-        outs.append(_outcome(None if lost else future, inputs, unit))
+        outs.append(_outcome(future, inputs, unit, lost))
         lost = lost or outs[-1].lost_worker is not None
     return outs
 
 
-def _outcome(future, inputs: CellInputs, unit: tuple) -> UnitResult:
+def _outcome(future, inputs: CellInputs, unit: tuple, lost: bool) -> UnitResult:
     if future is None:
         return run_unit(inputs, unit)
     try:
-        return future.result()
+        out = future.result()
     except Exception as exc:                 # its worker was lost
         out = run_unit(inputs, unit)
         out.lost_worker = f"{type(exc).__name__}: {exc}"
         return out
+    return run_unit(inputs, unit) if lost else out
 
 
 def cell_units(cfg: ExperimentConfig) -> list[tuple]:

@@ -612,7 +612,8 @@ def test_unit_plan_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
 
 def test_every_unit_after_a_lost_worker_runs_inline(monkeypatch):
     # Unit "b" finished in a live worker before the pool saw the loss of
-    # unit "a"'s worker; it still runs again in the main process.
+    # unit "a"'s worker; it still runs again in the main process. Each unit
+    # whose own future raised records the loss.
     from concurrent.futures import Future
     from concurrent.futures.process import BrokenProcessPool
 
@@ -625,12 +626,12 @@ def test_every_unit_after_a_lost_worker_runs_inline(monkeypatch):
 
     class Pool:
         def submit(self, fn, unit):
-            return {"a": lost, "b": done}[unit]
+            return {"a": lost, "b": done, "c": lost}[unit]
 
-    outs = pipeline._map_units(Pool(), None, ["a", "b"])
-    assert [out.pid for out in outs] == [os.getpid()] * 2
-    assert outs[0].lost_worker == "BrokenProcessPool: a worker died"
-    assert outs[1].lost_worker is None
+    outs = pipeline._map_units(Pool(), None, ["a", "b", "c"])
+    assert [out.pid for out in outs] == [os.getpid()] * 3
+    assert [out.lost_worker for out in outs] == [
+        "BrokenProcessPool: a worker died", None, "BrokenProcessPool: a worker died"]
 
 
 def test_a_fill_that_is_not_fully_observed_fails_alone(tmp_path, monkeypatch):
