@@ -14,19 +14,21 @@ import argparse
 import json
 import os
 import sys
+import threading
 
 import numpy as np
 
 from .data import (ColumnSchema, from_matrix, load_csv, load_mask_csv, load_scaler,
                    save_csv, save_scaler, write_json)
+from .forest import lending
 from .gmm import load_model, save_model, write_search_table
 from .imputers import METHODS, run_imputer, save_imputation
 from .metrics import regression_metrics_masked
 from .missingness import MissingnessSpec, induce_missingness, save_induced
 from .pipeline import (_CONFIG_KEYS, ConfigError, ExperimentConfig, PreparedSource,
-                       _imputer_spec, emit_report, fit_generator, label_pool,
-                       load_report_json, parse_config, prepare_source, run_pipeline,
-                       save_pool, save_report_json, write_plot_tables)
+                       _imputer_spec, _usable_cores, emit_report, fit_generator,
+                       label_pool, load_report_json, parse_config, prepare_source,
+                       run_pipeline, save_pool, save_report_json, write_plot_tables)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -109,7 +111,10 @@ def cmd_impute(args) -> int:
     cfg.validate()
     data = load_csv(args.input)
     names = data.column_names()
-    result = run_imputer(data.features, _imputer_spec(cfg, args.method, args.seed), names)
+    # The forests of missforest may borrow every usable core but this one's.
+    with lending(threading.Semaphore(_usable_cores() - 1)):
+        result = run_imputer(data.features, _imputer_spec(cfg, args.method, args.seed),
+                             names)
     paths = save_imputation(args.out, result, names)
     print(f"{args.method}: {len(result.copies)} copies -> " + ", ".join(paths))
     return EXIT_OK

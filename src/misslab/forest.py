@@ -9,11 +9,25 @@ their candidate splits together. Per-feature sorted lists of each sample,
 made by one stable sort and partitioned in place as nodes split (SLIQ,
 Mehta, Agrawal and Rissanen, 1996), replace a sort per node and feature.
 The trees are the ones a one-node-at-a-time grower builds, bit for bit.
+
+Since tree t depends only on its own stream, any process can grow any
+contiguous range of a forest's trees. Inside a `lending` block, which grants
+a semaphore with one token per core that no work holds, a forest grown with
+`Helpers` takes every free token without waiting, hands a range of its trees
+to one forked helper process per token and grows the first range itself.
+The helpers' frozen trees are appended in index order, so the forest is the
+same whichever of its trees came back; a helper that fails leaves its range
+to grow here. Outside such a block, or with no free token, nothing is
+borrowed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import os
+import signal
+from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, Pipe
 
 import numpy as np
 
@@ -255,19 +269,12 @@ class ForestModel:
     trees: list
 
 
-def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> ForestModel:
-    """Bootstrap-sampled CART trees with per-node feature subsampling."""
-    x = observed_matrix(data, "forest training")
-    y = np.asarray(targets, dtype=np.float64)
+def _grow_trees(x: np.ndarray, y: np.ndarray, spec: ForestSpec,
+                first: int, stop: int) -> list[_Tree]:
+    """Trees first..stop - 1 of the forest `spec` on (x, y), frozen."""
     n, d = x.shape
-    if n == 0:
-        raise ValueError("training data is empty")
-    if y.shape != (n,):
-        raise ValueError(f"targets have shape {y.shape}, expected ({n},)")
-
     m_feats = min(d, max(1, int(round(d / 3.0))))
-
-    rngs = [rng_for(spec.seed, "tree", t) for t in range(spec.n_trees)]
+    rngs = [rng_for(spec.seed, "tree", t) for t in range(first, stop)]
     boots = np.array([rng.integers(0, n, size=n) for rng in rngs])
     if spec.max_depth == 0:
         # No structure is learned, so resampling would only add noise:
@@ -277,7 +284,139 @@ def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> For
                          m_feats, rngs)
     for tree in trees:
         tree.freeze()
-    return ForestModel(trees=trees)
+    return trees
+
+
+def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec,
+                 helpers: Helpers | None = None) -> ForestModel:
+    """Bootstrap-sampled CART trees with per-node feature subsampling; with
+    `helpers`, shares of the trees grow on the cores they borrow."""
+    x = observed_matrix(data, "forest training")
+    y = np.asarray(targets, dtype=np.float64)
+    n, d = x.shape
+    if n == 0:
+        raise ValueError("training data is empty")
+    if y.shape != (n,):
+        raise ValueError(f"targets have shape {y.shape}, expected ({n},)")
+    if helpers is None:
+        return ForestModel(trees=_grow_trees(x, y, spec, 0, spec.n_trees))
+    return ForestModel(trees=helpers.grow(x, y, spec))
+
+
+@dataclass
+class Loan:
+    """The free-core tokens a `lending` block grants (a semaphore, or None
+    for none), and what the helpers that used them cost."""
+
+    tokens: object = None
+    forests: int = 0                    # forests that a helper grew trees of
+    cpu_s: float = 0.0                  # the helpers' user + system CPU seconds
+    peak_rss_mb: list = field(default_factory=list)    # one per helper reaped
+
+
+_LOAN = Loan()
+
+
+@contextlib.contextmanager
+def lending(tokens):
+    """Let the forests grown with `Helpers` in this block borrow `tokens`,
+    a semaphore with one token per free core (None lends none). Yields the
+    block's `Loan`. Helpers are forked, so lend only in a process that runs
+    no other thread."""
+    global _LOAN
+    before, _LOAN = _LOAN, Loan(tokens)
+    try:
+        yield _LOAN
+    finally:
+        _LOAN = before
+
+
+class Helpers:
+    """Helper processes of one caller, each forked on first need, that grow
+    ranges of its forests on the cores the enclosing `lending` block lends.
+    On exit every helper is killed and reaped, its CPU seconds and peak RSS
+    added to that block's loan."""
+
+    def __init__(self):
+        self.loan = _LOAN
+        self.live: list[tuple[int, Connection]] = []    # (pid, its pipe end)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        while self.live:
+            self._reap(self.live[0])
+
+    def grow(self, x: np.ndarray, y: np.ndarray, spec: ForestSpec) -> list[_Tree]:
+        """Every tree of `spec` on (x, y): one contiguous range on each free
+        core's helper, the first range here, all in index order."""
+        taken = 0
+        tokens = self.loan.tokens
+        while tokens is not None and taken < spec.n_trees - 1 and tokens.acquire(False):
+            taken += 1
+        try:
+            while len(self.live) < taken and self._fork():
+                pass
+            cuts = [spec.n_trees * i // (taken + 1) for i in range(taken + 2)]
+            ranges = list(zip(cuts, cuts[1:]))
+            sent = {}
+            for helper, (first, stop) in zip(self.live[:taken], ranges[1:]):
+                if self._exchange(helper, (x, y, spec, first, stop)) is not None:
+                    sent[first] = helper
+            trees, helped = [], False
+            for first, stop in ranges:
+                got = self._exchange(sent[first]) if first in sent else None
+                helped = helped or got is not None
+                trees += got if got is not None else _grow_trees(x, y, spec, first, stop)
+            self.loan.forests += helped
+            return trees
+        finally:
+            for _ in range(taken):
+                tokens.release()
+
+    def _fork(self) -> bool:
+        here, there = Pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            here.close()
+            there.close()
+            return False
+        if pid == 0:                                # the helper
+            try:
+                here.close()
+                for _, other in self.live:
+                    other.close()
+                with contextlib.suppress(EOFError):     # its caller closed the pipe
+                    while True:
+                        there.send(_grow_trees(*there.recv()))
+            finally:
+                os._exit(0)
+        there.close()
+        self.live.append((pid, here))
+        return True
+
+    def _exchange(self, helper, job=None):
+        """Send `job` to `helper` (True once sent), or with no job receive
+        its trees; None, with the helper reaped, when it fails."""
+        try:
+            if job is None:
+                return helper[1].recv()
+            helper[1].send(job)
+            return True
+        except (OSError, EOFError):
+            self._reap(helper)
+            return None
+
+    def _reap(self, helper) -> None:
+        pid, conn = helper
+        self.live.remove(helper)
+        conn.close()
+        os.kill(pid, signal.SIGKILL)        # a zombie takes it silently
+        _, _, usage = os.wait4(pid, 0)
+        self.loan.cpu_s += usage.ru_utime + usage.ru_stime
+        self.loan.peak_rss_mb.append(usage.ru_maxrss / 1024.0)   # KiB on Linux
 
 
 def predict_forest(model: ForestModel, data: np.ndarray) -> np.ndarray:

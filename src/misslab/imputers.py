@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import child_seed, rng_for
 from .data import save_csv, validate_matrix, write_json
-from .forest import ForestSpec, predict_forest, train_forest
+from .forest import ForestSpec, Helpers, predict_forest, train_forest
 from .missingness import combine_recovered
 from .neighbors import CHUNK, nearest, partial_distances, smallest
 from .nnet import FeedForward, fit
@@ -233,6 +233,10 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
     Sweeps stop early when the mean absolute change of imputed cells rises
     over the previous sweep; the state before the worsening sweep is
     returned. max_sweeps = 0 leaves the column-mean initialization.
+
+    Inside a `forest.lending` block the forests borrow the free cores it
+    grants (see `forest.Helpers`); the helpers are gone when this returns or
+    raises, and the fill does not change.
     """
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be at least 0, got {max_sweeps}")
@@ -245,24 +249,25 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
     kept_sweeps = 0
     if order.size > 0:
         prev_change = np.inf
-        for sweep in range(1, max_sweeps + 1):
-            before_state = current.copy()
-            for j in order:
-                obs_rows = ~missing[:, j]
-                others = np.delete(np.arange(x.shape[1]), j)
-                spec = dataclasses.replace(
-                    forest, seed=child_seed(seed, "missforest", sweep, int(j)))
-                model = train_forest(current[obs_rows][:, others],
-                                     x[obs_rows, j], spec)
-                current[np.ix_(~obs_rows, [j])] = predict_forest(
-                    model, current[~obs_rows][:, others])[:, None]
-            change = float(np.mean(np.abs(current[missing] - before_state[missing])))
-            trace.append(change)
-            if change > prev_change:
-                current = before_state
-                break
-            kept_sweeps = sweep
-            prev_change = change
+        with Helpers() as helpers:
+            for sweep in range(1, max_sweeps + 1):
+                before_state = current.copy()
+                for j in order:
+                    obs_rows = ~missing[:, j]
+                    others = np.delete(np.arange(x.shape[1]), j)
+                    spec = dataclasses.replace(
+                        forest, seed=child_seed(seed, "missforest", sweep, int(j)))
+                    model = train_forest(current[obs_rows][:, others],
+                                         x[obs_rows, j], spec, helpers)
+                    current[np.ix_(~obs_rows, [j])] = predict_forest(
+                        model, current[~obs_rows][:, others])[:, None]
+                change = float(np.mean(np.abs(current[missing] - before_state[missing])))
+                trace.append(change)
+                if change > prev_change:
+                    current = before_state
+                    break
+                kept_sweeps = sweep
+                prev_change = change
     return ImputationResult("missforest", [current],
                             [{"sweeps_run": kept_sweeps, "convergence_trace": trace}])
 

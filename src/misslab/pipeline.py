@@ -15,6 +15,13 @@ only on the config and on which fills failed, never on the worker count.
 Results are merged in one fixed cell order, and a stacked network keeps the
 bits it would get alone, so neither the worker count nor the stacking moves
 a result.
+
+The workers share one semaphore with a token per usable core. A worker
+holds one token while it runs a unit, waiting for it if a forest has
+borrowed it; the forests of a unit borrow the free tokens and grow shares
+of their trees in helper processes (`forest.lending`), with the same trees.
+Units run in the main process, in a one-core run or after a lost worker,
+borrow nothing and wait on no token.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from .data import (ColumnSchema, Dataset, drop_incomplete_rows, extract_target,
                    fit_minmax, from_matrix, load_csv, load_schema_file, save_csv,
                    scaler_transform, split_indices, conform_to_schema, write_csv,
                    write_json)
-from .forest import ForestSpec
+from .forest import ForestSpec, lending
 from .gmm import (COVARIANCE_KINDS, GmmConfig, GmmModel, sample, select_generator,
                   write_search_table)
 from .imputers import METHODS, DaeSpec, ImputerSpec, pool_copies, run_imputer
@@ -636,6 +643,7 @@ class UnitResult:
     fill: np.ndarray | None = None                      # an imputer cell's pooled fill
     diagnostics: list[dict] | None = None               # its imputer's, one per copy
     classifiers: list[dict] | None = None               # per trained cell, its record
+    helpers: dict | None = None      # an impute unit's: what its borrowed cores cost
 
     def timing(self) -> dict:
         record = {**self.key, "pid": self.pid, "seconds": self.seconds,
@@ -644,6 +652,8 @@ class UnitResult:
             record["diagnostics"] = self.diagnostics
         if self.classifiers is not None:
             record["classifiers"] = self.classifiers
+        if self.helpers is not None:
+            record.update(self.helpers)
         return record
 
 
@@ -762,24 +772,31 @@ def _peak_rss_mb() -> float:
 
 def run_unit(inputs: CellInputs, unit: tuple) -> UnitResult:
     """One work unit: ("impute", method, degree, rep), ("classify", cells,
-    fills) or ("cluster", method, fill)."""
+    fills) or ("cluster", method, fill). In a worker its forests may borrow
+    the cores that no unit holds; in the main process they borrow none."""
     kind, *args = unit
     run = {"impute": impute_cell, "classify": classify_cells, "cluster": cluster_fill}[kind]
-    out = run(inputs, *args)
+    with lending(_WORKER_CORES) as loan:
+        out = run(inputs, *args)
     out.peak_rss_mb = _peak_rss_mb()
+    if kind == "impute":
+        out.helpers = {"helper_forests": loan.forests, "helper_cpu_s": loan.cpu_s,
+                       "helper_peak_rss_mb": loan.peak_rss_mb}
     return out
 
 
 _WORKER_INPUTS: CellInputs | None = None   # set in forked workers only
+_WORKER_CORES = None     # in forked workers, the run's semaphore of free cores
 
 
-def _enter_worker(inputs: CellInputs) -> None:
-    global _WORKER_INPUTS
-    _WORKER_INPUTS = inputs
+def _enter_worker(inputs: CellInputs, cores) -> None:
+    global _WORKER_INPUTS, _WORKER_CORES
+    _WORKER_INPUTS, _WORKER_CORES = inputs, cores
 
 
 def _in_worker(unit: tuple) -> UnitResult:
-    return run_unit(_WORKER_INPUTS, unit)
+    with _WORKER_CORES:              # this unit's own core, waited for if lent
+        return run_unit(_WORKER_INPUTS, unit)
 
 
 def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
@@ -862,14 +879,17 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_pool(workers: int, inputs: CellInputs):
+def _worker_pool(workers: int, cores: int, inputs: CellInputs):
     """`workers` forked processes that inherit `inputs` and the parent's BLAS
     setting (silhouette bits depend on its thread count), or for one worker
-    no executor, so that units run inline."""
+    no executor, so that units run inline. The workers share a semaphore of
+    one token per usable core: each holds one while it runs a unit, and its
+    forests borrow the rest."""
     if workers == 1:
         return contextlib.nullcontext()
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_enter_worker, initargs=(inputs,))
+    context = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker,
+                               initargs=(inputs, context.Semaphore(cores)))
 
 
 def _check_writable(out_dir) -> None:
@@ -914,9 +934,10 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
                        failures=[], plot={**pool.plot_rows(), "silhouette_samples": []},
                        timings={"units": []})
     inputs = CellInputs(cfg, pool, src.names, eval_sets)
-    workers = min(_usable_cores(), len(cell_units(cfg)))
+    cores = _usable_cores()
+    workers = min(cores, len(cell_units(cfg)))
     cells_started = time.perf_counter()
-    with _worker_pool(workers, inputs) as executor:
+    with _worker_pool(workers, cores, inputs) as executor:
         run_cells(inputs, executor, report)
     report.timings["wall_s"] = time.perf_counter() - cells_started
     # Each process's peak, summed: a bound on the run's resident memory (the
@@ -925,7 +946,8 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     for unit in report.timings["units"]:
         peaks[unit["pid"]] = max(peaks.get(unit["pid"], 0.0), unit["peak_rss_mb"])
     peaks[os.getpid()] = _peak_rss_mb()
-    report.timings["summed_peak_rss_mb"] = sum(peaks.values())
+    report.timings["summed_peak_rss_mb"] = sum(peaks.values()) + sum(
+        sum(unit.get("helper_peak_rss_mb", [])) for unit in report.timings["units"])
 
     report.manifest = {
         "version": __version__, "numpy": np.__version__, "scipy": scipy.__version__,

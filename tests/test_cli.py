@@ -1,5 +1,6 @@
 """Subcommand round trips and exit codes, driven through main()."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -615,6 +616,76 @@ def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
     assert {u["pid"] for u in units[at:]} == {parent}
     assert parent not in {u["pid"] for u in units[:3]}       # map 1 ran in workers
     assert tables[2] == tables[1]
+
+
+ITERATIVE_LIKE = "\n".join([
+    "imputers = mice, missforest, dae", "copies = 2", "missing.scheme = mar",
+    "missing.mar_drivers = 0, 1", "missing.degrees = 0.3", "clustering.degree = 0.3",
+    "missforest.trees = 6", "missforest.max_depth = 4", "dae.epochs = 4",
+    "dae.patience = 2"])
+
+
+def test_run_with_borrowed_cores_writes_the_tables_of_a_one_core_run(tmp_path, monkeypatch):
+    # Five cores for four units: one core is always free, so every forest
+    # of the missforest cell borrows it. The tables keep every byte, the
+    # cell's record counts its helper, and no helper outlives the run.
+    tables, reports = {}, {}
+    for cores in (5, 1):
+        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
+        out = tmp_path / f"c{cores}"
+        cfg = write_cfg(tmp_path, out, extra=ITERATIVE_LIKE, name=f"c{cores}.cfg")
+        assert main(["run", "--config", str(cfg)]) == 0
+        tables[cores] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        reports[cores] = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert len(tables[1]) == 12 and tables[5] == tables[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    timings = reports[5]["timings"]
+    records = {u["cells"][0]["method"]: u for u in timings["units"] if u["unit"] == "impute"}
+    forest = records["missforest"]
+    sweeps = len(forest["diagnostics"][0]["convergence_trace"])
+    assert forest["helper_forests"] == 2 * sweeps     # two holed columns per sweep
+    # One helper per core it found free: at least the spare one, at most all
+    # but its own.
+    assert forest["helper_cpu_s"] > 0.0 and 1 <= len(forest["helper_peak_rss_mb"]) <= 4
+    assert [records[m]["helper_forests"] for m in ("mice", "dae")] == [0, 0]
+    workers = {}
+    for unit in timings["units"]:
+        workers[unit["pid"]] = max(workers.get(unit["pid"], 0.0), unit["peak_rss_mb"])
+    assert timings["summed_peak_rss_mb"] > sum(workers.values()) + sum(
+        forest["helper_peak_rss_mb"])
+    one_core = {u["cells"][0]["method"]: u for u in reports[1]["timings"]["units"]
+                if u["unit"] == "impute"}
+    assert one_core["missforest"]["helper_forests"] == 0
+
+
+def test_impute_borrows_spare_cores_and_writes_the_same_files(tmp_path, monkeypatch):
+    from misslab import cli
+    data_path, _ = small_csv(tmp_path, rows=80, cols=4)
+    stem = str(tmp_path / "h")
+    assert main(["induce", "--input", str(data_path), "--out", stem,
+                 "--degree", "0.3", "--seed", "1"]) == 0
+    loans, lending = [], cli.lending
+
+    def recorded_lending(tokens):
+        with lending(tokens) as loan:
+            loans.append(loan)
+            yield loan
+
+    monkeypatch.setattr(cli, "lending", contextlib.contextmanager(recorded_lending))
+    files = {}
+    for cores in (3, 1):
+        monkeypatch.setattr(cli, "_usable_cores", lambda: cores)
+        out = tmp_path / f"c{cores}"
+        out.mkdir()
+        assert main(["impute", "--method", "missforest", "--input", f"{stem}.holed.csv",
+                     "--out", str(out / "t"), "--seed", "4"]) == 0
+        files[cores] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(files[1]) == 2 and files[3] == files[1]
+    assert loans[0].forests > 0 and len(loans[0].peak_rss_mb) == 2
+    assert (loans[1].forests, loans[1].peak_rss_mb) == (0, [])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_import_leaves_scipy_linalg_out():

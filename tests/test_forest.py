@@ -1,13 +1,16 @@
 """Random forests over hand-grown CART trees."""
 
 import contextlib
+import os
 import signal
+import threading
 
 import numpy as np
 import pytest
 
 from misslab._rng import rng_for
-from misslab.forest import ForestSpec, predict_forest, train_forest
+from misslab import forest
+from misslab.forest import ForestSpec, Helpers, lending, predict_forest, train_forest
 
 
 def test_spec_validation():
@@ -221,21 +224,84 @@ def _random_case(case: int):
     return x, y, spec
 
 
+def _assert_equal_trees(model, expected, case):
+    assert len(model.trees) == len(expected)
+    for t, (tree, want) in enumerate(zip(model.trees, expected)):
+        for key in ("feature", "left", "right"):
+            assert np.array_equal(getattr(tree, key), want[key]), (case, t, key)
+        for key in ("threshold", "value"):
+            got = getattr(tree, key)
+            exp = np.asarray(want[key], dtype=np.float64)
+            assert np.array_equal(got.view(np.uint64),
+                                  exp.view(np.uint64)), (case, t, key)
+
+
 def test_lockstep_trees_equal_one_tree_at_a_time_bit_for_bit():
     for case in range(320):
         x, y, spec = _random_case(case)
         with _deadline(20):
             model = train_forest(x, y, spec)
-        expected = _oracle_forest(x, y, spec)
-        assert len(model.trees) == len(expected)
-        for t, (tree, want) in enumerate(zip(model.trees, expected)):
-            for key in ("feature", "left", "right"):
-                assert np.array_equal(getattr(tree, key), want[key]), (case, t, key)
-            for key in ("threshold", "value"):
-                got = getattr(tree, key)
-                exp = np.asarray(want[key], dtype=np.float64)
-                assert np.array_equal(got.view(np.uint64),
-                                      exp.view(np.uint64)), (case, t, key)
+        _assert_equal_trees(model, _oracle_forest(x, y, spec), case)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _borrowing_cases():
+    """One tree, an odd count, stumps, a table with no feature, and random cases."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(60, 4))
+    y = x[:, 0] + np.round(rng.normal(size=60), 1)
+    cases = [(x, y, ForestSpec(n_trees=1, max_depth=4, seed=1)),
+             (x, y, ForestSpec(n_trees=7, max_depth=None, min_samples_leaf=2, seed=2)),
+             (x, y, ForestSpec(n_trees=4, max_depth=0, seed=3)),
+             (np.empty((60, 0)), y, ForestSpec(n_trees=5, seed=4))]
+    return cases + [_random_case(case) for case in range(1, 40, 3)]
+
+
+@pytest.mark.parametrize("free", [0, 1, 2, 9])
+def test_trees_grown_on_borrowed_cores_equal_one_tree_at_a_time(free):
+    # Each forest hands a contiguous range of its trees to a helper per free
+    # token (at most one per tree but the first), and the trees keep their
+    # bits. The helpers, forked once, serve every forest of the block.
+    cases = _borrowing_cases()
+    forked = min(free, max(spec.n_trees for _, _, spec in cases) - 1)
+    with lending(threading.Semaphore(free)) as loan, Helpers() as helpers:
+        for case, (x, y, spec) in enumerate(cases):
+            with _deadline(20):
+                model = train_forest(x, y, spec, helpers)
+            _assert_equal_trees(model, _oracle_forest(x, y, spec), case)
+        assert len(helpers.live) == forked
+    _no_child_left()
+    assert loan.tokens._value == free          # every token came back
+    assert (loan.forests > 0) == (free > 0)
+    assert len(loan.peak_rss_mb) == forked
+    assert (loan.cpu_s > 0) == (free > 0)
+
+
+def test_a_helper_that_exits_early_or_is_killed_leaves_the_same_trees(monkeypatch):
+    x, y, spec = _borrowing_cases()[1]
+    expected = _oracle_forest(x, y, spec)
+    with lending(threading.Semaphore(2)) as loan, Helpers() as helpers:
+        _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "helped")
+        os.kill(helpers.live[0][0], signal.SIGKILL)
+        _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "killed")
+    parent, grow = os.getpid(), forest._grow_trees
+
+    def exit_in_helpers(*args):
+        if os.getpid() != parent:
+            os._exit(0)
+        return grow(*args)
+
+    monkeypatch.setattr(forest, "_grow_trees", exit_in_helpers)
+    with lending(loan.tokens) as exited, Helpers() as helpers:
+        _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "exited")
+        assert helpers.live == []                 # both exited and were reaped
+    _no_child_left()
+    assert (loan.forests, exited.forests) == (2, 0)   # the live helper grew its share
+    assert loan.tokens._value == 2
 
 
 @contextlib.contextmanager

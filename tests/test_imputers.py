@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import signal
+import threading
 from functools import partial
 
 import numpy as np
 import pytest
 
-from misslab.forest import ForestSpec
+from misslab import imputers
+from misslab.forest import ForestSpec, lending
 from misslab.imputers import (
     DaeSpec,
     ImputationResult,
@@ -361,6 +365,68 @@ def test_missforest_deterministic_per_seed():
     a = impute_missforest(holed, max_sweeps=2, forest=spec, seed=4)
     b = impute_missforest(holed, max_sweeps=2, forest=spec, seed=4)
     assert np.array_equal(a.copies[0], b.copies[0])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_missforest_fill_on_borrowed_cores_is_the_same_and_leaves_no_child(monkeypatch):
+    # Every forest borrows both free cores. After the first forest the
+    # helpers are killed: the next forest grows their trees here and forks
+    # fresh ones. The fill keeps its bits either way, and no helper outlives
+    # the call.
+    _, holed, _ = holed_unit_matrix(13, shape=(80, 4))
+    spec = ForestSpec(n_trees=5, max_depth=4, min_samples_leaf=2)
+    alone = impute_missforest(holed, max_sweeps=2, forest=spec, seed=6)
+    with lending(threading.Semaphore(2)) as loan:
+        helped = impute_missforest(holed, max_sweeps=2, forest=spec, seed=6)
+    _no_child_left()
+    assert loan.forests == 2 * 4 and len(loan.peak_rss_mb) == 2
+    train_forest, trained = imputers.train_forest, []
+
+    def killing_helpers(data, targets, spec, helpers):
+        model = train_forest(data, targets, spec, helpers)
+        if not trained:
+            for pid, _ in helpers.live:
+                os.kill(pid, signal.SIGKILL)
+        trained.append(model)
+        return model
+
+    monkeypatch.setattr(imputers, "train_forest", killing_helpers)
+    with lending(threading.Semaphore(2)) as loan:
+        killed = impute_missforest(holed, max_sweeps=2, forest=spec, seed=6)
+    _no_child_left()
+    assert len(loan.peak_rss_mb) == 4                # two killed, two fresh
+    for result in (helped, killed):
+        assert result.copies[0].tobytes() == alone.copies[0].tobytes()
+        assert result.diagnostics == alone.diagnostics
+
+
+def test_missforest_that_raises_leaves_no_helper(monkeypatch):
+    def failing_predict(model, data):
+        raise ValueError("injected prediction fault")
+
+    _, holed, _ = holed_unit_matrix(14, shape=(80, 4))
+    monkeypatch.setattr(imputers, "predict_forest", failing_predict)
+    with lending(threading.Semaphore(1)) as loan:
+        with pytest.raises(ValueError, match="injected prediction fault"):
+            impute_missforest(holed, forest=ForestSpec(n_trees=4, max_depth=3), seed=2)
+    _no_child_left()
+    assert loan.forests == 1 and len(loan.peak_rss_mb) == 1
+
+
+def test_missforest_forks_nothing_unless_a_caller_lends_cores(monkeypatch):
+    def no_fork():
+        raise AssertionError("a helper was forked")
+
+    _, holed, _ = holed_unit_matrix(15, shape=(40, 3))
+    monkeypatch.setattr(os, "fork", no_fork)
+    spec = ImputerSpec("missforest", max_sweeps=1, forest=ForestSpec(n_trees=4))
+    run_imputer(holed, spec)
+    with lending(None), lending(threading.Semaphore(0)):
+        run_imputer(holed, spec)
 
 
 def test_missforest_sweep_accounting():

@@ -584,6 +584,10 @@ def test_timings_list_every_unit_once(desk_run):
         assert set(unit["seconds"]) == stages[unit["unit"]]
         assert 0.0 < unit["peak_rss_mb"] <= timings["summed_peak_rss_mb"]
         assert unit["lost_worker"] is None
+        # desk grows no forest, so its impute units borrow no core.
+        assert ({k: unit[k] for k in unit if k.startswith("helper_")}
+                == ({"helper_forests": 0, "helper_cpu_s": 0.0, "helper_peak_rss_mb": []}
+                    if unit["unit"] == "impute" else {}))
         if unit["unit"] == "classify":      # one training record per cell
             assert [(r["method"], r["degree"], r["repetition"])
                     for r in unit["classifiers"]] == cells_served
