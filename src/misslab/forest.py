@@ -17,15 +17,17 @@ a semaphore with one token per core that no work holds, a forest grown with
 to one forked helper process per token and grows the first range itself.
 The helpers' frozen trees are appended in index order, so the forest is the
 same whichever of its trees came back; a helper that fails leaves its range
-to grow here. Outside such a block, or with no free token, nothing is
-borrowed.
+to grow here, and a helper dies with the process that forked it. Outside
+such a block, or with no free token, nothing is borrowed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import os
 import signal
+import sys
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection, Pipe
 
@@ -377,6 +379,7 @@ class Helpers:
 
     def _fork(self) -> bool:
         here, there = Pipe()
+        caller = os.getpid()
         try:
             pid = os.fork()
         except OSError:
@@ -385,6 +388,7 @@ class Helpers:
             return False
         if pid == 0:                                # the helper
             try:
+                _die_with(caller)
                 here.close()
                 for _, other in self.live:
                     other.close()
@@ -417,6 +421,23 @@ class Helpers:
         _, _, usage = os.wait4(pid, 0)
         self.loan.cpu_s += usage.ru_utime + usage.ru_stime
         self.loan.peak_rss_mb.append(usage.ru_maxrss / 1024.0)   # KiB on Linux
+
+
+def _die_with(parent: int) -> None:
+    """Have the kernel kill this helper as soon as `parent`, the process that
+    forked it, dies (Linux), so that a helper never outlives a worker killed
+    without cleanup, nor holds the worker's inherited pipes open. Elsewhere a
+    helper whose caller died exits once it has grown its current range: its
+    send fails, or its receive meets the end of the pipe."""
+    if sys.platform.startswith("linux"):
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != parent:                      # it died before the prctl
+        os._exit(0)
+
+
+_PR_SET_PDEATHSIG = 1
 
 
 def predict_forest(model: ForestModel, data: np.ndarray) -> np.ndarray:

@@ -659,6 +659,60 @@ def test_run_with_borrowed_cores_writes_the_tables_of_a_one_core_run(tmp_path, m
     assert one_core["missforest"]["helper_forests"] == 0
 
 
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_worker_killed_while_its_helper_grows_leaves_no_process(tmp_path, monkeypatch):
+    # The worker of the missforest cell is killed, with no cleanup, while
+    # its helper grows a range of trees that would take a minute. The helper
+    # dies with it at once, the pool sees the loss, the cell runs again in
+    # the main process, and the tables are those of a one-core run.
+    import signal
+    import time
+
+    from misslab import forest
+    parent, grow = os.getpid(), forest._grow_trees
+    pids = tmp_path / "helpers"
+
+    def dying_grow(x, y, spec, first, stop):
+        if first > 0:                                       # in a helper
+            pids.write_text(f"{os.getpid()}\n")
+            time.sleep(60)
+        elif os.getpid() != parent and stop < spec.n_trees:     # a worker that lent
+            while not pids.exists():
+                time.sleep(0.01)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return grow(x, y, spec, first, stop)
+
+    monkeypatch.setattr(forest, "_grow_trees", dying_grow)
+    tables = {}
+    for cores in (5, 1):
+        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
+        out = tmp_path / f"c{cores}"
+        cfg = write_cfg(tmp_path, out, extra=ITERATIVE_LIKE, name=f"c{cores}.cfg")
+        started = time.monotonic()
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert time.monotonic() - started < 30      # no wait on the helper's minute
+        tables[cores] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+        if cores == 5:
+            helper = int(pids.read_text())
+            assert not _alive(helper)
+            units = json.loads((out / "report.json").read_text(encoding="utf-8"))
+            forest_unit = next(u for u in units["timings"]["units"] if u["unit"] == "impute"
+                               and u["cells"][0]["method"] == "missforest")
+            assert forest_unit["lost_worker"].startswith("BrokenProcessPool")
+            assert forest_unit["pid"] == parent
+    assert len(tables[1]) == 12 and tables[5] == tables[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_impute_borrows_spare_cores_and_writes_the_same_files(tmp_path, monkeypatch):
     from misslab import cli
     data_path, _ = small_csv(tmp_path, rows=80, cols=4)
