@@ -685,7 +685,8 @@ def test_a_worker_killed_while_its_helper_grows_leaves_no_process(tmp_path, monk
             pids.write_text(f"{os.getpid()}\n")
             time.sleep(60)
         elif os.getpid() != parent and stop < spec.n_trees:     # a worker that lent
-            while not pids.exists():
+            deadline = time.monotonic() + 10
+            while not pids.exists() and time.monotonic() < deadline:
                 time.sleep(0.01)
             os.kill(os.getpid(), signal.SIGKILL)
         return grow(x, y, spec, first, stop)
