@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import (ColumnSchema, from_matrix, load_csv, load_mask_csv, load_scaler,
                    save_csv, save_scaler, write_json)
-from .forest import lending
+from .helpers import lending
 from .gmm import load_model, save_model, write_search_table
 from .imputers import METHODS, run_imputer, save_imputation
 from .metrics import regression_metrics_masked
@@ -41,7 +41,7 @@ def cmd_genfit(args) -> int:
     cfg = parse_config(args.config)
     os.makedirs(cfg.output_dir, exist_ok=True)
     src = prepare_source(cfg)
-    generator, report, table = fit_generator(cfg, src)
+    generator, report, table, _ = fit_generator(cfg, src)
     write_search_table(os.path.join(cfg.output_dir, "gmm_search.csv"), table)
     save_model(os.path.join(cfg.output_dir, "generator.npz"), generator)
     save_scaler(os.path.join(cfg.output_dir, "scaler.npz"), src.scaler)

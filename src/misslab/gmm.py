@@ -3,6 +3,10 @@
 Covariance shapes: "full" (one matrix per component), "tied" (one shared
 matrix), "diagonal" (per-component variance vectors), "spherical"
 (per-component scalar variances).
+
+Model selection fits EM to every (k, kind, restart) of a grid. Each fit has
+its own seed, so `select_generator` can map the fits over borrowed cores
+(`helpers.Helpers`) and keep the search table and the chosen model.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import numpy as np
 from ._rng import child_seed, rng_for
 from .cluster import kmeans_plus_plus
 from .data import observed_matrix, write_csv
+from .helpers import Helpers
 
 COVARIANCE_KINDS = ("full", "tied", "diagonal", "spherical")
 
@@ -283,9 +288,25 @@ class SearchRow:
     error: str = ""
 
 
+def _fits(data: np.ndarray, cfg: GmmConfig, grid: list[tuple]) -> list:
+    """fit_em for each (k, kind, restart) of `grid`, seeded per cell and
+    restart: its (model, report), or the ValueError that failed it."""
+    out = []
+    for k, kind, r in grid:
+        cell_cfg = GmmConfig(max_iter=cfg.max_iter,
+                             seed=child_seed(cfg.seed, "grid", k, kind, r))
+        try:
+            out.append(fit_em(data, k, kind, cell_cfg))
+        except ValueError as exc:
+            out.append(exc)
+    return out
+
+
 def select_generator(data: np.ndarray, k_range, kinds, criterion: str = "bic",
                      cfg: GmmConfig | None = None) -> tuple[GmmModel, FitReport, list[SearchRow]]:
-    """Grid search over (k, kind), best of `restarts` seeded fits per cell.
+    """Grid search over (k, kind), best of `restarts` seeded fits per cell;
+    inside a `helpers.lending` block, shares of the fits run on the cores
+    it lends.
 
     Returns the model minimizing the chosen criterion and the full search
     table; raises only if every cell fails.
@@ -300,34 +321,28 @@ def select_generator(data: np.ndarray, k_range, kinds, criterion: str = "bic",
     if not kind_list:
         raise ValueError("kinds must contain at least one covariance kind")
 
+    grid = [(k, kind, r) for k in ks for kind in kind_list for r in range(cfg.restarts)]
+    with Helpers() as helpers:
+        fits = helpers.map(_fits, (data, cfg), grid)
     table: list[SearchRow] = []
     best = None
     last_error: Exception | None = None
-    for k in ks:
-        for kind in kind_list:
-            cell_best = None
-            cell_error: Exception | None = None
-            for r in range(cfg.restarts):
-                cell_cfg = GmmConfig(max_iter=cfg.max_iter,
-                                     seed=child_seed(cfg.seed, "grid", k, kind, r))
-                try:
-                    model, report = fit_em(data, k, kind, cell_cfg)
-                except ValueError as exc:
-                    cell_error = exc
-                    continue
-                if cell_best is None or report.log_likelihood > cell_best[1].log_likelihood:
-                    cell_best = (model, report)
-            if cell_best is None:
-                last_error = cell_error
-                table.append(SearchRow(k, kind, np.nan, np.nan, np.nan, False, 0,
-                                       error=str(cell_error)))
-                continue
-            model, report = cell_best
-            table.append(SearchRow(k, kind, report.log_likelihood, report.aic,
-                                   report.bic, report.converged, report.iterations))
-            score = report.aic if criterion == "aic" else report.bic
-            if best is None or score < best[2]:
-                best = (model, report, score)
+    for at in range(0, len(grid), cfg.restarts):
+        k, kind, _ = grid[at]
+        cell = fits[at:at + cfg.restarts]
+        done = [fit for fit in cell if not isinstance(fit, ValueError)]
+        if not done:
+            last_error = cell[-1]
+            table.append(SearchRow(k, kind, np.nan, np.nan, np.nan, False, 0,
+                                   error=str(last_error)))
+            continue
+        # The first restart of the highest likelihood.
+        model, report = max(done, key=lambda fit: fit[1].log_likelihood)
+        table.append(SearchRow(k, kind, report.log_likelihood, report.aic,
+                               report.bic, report.converged, report.iterations))
+        score = report.aic if criterion == "aic" else report.bic
+        if best is None or score < best[2]:
+            best = (model, report, score)
     if best is None:
         raise ValueError(f"every candidate fit failed; last error: {last_error}")
     return best[0], best[1], table

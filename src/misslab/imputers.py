@@ -14,7 +14,8 @@ import numpy as np
 
 from ._rng import child_seed, rng_for
 from .data import save_csv, validate_matrix, write_json
-from .forest import ForestSpec, Helpers, predict_forest, train_forest
+from .forest import ForestSpec, predict_forest, train_forest
+from .helpers import Helpers
 from .missingness import combine_recovered
 from .neighbors import CHUNK, nearest, partial_distances, smallest
 from .nnet import FeedForward, fit
@@ -234,8 +235,8 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
     over the previous sweep; the state before the worsening sweep is
     returned. max_sweeps = 0 leaves the column-mean initialization.
 
-    Inside a `forest.lending` block the forests borrow the free cores it
-    grants (see `forest.Helpers`); the helpers are gone when this returns or
+    Inside a `helpers.lending` block the forests borrow the free cores it
+    grants (see `helpers.Helpers`); the helpers are gone when this returns or
     raises, and the fill does not change.
     """
     if max_sweeps < 0:

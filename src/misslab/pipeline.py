@@ -19,9 +19,10 @@ a result.
 The workers share one semaphore with a token per usable core. A worker
 holds one token while it runs a unit, waiting for it if a forest has
 borrowed it; the forests of a unit borrow the free tokens and grow shares
-of their trees in helper processes (`forest.lending`), with the same trees.
+of their trees in helper processes (`helpers.lending`), with the same trees.
 Units run in the main process, in a one-core run or after a lost worker,
-borrow nothing and wait on no token.
+borrow nothing and wait on no token. Before the cells, the mixture search
+borrows every usable core but the main process's own for its EM fits.
 """
 
 from __future__ import annotations
@@ -29,19 +30,15 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
-import multiprocessing
 import os
 import resource
-import tempfile
+import threading
 import time
 import traceback
 import typing
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from ._rng import child_seed, rng_for
@@ -50,7 +47,8 @@ from .data import (ColumnSchema, Dataset, drop_incomplete_rows, extract_target,
                    fit_minmax, from_matrix, load_csv, load_schema_file, save_csv,
                    scaler_transform, split_indices, conform_to_schema, write_csv,
                    write_json)
-from .forest import ForestSpec, lending
+from .helpers import lending
+from .forest import ForestSpec
 from .gmm import (COVARIANCE_KINDS, GmmConfig, GmmModel, sample, select_generator,
                   write_search_table)
 from .imputers import METHODS, DaeSpec, ImputerSpec, pool_copies, run_imputer
@@ -461,11 +459,13 @@ def prepare_source(cfg: ExperimentConfig) -> PreparedSource:
 
 
 def fit_generator(cfg: ExperimentConfig, src: PreparedSource):
-    """Step 3 search: returns (model, fit report, search table)."""
+    """Step 3 search, its fits run on every usable core: returns (model, fit
+    report, search table, the `Loan` that holds its helpers' cost)."""
     gmm_cfg = GmmConfig(max_iter=cfg.gmm_max_iter, restarts=cfg.gmm_restarts,
                         seed=child_seed(cfg.master_seed, "gmm"))
-    return select_generator(src.x_orig, cfg.gmm_k_range, cfg.gmm_kinds,
-                            cfg.gmm_criterion, gmm_cfg)
+    with lending(threading.Semaphore(_usable_cores() - 1)) as loan:
+        return (*select_generator(src.x_orig, cfg.gmm_k_range, cfg.gmm_kinds,
+                                  cfg.gmm_criterion, gmm_cfg), loan)
 
 
 def draw_samples(generator: GmmModel, src: PreparedSource, n: int, label: str,
@@ -659,11 +659,12 @@ class UnitResult:
 
 @contextlib.contextmanager
 def _timed(seconds: dict, stage: str):
+    """Add the block's wall seconds to seconds[stage]."""
     start = time.perf_counter()
     try:
         yield
     finally:
-        seconds[stage] = time.perf_counter() - start
+        seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - start
 
 
 def impute_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> UnitResult:
@@ -780,7 +781,7 @@ def run_unit(inputs: CellInputs, unit: tuple) -> UnitResult:
         out = run(inputs, *args)
     out.peak_rss_mb = _peak_rss_mb()
     if kind == "impute":
-        out.helpers = {"helper_forests": loan.forests, "helper_cpu_s": loan.cpu_s,
+        out.helpers = {"helper_forests": loan.maps, "helper_cpu_s": loan.cpu_s,
                        "helper_peak_rss_mb": loan.peak_rss_mb}
     return out
 
@@ -804,6 +805,7 @@ def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
     workers, or inline without one. A unit whose future raises (a worker
     died, so the pool is broken) runs again inline, as does every unit after
     it, even one a live worker finished: a lost worker costs time, no result."""
+    from concurrent.futures.process import BrokenProcessPool
     futures = [None] * len(units)
     if executor is not None:
         with contextlib.suppress(BrokenProcessPool):   # a worker died mid-submission
@@ -887,12 +889,15 @@ def _worker_pool(workers: int, cores: int, inputs: CellInputs):
     forests borrow the rest."""
     if workers == 1:
         return contextlib.nullcontext()
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     context = multiprocessing.get_context("fork")
     return ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker,
                                initargs=(inputs, context.Semaphore(cores)))
 
 
 def _check_writable(out_dir) -> None:
+    import tempfile
     try:
         os.makedirs(out_dir, exist_ok=True)
         with tempfile.TemporaryFile(dir=out_dir):    # gone once closed
@@ -909,30 +914,39 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     out_dir = cfg.output_dir
     _check_writable(out_dir)
 
-    src = prepare_source(cfg)
-    cfg.validate(columns=len(src.names))
-    generator, gen_report, search_table = fit_generator(cfg, src)
-    write_search_table(os.path.join(out_dir, "gmm_search.csv"), search_table)
-    pool = label_pool(cfg, src, generator)
-    check_no_leakage(pool, src)
+    # Wall seconds of each set-up step; the search's record has its helpers' cost.
+    stages = {name: {} for name in ("prepare", "search", "pool", "smote_enn", "write")}
+    with _timed(stages["prepare"], "seconds"):
+        src = prepare_source(cfg)
+        cfg.validate(columns=len(src.names))
+    with _timed(stages["search"], "seconds"):
+        generator, gen_report, search_table, loan = fit_generator(cfg, src)
+    stages["search"].update(helper_cpu_s=loan.cpu_s, helper_peak_rss_mb=loan.peak_rss_mb)
+    with _timed(stages["write"], "seconds"):
+        write_search_table(os.path.join(out_dir, "gmm_search.csv"), search_table)
+    with _timed(stages["pool"], "seconds"):
+        pool = label_pool(cfg, src, generator)
+        check_no_leakage(pool, src)
 
     # Rebalanced variant of the clean original subset.
-    edited = smote_enn(from_matrix(src.x_orig, src.y_orig),
-                       ResampleSpec(smote_k=cfg.smote_k, enn_k=cfg.enn_k,
-                                    target_ratio=cfg.resample_ratio,
-                                    seed=child_seed(cfg.master_seed, "resample")))
+    with _timed(stages["smote_enn"], "seconds"):
+        edited = smote_enn(from_matrix(src.x_orig, src.y_orig),
+                           ResampleSpec(smote_k=cfg.smote_k, enn_k=cfg.enn_k,
+                                        target_ratio=cfg.resample_ratio,
+                                        seed=child_seed(cfg.master_seed, "resample")))
     eval_sets = {"synthetic": (pool.x_synth, pool.y_synth),
                  "testing": (pool.x_reserve, pool.y_reserve),
                  "original": (src.x_orig, src.y_orig),
                  "edited_nn": (edited.features, edited.target)}
 
     artifacts = {"clean.csv": os.path.join(out_dir, "clean.csv")}
-    save_csv(artifacts["clean.csv"], src.clean.features, src.names)
-    artifacts.update(save_pool(out_dir, pool, src.names))
+    with _timed(stages["write"], "seconds"):
+        save_csv(artifacts["clean.csv"], src.clean.features, src.names)
+        artifacts.update(save_pool(out_dir, pool, src.names))
 
     report = RunReport(manifest={}, cells=[], direct_cells=[], clustering_rows=[],
                        failures=[], plot={**pool.plot_rows(), "silhouette_samples": []},
-                       timings={"units": []})
+                       timings={"stages": stages, "units": []})
     inputs = CellInputs(cfg, pool, src.names, eval_sets)
     cores = _usable_cores()
     workers = min(cores, len(cell_units(cfg)))
@@ -947,8 +961,10 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         peaks[unit["pid"]] = max(peaks.get(unit["pid"], 0.0), unit["peak_rss_mb"])
     peaks[os.getpid()] = _peak_rss_mb()
     report.timings["summed_peak_rss_mb"] = sum(peaks.values()) + sum(
-        sum(unit.get("helper_peak_rss_mb", [])) for unit in report.timings["units"])
+        sum(record.get("helper_peak_rss_mb", []))
+        for record in [stages["search"], *report.timings["units"]])
 
+    import scipy                    # read for its version only
     report.manifest = {
         "version": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
         "master_seed": cfg.master_seed, "criterion": cfg.gmm_criterion,

@@ -278,6 +278,35 @@ def test_genfit_then_synth(tmp_path, capsys):
     assert sum(int(r.split(",")[1]) for r in counts[1:]) == 150
 
 
+def test_genfit_on_two_cores_writes_the_files_of_one(tmp_path, monkeypatch):
+    # The 12 fits of the search run on both cores; the search table and the
+    # generator keep every byte, and no helper outlives the command.
+    from misslab import pipeline
+    loans, lending = [], pipeline.lending
+
+    def recorded_lending(tokens):
+        with lending(tokens) as loan:
+            loans.append(loan)
+            yield loan
+
+    monkeypatch.setattr(pipeline, "lending", contextlib.contextmanager(recorded_lending))
+    grid = "gmm.k_range = 1, 2, 3\ngmm.kinds = spherical, diagonal\ngmm.restarts = 2"
+    files = {}
+    for cores in (2, 1):
+        monkeypatch.setattr(pipeline, "_usable_cores", lambda: cores)
+        out = tmp_path / f"c{cores}"
+        assert main(["genfit", "--config", str(write_cfg(tmp_path, out, extra=grid))]) == 0
+        with np.load(out / "generator.npz") as generator:
+            files[cores] = {name: generator[name].tobytes() for name in generator.files}
+        files[cores]["gmm_search.csv"] = (out / "gmm_search.csv").read_bytes()
+    assert files[2] == files[1]
+    assert files[1]["gmm_search.csv"].count(b"\n") == 1 + 6
+    assert (loans[0].maps, len(loans[0].peak_rss_mb)) == (1, 1)
+    assert (loans[1].maps, loans[1].peak_rss_mb) == (0, [])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_synth_artifacts_match_run(tmp_path):
     staged, full = tmp_path / "staged", tmp_path / "full"
     staged_cfg = str(write_cfg(tmp_path, staged, name="staged.cfg"))
@@ -670,28 +699,16 @@ def _alive(pid: int) -> bool:
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
 def test_a_worker_killed_while_its_helper_grows_leaves_no_process(tmp_path, monkeypatch):
     # The worker of the missforest cell is killed, with no cleanup, while
-    # its helper grows a range of trees that would take a minute. The helper
+    # its helper grows a share of trees that would take a minute. The helper
     # dies with it at once, the pool sees the loss, the cell runs again in
     # the main process, and the tables are those of a one-core run.
-    import signal
     import time
 
     from misslab import forest
-    parent, grow = os.getpid(), forest._grow_trees
+    parent = os.getpid()
     pids = tmp_path / "helpers"
-
-    def dying_grow(x, y, spec, first, stop):
-        if first > 0:                                       # in a helper
-            pids.write_text(f"{os.getpid()}\n")
-            time.sleep(60)
-        elif os.getpid() != parent and stop < spec.n_trees:     # a worker that lent
-            deadline = time.monotonic() + 10
-            while not pids.exists() and time.monotonic() < deadline:
-                time.sleep(0.01)
-            os.kill(os.getpid(), signal.SIGKILL)
-        return grow(x, y, spec, first, stop)
-
-    monkeypatch.setattr(forest, "_grow_trees", dying_grow)
+    monkeypatch.setattr(sys.modules[__name__], "_DYING", (parent, forest._grow_trees, pids))
+    monkeypatch.setattr(forest, "_grow_trees", _dying_grow)
     tables = {}
     for cores in (5, 1):
         monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
@@ -712,6 +729,28 @@ def test_a_worker_killed_while_its_helper_grows_leaves_no_process(tmp_path, monk
     assert len(tables[1]) == 12 and tables[5] == tables[1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+_DYING = None      # (the test's pid, the real grower, the helper pid file)
+
+
+def _dying_grow(x, y, spec, indices):
+    """`forest._grow_trees` for the test above; module-level, so that it
+    pickles. A helper records its pid and sleeps; a worker that lent waits
+    for that record, then kills itself."""
+    import signal
+    import time
+
+    parent, grow, pids = _DYING
+    if indices[0] > 0:                                      # in a helper
+        pids.write_text(f"{os.getpid()}\n")
+        time.sleep(60)
+    elif os.getpid() != parent and len(indices) < spec.n_trees:     # a worker that lent
+        deadline = time.monotonic() + 10
+        while not pids.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return grow(x, y, spec, indices)
 
 
 def test_impute_borrows_spare_cores_and_writes_the_same_files(tmp_path, monkeypatch):
@@ -737,17 +776,21 @@ def test_impute_borrows_spare_cores_and_writes_the_same_files(tmp_path, monkeypa
                      "--out", str(out / "t"), "--seed", "4"]) == 0
         files[cores] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert len(files[1]) == 2 and files[3] == files[1]
-    assert loans[0].forests > 0 and len(loans[0].peak_rss_mb) == 2
-    assert (loans[1].forests, loans[1].peak_rss_mb) == (0, [])
+    assert loans[0].maps > 0 and len(loans[0].peak_rss_mb) == 2
+    assert (loans[1].maps, loans[1].peak_rss_mb) == (0, [])
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_import_leaves_scipy_linalg_out():
     # Only the full and tied mixture kinds need scipy.linalg; they import it.
-    # logsumexp, expit and bisect are written in misslab itself.
-    heavy = ("scipy.special", "scipy.optimize", "scipy.linalg")
-    code = f"import sys, misslab.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # logsumexp, expit and bisect are written in misslab itself. scipy (the
+    # manifest's version), tempfile and the process pool are imported only
+    # by `run`; a module that the interpreter loaded at start-up does not count.
+    heavy = ("scipy", "scipy.special", "scipy.optimize", "scipy.linalg", "tempfile",
+             "concurrent.futures")
+    code = ("import sys; before = set(sys.modules); import misslab.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules and m not in before])")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
                     os.environ.get("PYTHONPATH")) if p))

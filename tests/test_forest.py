@@ -10,7 +10,8 @@ import pytest
 
 from misslab._rng import rng_for
 from misslab import forest
-from misslab.forest import ForestSpec, Helpers, lending, predict_forest, train_forest
+from misslab.forest import ForestSpec, predict_forest, train_forest
+from misslab.helpers import Helpers, lending
 
 
 def test_spec_validation():
@@ -263,9 +264,9 @@ def _borrowing_cases():
 
 @pytest.mark.parametrize("free", [0, 1, 2, 9])
 def test_trees_grown_on_borrowed_cores_equal_one_tree_at_a_time(free):
-    # Each forest hands a contiguous range of its trees to a helper per free
-    # token (at most one per tree but the first), and the trees keep their
-    # bits. The helpers, forked once, serve every forest of the block.
+    # Each forest hands every P-th tree to a helper per free token (at most
+    # one per tree but the first), and the trees keep their bits. The
+    # helpers, forked once, serve every forest of the block.
     cases = _borrowing_cases()
     forked = min(free, max(spec.n_trees for _, _, spec in cases) - 1)
     with lending(threading.Semaphore(free)) as loan, Helpers() as helpers:
@@ -276,7 +277,7 @@ def test_trees_grown_on_borrowed_cores_equal_one_tree_at_a_time(free):
         assert len(helpers.live) == forked
     _no_child_left()
     assert loan.tokens._value == free          # every token came back
-    assert (loan.forests > 0) == (free > 0)
+    assert (loan.maps > 0) == (free > 0)
     assert len(loan.peak_rss_mb) == forked
     assert (loan.cpu_s > 0) == (free > 0)
 
@@ -288,20 +289,24 @@ def test_a_helper_that_exits_early_or_is_killed_leaves_the_same_trees(monkeypatc
         _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "helped")
         os.kill(helpers.live[0][0], signal.SIGKILL)
         _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "killed")
-    parent, grow = os.getpid(), forest._grow_trees
-
-    def exit_in_helpers(*args):
-        if os.getpid() != parent:
-            os._exit(0)
-        return grow(*args)
-
-    monkeypatch.setattr(forest, "_grow_trees", exit_in_helpers)
+    monkeypatch.setattr(forest, "_grow_trees", _exit_in_helpers)
     with lending(loan.tokens) as exited, Helpers() as helpers:
         _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "exited")
         assert helpers.live == []                 # both exited and were reaped
     _no_child_left()
-    assert (loan.forests, exited.forests) == (2, 0)   # the live helper grew its share
+    assert (loan.maps, exited.maps) == (2, 0)   # the live helper grew its share
     assert loan.tokens._value == 2
+
+
+_PARENT, _GROW_TREES = os.getpid(), forest._grow_trees
+
+
+def _exit_in_helpers(*args):
+    """`forest._grow_trees`, but a helper exits before growing its share;
+    module-level, so that it pickles."""
+    if os.getpid() != _PARENT:
+        os._exit(0)
+    return _GROW_TREES(*args)
 
 
 @contextlib.contextmanager

@@ -2,11 +2,17 @@
 
 import csv
 import math
+import os
+import signal
+import sys
+import threading
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
+from misslab import gmm
+from misslab.helpers import lending
 from misslab.gmm import (
     COVARIANCE_KINDS,
     GmmConfig,
@@ -200,6 +206,70 @@ def test_search_table_csv_columns(tmp_path):
         k, _, *numbers, error = line.split(",")
         assert all(math.isfinite(float(v)) for v in [k] + numbers), line
         assert error == "", line
+
+
+def _borrowed_search(x, free, tmp_path):
+    """select_generator over every kind, with a cell (k = rows + 1) whose
+    every restart fails, lending `free` tokens; also its table's bytes."""
+    cfg = GmmConfig(restarts=2, max_iter=30, seed=3)
+    with lending(threading.Semaphore(free)) as loan:
+        model, report, table = select_generator(x, [1, 2, 3, x.shape[0] + 1],
+                                                COVARIANCE_KINDS, "bic", cfg)
+    path = tmp_path / f"search{free}.csv"
+    write_search_table(path, table)
+    return (model, report, path.read_bytes()), loan
+
+
+def _assert_same_search(got, want):
+    (model, report, table), (model0, report0, table0) = got, want
+    assert (model.k, model.kind) == (model0.k, model0.kind)
+    for name in ("weights", "means", "covariances"):
+        assert getattr(model, name).tobytes() == getattr(model0, name).tobytes(), name
+    assert report == report0
+    assert table == table0
+
+
+@pytest.mark.parametrize("free", [1, 2])
+def test_search_on_borrowed_cores_is_the_search_alone(tmp_path, free):
+    # Every P-th fit runs in one of `free` helpers; the model, its report
+    # and the table's bytes are those of the search in one process.
+    x = three_component_data(6)
+    alone, unlent = _borrowed_search(x, 0, tmp_path)
+    assert (unlent.maps, unlent.peak_rss_mb) == (0, [])
+    assert b"exceeds the 600 available rows" in alone[2]
+    got, loan = _borrowed_search(x, free, tmp_path)
+    _assert_same_search(got, alone)
+    assert loan.maps == 1 and loan.cpu_s > 0 and len(loan.peak_rss_mb) == free
+    assert loan.tokens._value == free           # every token came back
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+_PARENT, _FIT_EM = os.getpid(), gmm.fit_em
+_FAULT = None             # how a helper fails mid-search: "kill" or "exit"
+
+
+def _failing_fit_em(data, k, kind, cfg):
+    """`gmm.fit_em`, but a helper fails at its first k = 2 fit; module-level,
+    so that it pickles."""
+    if os.getpid() != _PARENT and k == 2:
+        if _FAULT == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        os._exit(0)
+    return _FIT_EM(data, k, kind, cfg)
+
+
+@pytest.mark.parametrize("fault", ["kill", "exit"])
+def test_a_helper_that_fails_mid_search_leaves_the_same_table(tmp_path, monkeypatch, fault):
+    x = three_component_data(7)
+    alone, _ = _borrowed_search(x, 0, tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "_FAULT", fault)
+    monkeypatch.setattr(gmm, "fit_em", _failing_fit_em)
+    got, loan = _borrowed_search(x, 2, tmp_path)
+    _assert_same_search(got, alone)
+    assert loan.maps == 0 and len(loan.peak_rss_mb) == 2   # both reaped, fits redone here
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_search_table_gives_the_reason_for_a_failed_cell(tmp_path):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from misslab import imputers
-from misslab.forest import ForestSpec, lending
+from misslab.forest import ForestSpec
+from misslab.helpers import lending
 from misslab.imputers import (
     DaeSpec,
     ImputationResult,
@@ -383,7 +384,7 @@ def test_missforest_fill_on_borrowed_cores_is_the_same_and_leaves_no_child(monke
     with lending(threading.Semaphore(2)) as loan:
         helped = impute_missforest(holed, max_sweeps=2, forest=spec, seed=6)
     _no_child_left()
-    assert loan.forests == 2 * 4 and len(loan.peak_rss_mb) == 2
+    assert loan.maps == 2 * 4 and len(loan.peak_rss_mb) == 2
     train_forest, trained = imputers.train_forest, []
 
     def killing_helpers(data, targets, spec, helpers):
@@ -414,7 +415,7 @@ def test_missforest_that_raises_leaves_no_helper(monkeypatch):
         with pytest.raises(ValueError, match="injected prediction fault"):
             impute_missforest(holed, forest=ForestSpec(n_trees=4, max_depth=3), seed=2)
     _no_child_left()
-    assert loan.forests == 1 and len(loan.peak_rss_mb) == 1
+    assert loan.maps == 1 and len(loan.peak_rss_mb) == 1
 
 
 def test_missforest_forks_nothing_unless_a_caller_lends_cores(monkeypatch):

@@ -614,6 +614,29 @@ def test_unit_plan_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
             == getattr(reports[4], name)
 
 
+def test_setup_stages_record_their_seconds_and_the_search_helpers(tmp_path, monkeypatch):
+    # Each set-up step records its wall seconds. With 2 free tokens the
+    # search's 3 fits run on 3 processes, and its record carries the
+    # helpers' CPU seconds and peaks, which the summed peak counts; on one
+    # core the search borrows nothing.
+    for cores in (3, 1):
+        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
+        cfg = desk_config(tmp_path / f"c{cores}")
+        cfg.gmm_k_range, cfg.repetitions = [1, 2, 3], 1
+        timings = run_pipeline(cfg).timings
+        stages = timings["stages"]
+        assert list(stages) == ["prepare", "search", "pool", "smote_enn", "write"]
+        assert all(stage["seconds"] > 0.0 for stage in stages.values())
+        search = stages["search"]
+        assert len(search["helper_peak_rss_mb"]) == cores - 1
+        if cores == 1:
+            assert search["helper_cpu_s"] == 0.0
+        else:
+            assert search["helper_cpu_s"] > 0.0
+        assert timings["summed_peak_rss_mb"] >= sum(search["helper_peak_rss_mb"]) + max(
+            unit["peak_rss_mb"] for unit in timings["units"])
+
+
 def test_every_unit_after_a_lost_worker_runs_inline(monkeypatch):
     # Unit "b" finished in a live worker before the pool saw the loss of
     # unit "a"'s worker; it still runs again in the main process. Each unit
