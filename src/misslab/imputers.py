@@ -17,7 +17,7 @@ from .data import save_csv, validate_matrix, write_json
 from .forest import ForestSpec, predict_forest, train_forest
 from .helpers import Helpers
 from .missingness import combine_recovered
-from .neighbors import CHUNK, nearest, partial_distances, smallest
+from .neighbors import nearest, partial_distances, slabs, smallest
 from .nnet import FeedForward, fit
 
 METHODS = ("mean", "knn", "mice", "missforest", "dae")
@@ -98,11 +98,8 @@ def impute_knn(holed: np.ndarray, k: int = 5,
     observes = np.ascontiguousarray(~missing.T)
     need_rows = np.flatnonzero(missing.any(axis=1))
     donors = [np.flatnonzero(row) for row in observes]
-    distances = partial_distances(x)
     span = _candidate_count(k, float(observes.mean()))
-    for start in range(0, need_rows.size, CHUNK):
-        rows = need_rows[start:start + CHUNK]
-        dist = distances(rows)
+    for rows, dist in slabs(need_rows, partial_distances(x)):
         near = smallest(dist, span)
         for j, cand in enumerate(donors):
             takers = np.flatnonzero(missing[rows, j])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import validate_matrix
-from .neighbors import CHUNK, squared_distances
+from .neighbors import pairwise_squared, slabs
 
 LOG_LOSS_EPS = 1e-15
 MAPE_GUARD = 1e-8
@@ -94,11 +94,8 @@ def silhouette_samples(data: np.ndarray, labels: np.ndarray) -> np.ndarray:
         onehot[np.arange(n), dense] = 1.0
         clusterings.append((dense, onehot.sum(axis=0), onehot))
 
-    sq = np.sum(x * x, axis=1)
     scores = np.empty((len(clusterings), n))
-    for start in range(0, n, CHUNK):
-        rows = slice(start, min(start + CHUNK, n))
-        dist = squared_distances(x[rows], x, sq[rows], sq)  # (chunk, n)
+    for rows, dist in slabs(range(n), pairwise_squared(x)):   # (chunk, n)
         np.sqrt(dist, out=dist)
         for out, (dense, counts, onehot) in zip(scores, clusterings):
             cluster_sums = dist @ onehot               # (chunk, k)
@@ -110,8 +107,8 @@ def silhouette_samples(data: np.ndarray, labels: np.ndarray) -> np.ndarray:
                 means = cluster_sums / counts[None, :]
             means[np.arange(len(own)), own] = np.inf
             b = means.min(axis=1)
-            out[rows] = (b - a) / np.maximum(np.maximum(a, b), np.finfo(np.float64).tiny)
-            out[rows][own_count < 2] = 0.0
+            score = (b - a) / np.maximum(np.maximum(a, b), np.finfo(np.float64).tiny)
+            out[rows] = np.where(own_count < 2, 0.0, score)
     return scores if labels.ndim == 2 else scores[0]
 
 

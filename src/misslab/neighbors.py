@@ -1,12 +1,16 @@
 """Nearest-row search shared by KNN imputation, SMOTE/ENN, k-means and the
-silhouette: one squared-Euclidean expansion, one partial distance and one
-k-smallest selection.
+silhouette: one squared-Euclidean expansion, one partial distance, one
+k-smallest selection and one slab loop.
 
-Callers that compare every row with every other row work in slabs of at
-most CHUNK query rows, so memory grows with CHUNK x rows, never rows^2.
-A slab's distances are built in place, in the order of operations of the
-plain expression, so they keep its bits. Slabs stay at CHUNK rows: the BLAS
-products can round differently when a slab has a different row count.
+Callers that compare every row with every other row take their distances
+from `slabs`, CHUNK query rows at a time, so memory grows with CHUNK x rows,
+never rows^2. A slab function overwrites its buffers on every call (two
+slab-size arrays for `partial_distances`, one for `pairwise_squared`, and
+temporaries of at most BLOCK entries), so a caller such as `imputers._donors`
+must finish with a slab before asking for the next. `partial_distances` also
+takes more than CHUNK rows at once. Slabs keep the bits of the plain
+expression and its order of operations; they stay at CHUNK rows, since BLAS
+products can round differently at another row count.
 
 `smallest` gives the KNN imputer its candidate lists: each row's K smallest
 entries, ordered by (value, index). Every entry below the list's last value
@@ -18,28 +22,57 @@ exact.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 CHUNK = 512
+BLOCK = 1 << 16     # entries in one row block of a slab-wide temporary
+
+
+def slabs(rows: Sequence, distances: Callable) -> Iterator[tuple]:
+    """Consecutive runs of at most CHUNK of `rows`, each with its distance
+    slab `distances(run)`; the slab is overwritten by the next one."""
+    for start in range(0, len(rows), CHUNK):
+        run = rows[start:start + CHUNK]
+        yield run, distances(run)
+
+
+def _blocks(shape: tuple[int, int]) -> Iterator[slice]:
+    """Row slices of an array of `shape`: BLOCK entries each, or one row."""
+    step = max(1, BLOCK // max(shape[1], 1))
+    return (slice(start, start + step) for start in range(0, shape[0], step))
 
 
 def squared_distances(x: np.ndarray, centers: np.ndarray,
                       x_sq: np.ndarray | None = None,
-                      c_sq: np.ndarray | None = None) -> np.ndarray:
+                      c_sq: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances, rows of x against rows of centers:
-    (|x|^2 + |c|^2) - 2 x.c, clamped at 0. `x_sq` and `c_sq` are the rows'
-    squared norms, for a caller that computes them once for many slabs."""
+    (|x|^2 + |c|^2) - 2 x.c, clamped at 0, into `out` if given. `x_sq` and
+    `c_sq` are the rows' squared norms, computed once for many slabs."""
     if x_sq is None:
         x_sq = np.sum(x * x, axis=1)
     if c_sq is None:
         c_sq = np.sum(centers * centers, axis=1)
-    d2 = x @ centers.T
+    d2 = np.matmul(x, centers.T, out=out)
     d2 *= -2.0
-    d2 += x_sq[:, None] + c_sq[None, :]
+    for part in _blocks(d2.shape):
+        d2[part] += x_sq[part, None] + c_sq[None, :]
     # The expansion can go slightly negative for coincident points.
     return np.maximum(d2, 0.0, out=d2)
+
+
+def pairwise_squared(x: np.ndarray) -> Callable[[range], np.ndarray]:
+    """Squared Euclidean distance slabs: the returned function maps a range
+    of at most CHUNK rows of x to their distances to every row of x."""
+    sq = np.sum(x * x, axis=1)
+    buf = np.empty((min(CHUNK, len(x)), len(x)))
+
+    def slab(rows: range) -> np.ndarray:
+        part = slice(rows.start, rows.stop)
+        return squared_distances(x[part], x, sq[part], sq, buf[:len(rows)])
+    return slab
 
 
 def partial_distances(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -51,15 +84,19 @@ def partial_distances(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     infinite when the rows share no observed coordinate, and to itself. The
     masks and squares of x are computed once, here, for every slab.
     """
-    d = x.shape[1]
+    n, d = x.shape
     observed = (~np.isnan(x)).astype(np.float64)
     x0 = np.where(np.isnan(x), 0.0, x)
     sq = x0 * x0
+    held = []                                  # one (2, rows, n) buffer, grown on demand
 
     def slab(rows: np.ndarray) -> np.ndarray:
+        if not held or held[0].shape[1] < rows.size:
+            held[:] = [np.empty((2, rows.size, n))]
+        dist, buf = held[0][:, :rows.size]
         seen = observed[rows]
-        dist = sq[rows] @ observed.T                   # sum_shared x_i^2
-        buf = np.matmul(seen, sq.T)
+        np.matmul(sq[rows], observed.T, out=dist)      # sum_shared x_i^2
+        np.matmul(seen, sq.T, out=buf)
         dist += buf                                    # + sum_shared x_j^2
         np.matmul(x0[rows], x0.T, out=buf)
         buf *= 2.0
@@ -84,7 +121,10 @@ def smallest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k >= dist.shape[1]:
         order = np.argsort(dist, axis=1, kind="stable")
         return order, np.take_along_axis(dist, order, axis=1)
-    picks = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    picks = np.empty((dist.shape[0], k), dtype=np.intp)
+    for part in _blocks(dist.shape):
+        picks[part] = np.argpartition(dist[part], k - 1, axis=1)[:, :k]
+    picks.sort(axis=1)
     values = np.take_along_axis(dist, picks, axis=1)
     order = np.argsort(values, axis=1, kind="stable")
     return (np.take_along_axis(picks, order, axis=1),
@@ -109,10 +149,12 @@ def nearest(dist: np.ndarray, k: int) -> np.ndarray:
     counts = np.count_nonzero(within, axis=1)
     tied = counts > k
     if tied.any():
-        # Row-major nonzero lists each row's entries by index; a stable sort
-        # by (row, value) then orders them by (value, index) within the row.
-        row, col = np.nonzero(within[tied])
-        order = np.lexsort((dist[tied][row, col], row))
+        # Only tied rows keep their entries. Row-major nonzero lists each
+        # row's entries by index; a stable sort by (row, value) then orders
+        # them by (value, index) within the row.
+        within &= tied[:, None]
+        row, col = np.nonzero(within)
+        order = np.lexsort((dist[row, col], row))
         starts = np.cumsum(counts[tied]) - counts[tied]
         out[tied] = col[order][starts[:, None] + np.arange(k)]
     return out
@@ -122,11 +164,8 @@ def kneighbors(x: np.ndarray, k: int) -> np.ndarray:
     """Each row's k nearest other rows by Euclidean distance, nearest first,
     ties to the lower index; with at most k rows, all rows, itself last."""
     n = x.shape[0]
-    sq = np.sum(x * x, axis=1)
     out = np.empty((n, min(k, n)), dtype=np.intp)
-    for start in range(0, n, CHUNK):
-        stop = min(start + CHUNK, n)
-        d2 = squared_distances(x[start:stop], x, sq[start:stop], sq)
-        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        out[start:stop] = nearest(d2, k)
+    for rows, d2 in slabs(range(n), pairwise_squared(x)):
+        d2[np.arange(len(rows)), rows] = np.inf
+        out[rows] = nearest(d2, k)
     return out

@@ -131,7 +131,7 @@ def test_knn_across_chunk_boundaries_matches_brute_force(monkeypatch, k):
     # Three rows per distance slab, so every matrix spans several slabs;
     # integer values tie many distances, and heavy masking leaves rows
     # with no comparable neighbour.
-    monkeypatch.setattr("misslab.imputers.CHUNK", 3)
+    monkeypatch.setattr("misslab.neighbors.CHUNK", 3)
     rng = np.random.default_rng(k)
     for trial in range(20):
         x = rng.integers(0, 3, size=(17, 4)).astype(np.float64)

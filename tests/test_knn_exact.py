@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from misslab.imputers import _column_means, impute_knn
-from misslab.neighbors import nearest, partial_distances, squared_distances
+from misslab.neighbors import (nearest, pairwise_squared, partial_distances, slabs,
+                               smallest, squared_distances)
 
 ROOT = Path(__file__).resolve().parent.parent
 NAN = np.nan
@@ -133,7 +134,7 @@ def test_knn_with_short_candidate_lists_matches_the_oracle(monkeypatch, block):
 
 @pytest.mark.parametrize("chunk", [1, 5, 64])
 def test_knn_slabs_match_the_oracle_with_the_same_slab(monkeypatch, chunk):
-    monkeypatch.setattr("misslab.imputers.CHUNK", chunk)
+    monkeypatch.setattr("misslab.neighbors.CHUNK", chunk)
     for seed in range(2000, 2030):
         holed, k = random_case(seed)
         got = impute_knn(holed, k=k).copies[0]
@@ -190,6 +191,67 @@ def test_squared_distances_match_the_old_expression_bit_for_bit():
         sq = np.sum(x * x, axis=1)
         assert squared_distances(x[3:], x, sq[3:], sq).tobytes() \
             == squared_distances(x[3:], x).tobytes(), trial
+
+
+def oracle_squared_distances(x, centers):
+    """squared_distances as it was: fresh product, one slab-size norm sum."""
+    x_sq = np.sum(x * x, axis=1)
+    c_sq = np.sum(centers * centers, axis=1)
+    d2 = x @ centers.T
+    d2 *= -2.0
+    d2 += x_sq[:, None] + c_sq[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def oracle_smallest(dist, k):
+    """smallest as it was: one argpartition over the whole slab."""
+    if k >= dist.shape[1]:
+        order = np.argsort(dist, axis=1, kind="stable")
+        return order, np.take_along_axis(dist, order, axis=1)
+    picks = np.sort(np.argpartition(dist, k - 1, axis=1)[:, :k], axis=1)
+    values = np.take_along_axis(dist, picks, axis=1)
+    order = np.argsort(values, axis=1, kind="stable")
+    return (np.take_along_axis(picks, order, axis=1),
+            np.take_along_axis(values, order, axis=1))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 512])
+def test_squared_distance_slabs_in_one_buffer_match_the_old_expression(monkeypatch, chunk):
+    # Row blocks of 3 rows split the norm sum unevenly; 600 rows leave a
+    # short last slab of 88 at CHUNK = 512; the first slab is the whole
+    # table when it has at most CHUNK rows, so that product stays x @ x.T.
+    monkeypatch.setattr("misslab.neighbors.CHUNK", chunk)
+    rng = np.random.default_rng(chunk)
+    for n in (1, 5, 23, 600):
+        x = rng.normal(size=(n, 4))
+        x[n // 2:] = np.round(x[n // 2:])            # coincident rows clamp at 0
+        monkeypatch.setattr("misslab.neighbors.BLOCK", 3 * n + 1)
+        first = None
+        for rows, slab in slabs(range(n), pairwise_squared(x)):
+            first = slab if first is None else first
+            want = oracle_squared_distances(x[rows.start:rows.stop], x)
+            assert slab.tobytes() == want.tobytes(), (n, rows)
+            assert np.shares_memory(slab, first)
+        centers = rng.normal(size=(7, 4))
+        buf = np.empty((n + 2, 7))
+        got = squared_distances(x, centers, out=buf[:n])
+        assert np.shares_memory(got, buf)
+        assert got.tobytes() == oracle_squared_distances(x, centers).tobytes(), n
+
+
+@pytest.mark.parametrize("step", [1, 3, 7, 64])
+def test_smallest_in_row_blocks_matches_the_whole_slab(monkeypatch, step):
+    # Integer distances and infinities tie nearly every row at its k-th
+    # place; 59 to 61 rows are no multiple of most steps.
+    monkeypatch.setattr("misslab.neighbors.BLOCK", 40 * step)
+    rng = np.random.default_rng(step)
+    for m in (59, 60, 61):
+        dist = rng.integers(0, 5, size=(m, 40)).astype(np.float64)
+        dist[rng.random(dist.shape) < 0.2] = np.inf
+        dist[0] = np.inf
+        for k in range(1, 42):
+            for got, want in zip(smallest(dist, k), oracle_smallest(dist, k)):
+                assert got.tobytes() == want.tobytes(), (m, k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,19 @@
 """Shared nearest-row search, checked against a plain stable argsort and
-against the dense all-pairs SMOTE/ENN code it replaced."""
+against the dense all-pairs SMOTE/ENN code it replaced, and the memory one
+pass over all rows holds."""
+
+import ast
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from misslab._rng import rng_for
 from misslab.data import from_matrix
-from misslab.neighbors import kneighbors, nearest, squared_distances
+from misslab.imputers import impute_knn
+from misslab.metrics import silhouette_samples
+from misslab.neighbors import CHUNK, kneighbors, nearest, squared_distances
 from misslab.resampling import (ResampleSpec, _classes, enn_undersample,
                                 smote_oversample)
 
@@ -132,3 +139,70 @@ def test_smote_and_enn_match_the_dense_code(monkeypatch, seed):
         want = dense_enn(up, spec)
         assert np.array_equal(down.features, want.features)
         assert np.array_equal(down.target, want.target)
+
+
+# ---------------------------------------------------------------------------
+# Memory of one pass over all rows, in slabs of CHUNK x rows doubles
+# ---------------------------------------------------------------------------
+
+ROWS = 3000
+
+
+def peak_slabs(call, *args):
+    """Peak memory that call(*args) allocates, numpy's arrays included, in
+    slabs of CHUNK x ROWS doubles."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1] / (CHUNK * ROWS * 8)
+    finally:
+        tracemalloc.stop()
+
+
+def table(seed):
+    return np.random.default_rng(seed).normal(size=(ROWS, 10))
+
+
+def test_knn_pass_holds_two_slabs_and_a_half():
+    # Two slab buffers for the partial distances, then a boolean slab and
+    # row blocks of scratch.
+    x = table(0)
+    holed = np.where(np.random.default_rng(1).random(x.shape) < 0.3, np.nan, x)
+    assert peak_slabs(impute_knn, holed, 5) < 2.5
+
+
+def test_silhouette_pass_holds_a_slab_and_a_quarter():
+    labels = np.random.default_rng(2).integers(0, 3, size=(3, ROWS))
+    assert peak_slabs(silhouette_samples, table(2), labels) < 1.25
+
+
+def test_kneighbors_pass_holds_a_slab_and_a_quarter():
+    assert peak_slabs(kneighbors, table(3), 5) < 1.25
+
+
+def test_kneighbors_on_duplicated_rows_holds_a_slab_and_a_quarter():
+    # Every row has two exact copies at distance 0 (small integers keep the
+    # expansion exact), so every row ties its nearest distance and `nearest`
+    # takes its tie path; the answer is the lower-index other copy.
+    rng = np.random.default_rng(4)
+    copy_of = rng.permutation(np.arange(ROWS) % (ROWS // 3))
+    base = rng.integers(0, 4, size=(ROWS // 3, 10)).astype(np.float64)
+    x = base[copy_of]
+    assert peak_slabs(kneighbors, x, 1) < 1.25
+    got = kneighbors(x, 1)[:, 0]
+    for i in range(0, ROWS, 97):
+        others = np.flatnonzero((x == x[i]).all(axis=1))
+        assert got[i] == others[others != i].min(), i
+
+
+def test_only_neighbors_runs_the_slab_loop():
+    # The loop over CHUNK-row slabs, range(0, ..., CHUNK), lives in `slabs`.
+    package = Path(__file__).resolve().parent.parent / "src" / "misslab"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "range" and len(node.args) == 3
+                    and ast.unparse(node.args[2]).endswith("CHUNK")):
+                found[path.name] = found.get(path.name, 0) + 1
+    assert found == {"neighbors.py": 1}
