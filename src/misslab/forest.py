@@ -11,10 +11,10 @@ Mehta, Agrawal and Rissanen, 1996), replace a sort per node and feature.
 The trees are the ones a one-node-at-a-time grower builds, bit for bit.
 
 Since tree t depends only on its own stream, any process can grow any
-subset of a forest's trees. A forest grown with `helpers.Helpers` maps its
-tree indices over the cores a `helpers.lending` block lends: each process
-grows every P-th tree, and the trees come back in index order, so the
-forest is the same whichever process grew a tree.
+subset of a forest's trees. `train_forest` maps its tree indices with
+`helpers.map`, over the cores that the enclosing `helpers.lending` block
+lends: each process grows every P-th tree, and the trees come back in index
+order, so the forest is the same whichever process grew a tree.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from ._rng import rng_for
 from .data import observed_matrix
-from .helpers import Helpers
+from . import helpers
 
 
 @dataclass
@@ -280,10 +280,9 @@ def _grow_trees(x: np.ndarray, y: np.ndarray, spec: ForestSpec,
     return trees
 
 
-def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec,
-                 helpers: Helpers | None = None) -> ForestModel:
-    """Bootstrap-sampled CART trees with per-node feature subsampling; with
-    `helpers`, shares of the trees grow on the cores they borrow."""
+def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec) -> ForestModel:
+    """Bootstrap-sampled CART trees with per-node feature subsampling; inside
+    a `helpers.lending` block, shares of the trees grow on the cores it lends."""
     x = observed_matrix(data, "forest training")
     y = np.asarray(targets, dtype=np.float64)
     n, d = x.shape
@@ -291,10 +290,7 @@ def train_forest(data: np.ndarray, targets: np.ndarray, spec: ForestSpec,
         raise ValueError("training data is empty")
     if y.shape != (n,):
         raise ValueError(f"targets have shape {y.shape}, expected ({n},)")
-    indices = range(spec.n_trees)
-    if helpers is None:
-        return ForestModel(trees=_grow_trees(x, y, spec, indices))
-    return ForestModel(trees=helpers.map(_grow_trees, (x, y, spec), indices))
+    return ForestModel(trees=helpers.map(_grow_trees, (x, y, spec), range(spec.n_trees)))
 
 
 def predict_forest(model: ForestModel, data: np.ndarray) -> np.ndarray:

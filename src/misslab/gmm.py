@@ -6,7 +6,7 @@ matrix), "diagonal" (per-component variance vectors), "spherical"
 
 Model selection fits EM to every (k, kind, restart) of a grid. Each fit has
 its own seed, so `select_generator` can map the fits over borrowed cores
-(`helpers.Helpers`) and keep the search table and the chosen model.
+(`helpers.map`) and keep the search table and the chosen model.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from ._rng import child_seed, rng_for
 from .cluster import kmeans_plus_plus
 from .data import observed_matrix, write_csv
-from .helpers import Helpers
+from . import helpers
 
 COVARIANCE_KINDS = ("full", "tied", "diagonal", "spherical")
 
@@ -322,8 +322,7 @@ def select_generator(data: np.ndarray, k_range, kinds, criterion: str = "bic",
         raise ValueError("kinds must contain at least one covariance kind")
 
     grid = [(k, kind, r) for k in ks for kind in kind_list for r in range(cfg.restarts)]
-    with Helpers() as helpers:
-        fits = helpers.map(_fits, (data, cfg), grid)
+    fits = helpers.map(_fits, (data, cfg), grid)
     table: list[SearchRow] = []
     best = None
     last_error: Exception | None = None

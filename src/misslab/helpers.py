@@ -1,15 +1,18 @@
 """Helper processes that run independent items of one call on idle cores.
 
-Inside a `lending` block, which grants a semaphore with one token per core
-that no work holds, `Helpers.map(fn, shared, items)` takes up to
-len(items) - 1 free tokens without waiting. With P - 1 taken, process p of P
-runs `fn(*shared, items[p::P])`: the caller is process 0, and each other
-share goes to a forked helper. Taking every P-th item evens out items whose
-cost grows along the list. The results come back in item order, so they do
-not depend on which process ran an item; a helper that fails leaves its
-items to the caller, and a helper dies with the process that forked it.
-Users: a forest's trees (`forest.train_forest`) and the mixture search's
-EM fits (`gmm.select_generator`).
+A `lending` block grants a semaphore with one token per core that no work
+holds, and owns the helpers forked in it: it kills and reaps them when it
+ends, also on an exception. `map(fn, shared, items)` borrows from the
+innermost block, or runs every item in the caller outside any. It takes up
+to len(items) - 1 free tokens without waiting; with P - 1 taken, process p
+of P runs `fn(*shared, items[p::P])`: the caller is process 0, and each
+other share goes to a helper of the block, forked on first need. Taking
+every P-th item evens out items whose cost grows along the list. The
+results come back in item order, so they do not depend on which process ran
+an item; a helper that fails leaves its items to the caller, and a helper
+dies with the process that forked it. Users: a forest's trees
+(`forest.train_forest`) and the mixture search's EM fits
+(`gmm.select_generator`).
 """
 
 from __future__ import annotations
@@ -25,76 +28,13 @@ from dataclasses import dataclass, field
 @dataclass
 class Loan:
     """The free-core tokens a `lending` block grants (a semaphore, or None
-    for none), and what the helpers that used them cost."""
+    for none), the helpers forked in it, and what the reaped ones cost."""
 
     tokens: object = None
-    maps: int = 0                       # `Helpers.map` calls a helper ran items of
+    live: list = field(default_factory=list)            # (pid, its pipe end)
+    maps: int = 0                       # `map` calls a helper ran items of
     cpu_s: float = 0.0                  # the helpers' user + system CPU seconds
     peak_rss_mb: list = field(default_factory=list)    # one per helper reaped
-
-
-_LOAN = Loan()
-
-
-@contextlib.contextmanager
-def lending(tokens):
-    """Let the `Helpers` made in this block borrow `tokens`, a semaphore
-    with one token per free core (None lends none). Yields the block's
-    `Loan`. Helpers are forked, so lend only in a process that runs no other
-    thread."""
-    global _LOAN
-    before, _LOAN = _LOAN, Loan(tokens)
-    try:
-        yield _LOAN
-    finally:
-        _LOAN = before
-
-
-class Helpers:
-    """Helper processes of one caller, each forked on first need, that run
-    shares of its maps on the cores the enclosing `lending` block lends.
-    On exit every helper is killed and reaped, its CPU seconds and peak RSS
-    added to that block's loan."""
-
-    def __init__(self):
-        self.loan = _LOAN
-        self.live: list[tuple] = []         # (pid, its pipe end)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        while self.live:
-            self._reap(self.live[0])
-
-    def map(self, fn, shared: tuple, items) -> list:
-        """The results of `fn(*shared, share)`, which returns one result per
-        item of its share, for every item of `items`, in item order. Share p
-        of P is items[p::P]; the helpers run shares 1 to P - 1 and this
-        process share 0. `fn` and what it takes and returns must pickle."""
-        items = list(items)
-        taken = 0
-        tokens = self.loan.tokens
-        while tokens is not None and taken < len(items) - 1 and tokens.acquire(False):
-            taken += 1
-        try:
-            while len(self.live) < taken and self._fork():
-                pass
-            step = taken + 1
-            sent = {}
-            for p, helper in enumerate(self.live[:taken], start=1):
-                if self._exchange(helper, (fn, shared, items[p::step])) is not None:
-                    sent[p] = helper
-            results, helped = [None] * len(items), False
-            for p in range(step):
-                got = self._exchange(sent[p]) if p in sent else None
-                helped = helped or got is not None
-                results[p::step] = got if got is not None else fn(*shared, items[p::step])
-            self.loan.maps += helped
-            return results
-        finally:
-            for _ in range(taken):
-                tokens.release()
 
     def _fork(self) -> bool:
         from multiprocessing.connection import Pipe     # only a lender pays its import
@@ -110,8 +50,9 @@ class Helpers:
             try:
                 _die_with(caller)
                 here.close()
-                for _, other in self.live:
-                    other.close()
+                for loan in _LOANS:
+                    for _, other in loan.live:
+                        other.close()
                 with contextlib.suppress(EOFError):     # its caller closed the pipe
                     while True:
                         fn, shared, share = there.recv()
@@ -140,8 +81,58 @@ class Helpers:
         conn.close()
         os.kill(pid, signal.SIGKILL)        # a zombie takes it silently
         _, _, usage = os.wait4(pid, 0)
-        self.loan.cpu_s += usage.ru_utime + usage.ru_stime
-        self.loan.peak_rss_mb.append(usage.ru_maxrss / 1024.0)   # KiB on Linux
+        self.cpu_s += usage.ru_utime + usage.ru_stime
+        self.peak_rss_mb.append(usage.ru_maxrss / 1024.0)   # KiB on Linux
+
+
+_LOANS = [Loan()]       # the open blocks' loans, innermost last; the first lends none
+
+
+@contextlib.contextmanager
+def lending(tokens):
+    """Let `map` calls in this block borrow `tokens`, a semaphore with one
+    token per free core (None lends none). Yields the block's `Loan`; its
+    helpers are killed and reaped when the block ends. Helpers are forked,
+    so lend only in a process that runs no other thread."""
+    loan = Loan(tokens)
+    _LOANS.append(loan)
+    try:
+        yield loan
+    finally:
+        _LOANS.pop()
+        while loan.live:
+            loan._reap(loan.live[0])
+
+
+def map(fn, shared: tuple, items) -> list:
+    """The results of `fn(*shared, share)`, which returns one result per item
+    of its share, for every item of `items`, in item order. Share p of P is
+    items[p::P]; the innermost block's helpers run shares 1 to P - 1 and this
+    process share 0. `fn` and what it takes and returns must pickle."""
+    loan = _LOANS[-1]
+    items = list(items)
+    taken = 0
+    tokens = loan.tokens
+    while tokens is not None and taken < len(items) - 1 and tokens.acquire(False):
+        taken += 1
+    try:
+        while len(loan.live) < taken and loan._fork():
+            pass
+        step = taken + 1
+        sent = {}
+        for p, helper in enumerate(loan.live[:taken], start=1):
+            if loan._exchange(helper, (fn, shared, items[p::step])) is not None:
+                sent[p] = helper
+        results, helped = [None] * len(items), False
+        for p in range(step):
+            got = loan._exchange(sent[p]) if p in sent else None
+            helped = helped or got is not None
+            results[p::step] = got if got is not None else fn(*shared, items[p::step])
+        loan.maps += helped
+        return results
+    finally:
+        for _ in range(taken):
+            tokens.release()
 
 
 def _die_with(parent: int) -> None:

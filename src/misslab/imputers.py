@@ -15,9 +15,8 @@ import numpy as np
 from ._rng import child_seed, rng_for
 from .data import save_csv, validate_matrix, write_json
 from .forest import ForestSpec, predict_forest, train_forest
-from .helpers import Helpers
 from .missingness import combine_recovered
-from .neighbors import nearest, partial_distances, slabs, smallest
+from .neighbors import blocks, nearest, partial_distances, slabs, smallest
 from .nnet import FeedForward, fit
 
 METHODS = ("mean", "knn", "mice", "missforest", "dae")
@@ -140,13 +139,15 @@ def _donors(dist: np.ndarray, near: tuple[np.ndarray, np.ndarray],
     pick_dist = np.take_along_axis(near_dist, at, axis=1)
     # Every row nearer than the list's last entry is in the list; a pick equal
     # to it may have passed over a lower-index row of the same distance.
-    slow = ((np.count_nonzero(hits, axis=1) < width)
-            | ~(pick_dist[:, -1] < near_dist[:, -1]))
-    if slow.any():
-        cd = dist[np.ix_(takers[slow], cand)]
+    # Other takers run `nearest` over every donor, a row block at a time.
+    slow = np.flatnonzero((np.count_nonzero(hits, axis=1) < width)
+                          | ~(pick_dist[:, -1] < near_dist[:, -1]))
+    for part in blocks((slow.size, cand.size)):
+        rows = slow[part]
+        cd = dist[np.ix_(takers[rows], cand)]
         order = nearest(cd, k)
-        picks[slow] = cand[order]
-        pick_dist[slow] = np.take_along_axis(cd, order, axis=1)
+        picks[rows] = cand[order]
+        pick_dist[rows] = np.take_along_axis(cd, order, axis=1)
     return picks, pick_dist
 
 
@@ -233,8 +234,8 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
     returned. max_sweeps = 0 leaves the column-mean initialization.
 
     Inside a `helpers.lending` block the forests borrow the free cores it
-    grants (see `helpers.Helpers`); the helpers are gone when this returns or
-    raises, and the fill does not change.
+    grants, with the same fill; the block's helpers serve every forest of
+    this call and are reaped when the block ends, not when this returns.
     """
     if max_sweeps < 0:
         raise ValueError(f"max_sweeps must be at least 0, got {max_sweeps}")
@@ -247,25 +248,23 @@ def impute_missforest(holed: np.ndarray, max_sweeps: int = 3,
     kept_sweeps = 0
     if order.size > 0:
         prev_change = np.inf
-        with Helpers() as helpers:
-            for sweep in range(1, max_sweeps + 1):
-                before_state = current.copy()
-                for j in order:
-                    obs_rows = ~missing[:, j]
-                    others = np.delete(np.arange(x.shape[1]), j)
-                    spec = dataclasses.replace(
-                        forest, seed=child_seed(seed, "missforest", sweep, int(j)))
-                    model = train_forest(current[obs_rows][:, others],
-                                         x[obs_rows, j], spec, helpers)
-                    current[np.ix_(~obs_rows, [j])] = predict_forest(
-                        model, current[~obs_rows][:, others])[:, None]
-                change = float(np.mean(np.abs(current[missing] - before_state[missing])))
-                trace.append(change)
-                if change > prev_change:
-                    current = before_state
-                    break
-                kept_sweeps = sweep
-                prev_change = change
+        for sweep in range(1, max_sweeps + 1):
+            before_state = current.copy()
+            for j in order:
+                obs_rows = ~missing[:, j]
+                others = np.delete(np.arange(x.shape[1]), j)
+                spec = dataclasses.replace(
+                    forest, seed=child_seed(seed, "missforest", sweep, int(j)))
+                model = train_forest(current[obs_rows][:, others], x[obs_rows, j], spec)
+                current[np.ix_(~obs_rows, [j])] = predict_forest(
+                    model, current[~obs_rows][:, others])[:, None]
+            change = float(np.mean(np.abs(current[missing] - before_state[missing])))
+            trace.append(change)
+            if change > prev_change:
+                current = before_state
+                break
+            kept_sweeps = sweep
+            prev_change = change
     return ImputationResult("missforest", [current],
                             [{"sweeps_run": kept_sweeps, "convergence_trace": trace}])
 

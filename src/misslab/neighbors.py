@@ -38,7 +38,7 @@ def slabs(rows: Sequence, distances: Callable) -> Iterator[tuple]:
         yield run, distances(run)
 
 
-def _blocks(shape: tuple[int, int]) -> Iterator[slice]:
+def blocks(shape: tuple[int, int]) -> Iterator[slice]:
     """Row slices of an array of `shape`: BLOCK entries each, or one row."""
     step = max(1, BLOCK // max(shape[1], 1))
     return (slice(start, start + step) for start in range(0, shape[0], step))
@@ -57,7 +57,7 @@ def squared_distances(x: np.ndarray, centers: np.ndarray,
         c_sq = np.sum(centers * centers, axis=1)
     d2 = np.matmul(x, centers.T, out=out)
     d2 *= -2.0
-    for part in _blocks(d2.shape):
+    for part in blocks(d2.shape):
         d2[part] += x_sq[part, None] + c_sq[None, :]
     # The expansion can go slightly negative for coincident points.
     return np.maximum(d2, 0.0, out=d2)
@@ -122,7 +122,7 @@ def smallest(dist: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(dist, axis=1, kind="stable")
         return order, np.take_along_axis(dist, order, axis=1)
     picks = np.empty((dist.shape[0], k), dtype=np.intp)
-    for part in _blocks(dist.shape):
+    for part in blocks(dist.shape):
         picks[part] = np.argpartition(dist[part], k - 1, axis=1)[:, :k]
     picks.sort(axis=1)
     values = np.take_along_axis(dist, picks, axis=1)

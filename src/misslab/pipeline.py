@@ -18,11 +18,12 @@ a result.
 
 The workers share one semaphore with a token per usable core. A worker
 holds one token while it runs a unit, waiting for it if a forest has
-borrowed it; the forests of a unit borrow the free tokens and grow shares
-of their trees in helper processes (`helpers.lending`), with the same trees.
-Units run in the main process, in a one-core run or after a lost worker,
-borrow nothing and wait on no token. Before the cells, the mixture search
-borrows every usable core but the main process's own for its EM fits.
+borrowed it. Each unit is a `helpers.lending` block whose forests borrow
+the free tokens and grow shares of their trees, with the same trees, in its
+helper processes, reaped when the unit ends. Units run in the main process,
+in a one-core run or after a lost worker, borrow nothing and wait on no
+token. Before the cells, the mixture search, a block of its own, lends every
+usable core but the main process's own to its EM fits.
 """
 
 from __future__ import annotations

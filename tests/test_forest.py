@@ -11,7 +11,7 @@ import pytest
 from misslab._rng import rng_for
 from misslab import forest
 from misslab.forest import ForestSpec, predict_forest, train_forest
-from misslab.helpers import Helpers, lending
+from misslab.helpers import lending
 
 
 def test_spec_validation():
@@ -269,12 +269,12 @@ def test_trees_grown_on_borrowed_cores_equal_one_tree_at_a_time(free):
     # helpers, forked once, serve every forest of the block.
     cases = _borrowing_cases()
     forked = min(free, max(spec.n_trees for _, _, spec in cases) - 1)
-    with lending(threading.Semaphore(free)) as loan, Helpers() as helpers:
+    with lending(threading.Semaphore(free)) as loan:
         for case, (x, y, spec) in enumerate(cases):
             with _deadline(20):
-                model = train_forest(x, y, spec, helpers)
+                model = train_forest(x, y, spec)
             _assert_equal_trees(model, _oracle_forest(x, y, spec), case)
-        assert len(helpers.live) == forked
+        assert len(loan.live) == forked
     _no_child_left()
     assert loan.tokens._value == free          # every token came back
     assert (loan.maps > 0) == (free > 0)
@@ -285,14 +285,14 @@ def test_trees_grown_on_borrowed_cores_equal_one_tree_at_a_time(free):
 def test_a_helper_that_exits_early_or_is_killed_leaves_the_same_trees(monkeypatch):
     x, y, spec = _borrowing_cases()[1]
     expected = _oracle_forest(x, y, spec)
-    with lending(threading.Semaphore(2)) as loan, Helpers() as helpers:
-        _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "helped")
-        os.kill(helpers.live[0][0], signal.SIGKILL)
-        _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "killed")
+    with lending(threading.Semaphore(2)) as loan:
+        _assert_equal_trees(train_forest(x, y, spec), expected, "helped")
+        os.kill(loan.live[0][0], signal.SIGKILL)
+        _assert_equal_trees(train_forest(x, y, spec), expected, "killed")
     monkeypatch.setattr(forest, "_grow_trees", _exit_in_helpers)
-    with lending(loan.tokens) as exited, Helpers() as helpers:
-        _assert_equal_trees(train_forest(x, y, spec, helpers), expected, "exited")
-        assert helpers.live == []                 # both exited and were reaped
+    with lending(loan.tokens) as exited:
+        _assert_equal_trees(train_forest(x, y, spec), expected, "exited")
+        assert exited.live == []                  # both exited and were reaped
     _no_child_left()
     assert (loan.maps, exited.maps) == (2, 0)   # the live helper grew its share
     assert loan.tokens._value == 2

@@ -387,10 +387,10 @@ def test_missforest_fill_on_borrowed_cores_is_the_same_and_leaves_no_child(monke
     assert loan.maps == 2 * 4 and len(loan.peak_rss_mb) == 2
     train_forest, trained = imputers.train_forest, []
 
-    def killing_helpers(data, targets, spec, helpers):
-        model = train_forest(data, targets, spec, helpers)
+    def killing_helpers(data, targets, spec):
+        model = train_forest(data, targets, spec)
         if not trained:
-            for pid, _ in helpers.live:
+            for pid, _ in loan.live:
                 os.kill(pid, signal.SIGKILL)
         trained.append(model)
         return model

@@ -122,7 +122,9 @@ def test_knn_matches_the_oracle_bit_for_bit(block):
 @pytest.mark.parametrize("block", range(5))
 def test_knn_with_short_candidate_lists_matches_the_oracle(monkeypatch, block):
     # Lists of k to 3k entries leave many picks at or past the list's last
-    # distance, so the exact fallback and the fence between them both run.
+    # distance, so the exact fallback and the fence between them both run;
+    # row blocks of one to a few rows split the fallback's gathers.
+    monkeypatch.setattr("misslab.neighbors.BLOCK", 100 * block + 1)
     spans = np.random.default_rng(block).integers(0, 1000, size=40)
     for seed, span in zip(range(1000 + 40 * block, 1040 + 40 * block), spans):
         holed, k = random_case(seed)

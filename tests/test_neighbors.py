@@ -165,10 +165,12 @@ def table(seed):
 
 def test_knn_pass_holds_two_slabs_and_a_half():
     # Two slab buffers for the partial distances, then a boolean slab and
-    # row blocks of scratch.
-    x = table(0)
-    holed = np.where(np.random.default_rng(1).random(x.shape) < 0.3, np.nan, x)
-    assert peak_slabs(impute_knn, holed, 5) < 2.5
+    # row blocks of temporaries. On the 0/1 table nearly every missing cell ties
+    # its k-th pick and takes the exact path over every donor of its column.
+    binary = np.random.default_rng(0).integers(0, 2, size=(ROWS, 10)).astype(np.float64)
+    for x in (table(0), binary):
+        holed = np.where(np.random.default_rng(1).random(x.shape) < 0.3, np.nan, x)
+        assert peak_slabs(impute_knn, holed, 5) < 2.5
 
 
 def test_silhouette_pass_holds_a_slab_and_a_quarter():
