@@ -74,14 +74,20 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"missing {missing} in {out}; run genfit first")
     generator = load_model(os.path.join(out, "generator.npz"))
     scaler = load_scaler(os.path.join(out, "scaler.npz"))
-    with open(os.path.join(out, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta_path = os.path.join(out, "meta.json")
+    try:
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            meta = json.load(fh)
+        names = meta["names"]
+        schema_w = [ColumnSchema(c["name"], c["kind"], c["lower"], c["upper"])
+                    for c in meta["schema"]]
+    except (KeyError, TypeError, ValueError) as exc:     # not JSON, or not genfit's
+        raise ValueError(f"{meta_path}: not a genfit meta file "
+                         f"({type(exc).__name__}: {exc})") from None
     clean = load_csv(os.path.join(out, "clean_scaled.csv")).features
     x_orig, y_orig = clean[:, :-1], clean[:, -1]
-    schema_w = [ColumnSchema(c["name"], c["kind"], c["lower"], c["upper"])
-                for c in meta["schema"]]
     src = PreparedSource(clean=from_matrix(x_orig, y_orig), scaler=scaler,
-                         x_orig=x_orig, y_orig=y_orig, names=meta["names"],
+                         x_orig=x_orig, y_orig=y_orig, names=names,
                          schema_w=schema_w)
     pool = label_pool(cfg, src, generator)
     save_pool(out, pool, src.names)
@@ -154,7 +160,10 @@ def cmd_report(args) -> int:
         raise ConfigError(f"no report.json under {args.run_dir}")
     report = load_report_json(path)
     out = args.out or args.run_dir
-    written = emit_report(report, out)
+    try:
+        written = emit_report(report, out)
+    except (AttributeError, KeyError, TypeError) as exc:     # a row or field is damaged
+        raise ValueError(f"{path}: not a run report ({type(exc).__name__}: {exc})") from None
     print("\n".join(written))
     return EXIT_OK
 

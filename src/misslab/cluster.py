@@ -55,8 +55,8 @@ def fit_kmeans(data: np.ndarray, k: int, seed: int) -> KMeansModel:
     centers = kmeans_plus_plus(x, k, rng)
     labels = np.full(n, -1)
     trace: list[float] = []
+    d2 = squared_distances(x, centers)
     for _ in range(MAX_LLOYD_ITERATIONS):
-        d2 = squared_distances(x, centers)
         new_labels = np.argmin(d2, axis=1)
         if np.array_equal(new_labels, labels):
             break
@@ -73,13 +73,12 @@ def fit_kmeans(data: np.ndarray, k: int, seed: int) -> KMeansModel:
                 centers[j] = x[worst]
                 labels[worst] = j
                 nearest_d2[worst] = 0.0
-        inertia = float(np.sum(squared_distances(x, centers)[np.arange(n), labels]))
-        trace.append(inertia)
+        # The next assignment reuses these distances.
+        d2 = squared_distances(x, centers)
+        trace.append(float(np.sum(d2[np.arange(n), labels])))
 
-    final = float(np.sum(squared_distances(x, centers)[np.arange(n), labels]))
-    if not trace:
-        trace.append(final)
-    return KMeansModel(centroids=centers, inertia=final, inertia_trace=trace)
+    # The first pass always assigns, so the trace ends with the final inertia.
+    return KMeansModel(centroids=centers, inertia=trace[-1], inertia_trace=trace)
 
 
 def assign_kmeans(model: KMeansModel, data: np.ndarray) -> np.ndarray:

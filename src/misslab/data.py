@@ -13,6 +13,7 @@ import contextlib
 import csv
 import json
 import math
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,7 +156,7 @@ def load_csv(path, schema: list[ColumnSchema] | None = None) -> Dataset:
     except FileNotFoundError:
         raise FileNotFoundError(f"input file not found: {path}") from None
     with fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -202,7 +203,7 @@ def load_schema_file(path) -> list[ColumnSchema]:
     """
     schema = []
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(_utf8_lines(fh, path))
         if "name" not in (reader.fieldnames or []):
             raise ValueError(f"{path}: schema header has no 'name' column, "
                              f"found {reader.fieldnames}")
@@ -217,6 +218,14 @@ def load_schema_file(path) -> list[ColumnSchema]:
             except ValueError as exc:      # names the column already
                 raise ValueError(f"{path}: row {i}: {exc}") from None
     return schema
+
+
+def _utf8_lines(fh, path):
+    """The lines of `fh`; bytes that are not UTF-8 raise a ValueError naming `path`."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _schema_number(path, row: int, column: str, text: str) -> float:
@@ -314,8 +323,17 @@ def save_scaler(path, p: ScalerParams) -> None:
 
 
 def load_scaler(path) -> ScalerParams:
-    with np.load(path, allow_pickle=False) as data:
-        return ScalerParams(data["mins"], data["maxs"])
+    return ScalerParams(**load_npz(path, ("mins", "maxs")))
+
+
+def load_npz(path, keys) -> dict[str, np.ndarray]:
+    """The arrays `keys` of the .npz file at `path`; a file that is not an
+    .npz holding them raises a ValueError naming it."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            return {key: data[key] for key in keys}
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
+        raise ValueError(f"{path}: not an .npz file of {', '.join(keys)}") from None
 
 
 def fit_minmax(m: np.ndarray, names: list[str] | None = None) -> ScalerParams:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._rng import child_seed, rng_for
 from .cluster import kmeans_plus_plus
-from .data import observed_matrix, write_csv
+from .data import load_npz, observed_matrix, write_csv
 from . import helpers
 
 COVARIANCE_KINDS = ("full", "tied", "diagonal", "spherical")
@@ -363,13 +363,13 @@ def save_model(path, model: GmmModel) -> None:
 
 
 def load_model(path) -> GmmModel:
-    with np.load(path, allow_pickle=False) as data:
-        if int(data["version"][0]) != 1:
-            raise ValueError("unsupported generator file version")
-        return GmmModel(k=int(data["k"][0]), dims=int(data["dims"][0]),
-                        weights=data["weights"], means=data["means"],
-                        covariances=data["covariances"],
-                        kind=str(data["kind"][0]))
+    data = load_npz(path, ("version", "k", "dims", "weights", "means", "covariances",
+                           "kind"))
+    if int(data["version"][0]) != 1:
+        raise ValueError(f"{path}: unsupported generator file version")
+    return GmmModel(k=int(data["k"][0]), dims=int(data["dims"][0]),
+                    weights=data["weights"], means=data["means"],
+                    covariances=data["covariances"], kind=str(data["kind"][0]))
 
 
 def sample(model: GmmModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

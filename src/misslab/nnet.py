@@ -13,8 +13,9 @@ one `np.matmul` over the stack, and a step is one update of the array. Each
 network keeps its own seed, shuffle and dropout streams, patience and best
 weights, and leaves the stack when it stops early; numpy computes a stacked
 product as one BLAS call per network, so each ends with the bits it would
-get trained alone. The target generator and the autoencoder are stacks of
-one, and a run's classification cells are stacks of many (`train_mlps`).
+get trained alone. The target generator, the autoencoder and a lone
+classifier are stacks of one, a run's classification cells are stacks of
+many (`train_mlps`), and every stack has the same 3-D layout.
 Each epoch, `fit` hands the shuffled row orders to its caller once; the
 caller gathers that epoch's rows and draws its dropout or corruption in one
 call, and batches are slices. Classification cells score only the
@@ -60,34 +61,31 @@ class TrainConfig:
             raise ValueError("patience cannot exceed max_epochs")
 
 
-def _sigmoid(z: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
-    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in one
-    # pass; e = exp(-|z|), when the caller has it.
-    e = np.exp(-np.abs(z)) if e is None else e
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in one pass.
+    e = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _bce_with_logits(z: np.ndarray, y: np.ndarray, e: np.ndarray | None = None) -> float:
+def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> float:
     # max(z,0) - y*z + log(1 + exp(-|z|)) is the stable per-sample form.
-    e = np.exp(-np.abs(z)) if e is None else e
-    per = np.maximum(z, 0.0) - y * z + np.log1p(e)
+    per = np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))
     return float(per.mean())
 
 
 class FeedForward:
     """Weights, forward pass, and analytic gradients for a stack of networks
-    of one shape, trained side by side; a stack of one is one network.
+    of one shape, trained side by side; one network is a stack of one.
 
     Network s keeps every weight matrix and bias vector as a view into row s
     of `params` (networks x parameters). Each layer has one (networks,
     fan_in, fan_out) weight view and one (networks, 1, fan_out) bias view,
-    so a layer's pass is one `np.matmul` over the stack, which numpy makes
-    as one BLAS call per network: each network gets the bits it would get
-    alone. A stack of one drops the leading axis: its `grads` takes 2-D
-    rows and computes in 2-D, where numpy spends less per call. `grads`
-    fills `grad`, laid out as `params`, so a step is one update. Inputs,
-    targets and loss masks are stacked (one slice per network) or shared by
-    every network."""
+    whatever the stack's size, so a layer's pass is one `np.matmul` over the
+    stack, which numpy makes as one BLAS call per network: each network gets
+    the bits it would get alone. `grads` fills `grad`, laid out as `params`,
+    so a step is one update. Inputs, targets and loss masks are stacked (one
+    slice per network) or shared 2-D rows that broadcast against every
+    network; activations and `logits` are (networks, rows, units)."""
 
     def __init__(self, layer_sizes: list[int], output: str = "sigmoid-binary",
                  dropout_rate: float = 0.0, seed: int | list[int] = 0):
@@ -104,18 +102,14 @@ class FeedForward:
         for s, net_seed in enumerate(seeds):
             rng = rng_for(net_seed, "init")
             for w in self._views(self.params[s:s + 1])[0]:
-                w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+                w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[-2])
 
     def _bind(self, params: np.ndarray) -> None:
         """Make `params` the stack's weights, with a gradient of its layout."""
         self.params = params
         self.grad = np.empty_like(params)
         self.weights, self.biases = self._views(self.params)
-        self._weights_t = [w.swapaxes(-1, -2) for w in self.weights]
-        self._grad_w, grad_b = self._views(self.grad)
-        # Bias gradients shaped as a sum over rows returns them.
-        self._grad_b = [b.reshape(b.shape[0], b.shape[-1]) if b.ndim == 3 else b
-                        for b in grad_b]
+        self._grad_w, self._grad_b = self._views(self.grad)
 
     def _views(self, flat: np.ndarray):
         """Per-layer (weights, biases) views into a parameter-shaped array."""
@@ -123,10 +117,9 @@ class FeedForward:
         size = flat.shape[0]
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             weights.append(flat[:, start:start + fan_in * fan_out].reshape(
-                (size, fan_in, fan_out) if size > 1 else (fan_in, fan_out)))
+                size, fan_in, fan_out))
             start += fan_in * fan_out
-            biases.append(flat[:, start:start + fan_out].reshape(
-                (size, 1, fan_out) if size > 1 else (fan_out,)))
+            biases.append(flat[:, start:start + fan_out].reshape(size, 1, fan_out))
             start += fan_out
         return weights, biases
 
@@ -156,8 +149,7 @@ class FeedForward:
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         """(networks, rows, outputs)."""
-        z = self._forward(np.asarray(x, dtype=np.float64), None)[-1]
-        return z if z.ndim == 3 else z[None]
+        return self._forward(np.asarray(x, dtype=np.float64), None)[-1]
 
     def loss(self, x: np.ndarray, y: np.ndarray,
              loss_mask: np.ndarray | None = None) -> np.ndarray:
@@ -208,10 +200,10 @@ class FeedForward:
         head = self.n_layers - 1
         for layer in range(head, -1, -1):
             np.matmul(acts[layer].swapaxes(-1, -2), delta, out=self._grad_w[layer])
-            np.add.reduce(delta, axis=-2, out=self._grad_b[layer])
+            np.add.reduce(delta, axis=-2, keepdims=True, out=self._grad_b[layer])
             if layer == 0:
                 break
-            delta = delta @ self._weights_t[layer]
+            delta = delta @ self.weights[layer].swapaxes(-1, -2)
             if drop is not None and layer == head:
                 delta *= drop
             delta *= acts[layer] > 0.0
@@ -285,9 +277,8 @@ def _loss_and_accuracy(net: FeedForward, x: np.ndarray,
     forward pass."""
     out = []
     for z, labels in zip(net.logits(x)[..., 0], y):
-        e = np.exp(-np.abs(z))             # shared by the sigmoid and the loss
-        accuracy = float(np.mean((_sigmoid(z, e) >= 0.5).astype(np.float64) == labels))
-        out.append((_bce_with_logits(z, labels, e), accuracy))
+        accuracy = float(np.mean((_sigmoid(z) >= 0.5).astype(np.float64) == labels))
+        out.append((_bce_with_logits(z, labels), accuracy))
     return out
 
 
@@ -329,10 +320,6 @@ def train_mlps(tasks: list[tuple[Dataset, Dataset, int]], spec: MlpSpec | None =
         rows = orders + (live * orders.shape[1])[:, None]   # into the stacked tables
         xo, yo = np.take(x.reshape(-1, x.shape[-1]), rows, axis=0), np.take(y, rows)
         drop = net.dropout_mask([dropout_rngs[s] for s in live], orders.shape[1])
-        if live.size == 1:                 # a stack of one takes 2-D rows
-            xo, yo, drop = xo[0], yo[0], None if drop is None else drop[0]
-            return lambda batch: net.grads(xo[batch], yo[batch],
-                                           drop=None if drop is None else drop[batch])
         return lambda batch: net.grads(xo[:, batch], yo[:, batch],
                                        drop=None if drop is None else drop[:, batch])
 

@@ -227,6 +227,8 @@ def parse_config(path) -> ExperimentConfig:
             lines = fh.readlines()
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
     cfg = ExperimentConfig()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -380,9 +382,13 @@ def save_report_json(report: RunReport, out_dir) -> str:
 
 
 def load_report_json(path) -> RunReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return RunReport(**payload)
+    """The report a run saved at `path`; a file that is not JSON of a
+    report's fields raises a ValueError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return RunReport(**json.load(fh))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a run report ({exc})") from None
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,11 @@ def _live_children() -> dict[int, str]:
     read from /proc (so none where there is no /proc)."""
     live = {}
     for listing in glob.glob(f"/proc/{os.getpid()}/task/*/children"):
-        with open(listing, encoding="ascii") as fh:
-            pids = fh.read().split()
+        try:
+            with open(listing, encoding="ascii") as fh:
+                pids = fh.read().split()
+        except FileNotFoundError:    # the thread has just ended; its children moved
+            continue
         for pid in pids:
             try:
                 with open(f"/proc/{pid}/stat", encoding="ascii", errors="replace") as fh:

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,56 @@ def test_a_file_that_cannot_be_written_exits_one_naming_it(tmp_path, capsys, com
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {blocked}: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory):
+    """A genfit stage and a run's output directory, to be copied and damaged."""
+    base = tmp_path_factory.mktemp("written")
+    for command, out in (("genfit", base / "stage"), ("run", base / "run")):
+        assert main([command, "--config", str(write_cfg(base, out))]) == 0
+    return base
+
+
+def edit_json(change):
+    def damage(path):
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        change(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    return damage
+
+
+# case: (command, damaged file, damage)
+DAMAGED = {
+    "report-empty-object": ("report", "report.json", edit_json(lambda r: r.clear())),
+    "report-not-an-object": ("report", "report.json",
+                             lambda p: p.write_text("[1, 2]", encoding="utf-8")),
+    "report-lacks-a-field": ("report", "report.json", edit_json(lambda r: r.pop("plot"))),
+    "report-unknown-field": ("report", "report.json", edit_json(lambda r: r.update(x=1))),
+    "report-cell-without-degree": ("report", "report.json",
+                                   edit_json(lambda r: r["cells"][0].pop("degree"))),
+    "synth-meta-not-an-object": ("synth", "meta.json",
+                                 lambda p: p.write_text("[1, 2]", encoding="utf-8")),
+    "synth-meta-without-schema": ("synth", "meta.json", edit_json(lambda m: m.pop("schema"))),
+    "synth-scaler-truncated": ("synth", "scaler.npz",
+                               lambda p: p.write_bytes(p.read_bytes()[:100])),
+    "synth-generator-not-an-npz": ("synth", "generator.npz",
+                                   lambda p: p.write_bytes(b"not an npz file\n")),
+}
+
+
+@pytest.mark.parametrize("case", list(DAMAGED))
+def test_a_damaged_run_file_exits_one_naming_it(tmp_path, written, capsys, case):
+    command, name, damage = DAMAGED[case]
+    out = tmp_path / "out"
+    shutil.copytree(written / ("run" if command == "report" else "stage"), out)
+    damage(out / name)
+    argv = ["report", str(out)] if command == "report" else [
+        "synth", "--config", str(write_cfg(tmp_path, out))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / name}: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_report_requires_report_json(tmp_path, capsys):

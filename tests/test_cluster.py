@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from misslab import cluster
 from misslab.cluster import KMeansModel, assign_kmeans, fit_kmeans
 
 
@@ -58,6 +59,23 @@ def test_inertia_trace_non_increasing():
     trace = np.asarray(model.inertia_trace)
     assert (np.diff(trace) <= 1e-8).all()
     assert model.inertia == trace[-1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_lloyd_iteration_computes_its_distances_once(monkeypatch, seed):
+    # One k-row distance matrix per assignment: the inertia after an update
+    # and the final inertia read the next assignment's matrix. The k-means++
+    # seeding asks for one-row matrices and is not counted.
+    real, calls = cluster.squared_distances, []
+
+    def counting(x, y):
+        calls.append(y.shape[0])
+        return real(x, y)
+
+    monkeypatch.setattr(cluster, "squared_distances", counting)
+    x = two_blobs(np.random.default_rng(seed), centers=((0.0, 0.0), (3.0, 3.0)))
+    model = fit_kmeans(x, k=3, seed=seed)
+    assert calls.count(3) == len(model.inertia_trace) + 1
 
 
 def test_fit_deterministic_per_seed():

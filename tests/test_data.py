@@ -182,6 +182,13 @@ def test_load_csv_skips_a_byte_order_mark(tmp_path):
     assert load_csv(p, [ColumnSchema("a"), ColumnSchema("b")]).features.tolist() == [[1, 2]]
 
 
+def test_load_csv_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"a,b\n1,2\n3,\xff\n")
+    with pytest.raises(ValueError, match=r"latin\.csv: not UTF-8 text"):
+        load_csv(p)
+
+
 def test_load_csv_unparseable_cell_reports_row_and_column(tmp_path):
     p = write(tmp_path / "t.csv", "a,b\n1,2\n1,zap\n")
     with pytest.raises(ValueError, match="row 2.*'b'"):
@@ -290,6 +297,13 @@ def test_load_schema_file_skips_a_byte_order_mark(tmp_path):
     p = tmp_path / "schema.csv"
     p.write_text("name,kind\nage,integer\n", encoding="utf-8-sig")
     assert load_schema_file(p) == [ColumnSchema("age", "integer")]
+
+
+def test_load_schema_file_not_utf8_names_the_file(tmp_path):
+    p = tmp_path / "schema.csv"
+    p.write_bytes(b"name,kind\nage\xff,integer\n")
+    with pytest.raises(ValueError, match=r"schema\.csv: not UTF-8 text"):
+        load_schema_file(p)
 
 
 def test_load_schema_file_without_name_column_names_the_file(tmp_path):

@@ -1,11 +1,18 @@
-"""Behaviour lock: every table the desk run writes, byte for byte.
+"""Behaviour lock: every table the desk run writes, byte for byte, and every
+table of a small iterative-like run.
 
-The digests were recorded from `misslab run` on configs/desk.cfg with BLAS
-pinned to one thread (silhouette_samples.csv changes in its last digits
-with the BLAS thread count). Regenerate them only in a change that alters
-these tables on purpose, and name the rows that moved. The worker count
-must not move them: cells run in any worker and are merged in one order.
-A run has one worker per usable core, so the tests pin the run's cores.
+The digests were recorded from `misslab run` on configs/desk.cfg, and on
+`ITERATIVE_LIKE` below, with BLAS pinned to one thread
+(silhouette_samples.csv changes in its last digits with the BLAS thread
+count). Regenerate them only in a change that alters these tables on
+purpose, and name the rows that moved. The worker count must not move them:
+cells run in any worker and are merged in one order. A run has one worker
+per usable core, so the tests pin the run's cores.
+
+Desk pins the mean and KNN imputers and stacks of two or more classifiers.
+The iterative-like run pins MICE, missforest and the DAE under MAR, and its
+one repetition trains its baseline classifier alone; on two cores its
+missforest forests borrow the core that the other worker leaves idle.
 """
 
 import hashlib
@@ -39,26 +46,68 @@ DIGESTS = {
 }
 
 
+ITERATIVE_LIKE = "\n".join([
+    "builtin.rows = 200", "builtin.features = 4", "builtin.components = 2",
+    "gmm.k_range = 2", "gmm.kinds = spherical", "gmm.restarts = 1", "gmm.max_iter = 60",
+    "synth.n = 300", "synth.reserve = 40", "repetitions = 1", "copies = 2",
+    "imputers = mice, missforest, dae", "missing.scheme = mar",
+    "missing.mar_drivers = 0, 1", "missing.degrees = 0.3", "clustering.degree = 0.3",
+    "missforest.trees = 6", "missforest.max_depth = 4", "dae.epochs = 6",
+    "dae.patience = 2", "classifier.hidden = 6", "classifier.epochs = 12",
+    "classifier.patience = 3", "classifier.batch = 32", "classifier.lr = 0.05",
+    "generator.epochs = 6", "generator.patience = 6", "clusters = 2", "seed = 5",
+    "output = iterative-output"])
+
+ITERATIVE_DIGESTS = {
+    "accuracy.csv": "6a9248398a9348d0f0fd3b8fbd463dc8589839be264185ea725d4982d5c1afd3",
+    "loss.csv": "0be2f8891d68138d824b5ba0c64a76f8c34148577ac0acd80247393d04bad7e6",
+    "direct.csv": "985fe7e471b786fbf24d47673d9974ea70cbc3132decefc5e17510bd5af21b47",
+    "clustering.csv": "7e9ace8a28b4b9abca6b53683a36f3decef7f0e41ce980706a9f665e837a05c2",
+    "metrics.csv": "4cda0715c786bc4ca964a54a3b18824a17a0a34f3deb1f0d665d284556d9e8f0",
+    "silhouette_samples.csv":
+        "f9ab0b9e34ee9f8a012283086bbc53cad968928015218cebad3e869274deb9f3",
+    "clean.csv": "25686131062c8327916fb89f2ace1ad4e943d9514fa2c3478daf569b482201f9",
+    "synthetic.csv": "31f43969db028e72285303884b72739ee2ab1ef78fe390eb42deec65324d27e5",
+    "reserved.csv": "b44498668ddf4291605d75f8721bbc5a3c443516f98f50d2fd58c9e67ac9a603",
+    "gmm_search.csv": "d38be11d1b27b9e6155527c718a6dd6f0de2732d81aabba23668bb3687c8eb22",
+    "generator_components.csv":
+        "bd280ee4d089b61612114245eadd8751affaec5372486ebd876b5f19afaa7698",
+    "target_history.csv":
+        "417e0886e4a37b8a3d9c4f3423a9c8593c9dc3438b8b814ea4bb24496b059bc1",
+}
+
+
 CORES = sorted(os.sched_getaffinity(0))
 
 
-def desk_digests(tmp_path, cores: int) -> dict:
-    """Digests of the tables of configs/desk.cfg run on `cores` cores, so
-    with that many workers."""
+def run_digests(tmp_path, config: Path, output: str, names, cores: int) -> dict:
+    """Digests of the tables `names` that `config` writes to `output` (a
+    directory relative to tmp_path) when run on `cores` cores, so with that
+    many workers."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    # desk.cfg writes to the relative directory desk-output, here under tmp_path.
-    subprocess.run([sys.executable, "-m", "misslab.cli", "run", "--config",
-                    str(ROOT / "configs" / "desk.cfg")],
+    subprocess.run([sys.executable, "-m", "misslab.cli", "run", "--config", str(config)],
                    cwd=tmp_path, env=env, check=True, capture_output=True,
                    preexec_fn=lambda: os.sched_setaffinity(0, CORES[:cores]))
-    out = tmp_path / "desk-output"
+    out = tmp_path / output
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
     assert manifest["workers"] == cores
     return {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-            for name in DIGESTS}
+            for name in names}
+
+
+def desk_digests(tmp_path, cores: int) -> dict:
+    # desk.cfg writes to the relative directory desk-output, here under tmp_path.
+    return run_digests(tmp_path, ROOT / "configs" / "desk.cfg", "desk-output",
+                       DIGESTS, cores)
+
+
+def iterative_digests(tmp_path, cores: int) -> dict:
+    config = tmp_path / "iterative.cfg"
+    config.write_text(ITERATIVE_LIKE, encoding="utf-8")
+    return run_digests(tmp_path, config, "iterative-output", ITERATIVE_DIGESTS, cores)
 
 
 def test_desk_tables_match_recorded_digests(tmp_path):
@@ -68,3 +117,12 @@ def test_desk_tables_match_recorded_digests(tmp_path):
 @pytest.mark.skipif(len(CORES) < 2, reason="needs two usable cores")
 def test_desk_tables_match_recorded_digests_with_two_workers(tmp_path):
     assert desk_digests(tmp_path, cores=2) == DIGESTS
+
+
+def test_iterative_tables_match_recorded_digests(tmp_path):
+    assert iterative_digests(tmp_path, cores=1) == ITERATIVE_DIGESTS
+
+
+@pytest.mark.skipif(len(CORES) < 2, reason="needs two usable cores")
+def test_iterative_tables_match_recorded_digests_with_two_workers(tmp_path):
+    assert iterative_digests(tmp_path, cores=2) == ITERATIVE_DIGESTS

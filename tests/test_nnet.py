@@ -46,6 +46,23 @@ def test_train_config_validation():
 
 
 # ---------------------------------------------------------------------------
+# Layout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed, networks", [(4, 1), ([4, 5, 6], 3)])
+def test_a_stack_of_one_has_the_layout_of_a_stack_of_three(seed, networks):
+    sizes = [5, 7, 3, 1]
+    net = FeedForward(sizes, seed=seed)
+    for (fan_in, fan_out), w, b, gw, gb in zip(
+            zip(sizes[:-1], sizes[1:]), net.weights, net.biases, net._grad_w, net._grad_b):
+        assert w.shape == gw.shape == (networks, fan_in, fan_out)
+        assert b.shape == gb.shape == (networks, 1, fan_out)
+    x = np.random.default_rng(0).normal(size=(9, 5))
+    assert net.logits(x).shape == (networks, 9, 1)
+    assert net.logits(np.broadcast_to(x, (networks, 9, 5))).shape == (networks, 9, 1)
+
+
+# ---------------------------------------------------------------------------
 # Gradient correctness
 # ---------------------------------------------------------------------------
 

@@ -81,6 +81,13 @@ def test_config_file_with_a_byte_order_mark(tmp_path):
     assert parse_config(path).master_seed == 42
 
 
+def test_config_file_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "latin.cfg"
+    path.write_bytes(b"seed = 1\noutput = r\xe9sultats\n")
+    with pytest.raises(ConfigError, match=r"latin\.cfg: not UTF-8 text"):
+        parse_config(path)
+
+
 def test_unknown_key_reports_line_number(tmp_path):
     path = write_cfg(tmp_path, "seed = 1\n# filler\nbogus.key = 3\n")
     with pytest.raises(ConfigError, match=r":3: unknown key 'bogus\.key'"):
