@@ -323,17 +323,22 @@ def save_scaler(path, p: ScalerParams) -> None:
 
 
 def load_scaler(path) -> ScalerParams:
-    return ScalerParams(**load_npz(path, ("mins", "maxs")))
+    return load_npz(path, ("mins", "maxs"), ScalerParams)
 
 
-def load_npz(path, keys) -> dict[str, np.ndarray]:
-    """The arrays `keys` of the .npz file at `path`; a file that is not an
-    .npz holding them raises a ValueError naming it."""
+def load_npz(path, keys, build):
+    """build(**arrays) of the arrays `keys` of the .npz file at `path`. A
+    file that is not an .npz holding them, or whose arrays `build` rejects
+    with a ValueError, raises a ValueError naming it."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            return {key: data[key] for key in keys}
+            arrays = {key: data[key] for key in keys}
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile):
         raise ValueError(f"{path}: not an .npz file of {', '.join(keys)}") from None
+    try:
+        return build(**arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def fit_minmax(m: np.ndarray, names: list[str] | None = None) -> ScalerParams:

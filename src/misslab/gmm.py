@@ -363,13 +363,14 @@ def save_model(path, model: GmmModel) -> None:
 
 
 def load_model(path) -> GmmModel:
-    data = load_npz(path, ("version", "k", "dims", "weights", "means", "covariances",
-                           "kind"))
-    if int(data["version"][0]) != 1:
-        raise ValueError(f"{path}: unsupported generator file version")
-    return GmmModel(k=int(data["k"][0]), dims=int(data["dims"][0]),
-                    weights=data["weights"], means=data["means"],
-                    covariances=data["covariances"], kind=str(data["kind"][0]))
+    return load_npz(path, ("version", "k", "dims", "weights", "means", "covariances",
+                           "kind"), _model_of)
+
+
+def _model_of(version, k, dims, kind, **arrays) -> GmmModel:
+    if int(version[0]) != 1:
+        raise ValueError("unsupported generator file version")
+    return GmmModel(k=int(k[0]), dims=int(dims[0]), kind=str(kind[0]), **arrays)
 
 
 def sample(model: GmmModel, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

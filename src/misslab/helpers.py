@@ -7,18 +7,25 @@ innermost block, or runs every item in the caller outside any. It takes up
 to len(items) - 1 free tokens without waiting; with P - 1 taken, process p
 of P runs `fn(*shared, items[p::P])`: the caller is process 0, and each
 other share goes to a helper of the block, forked on first need. Taking
-every P-th item evens out items whose cost grows along the list. The
-results come back in item order, so they do not depend on which process ran
-an item; a helper that fails leaves its items to the caller, and a helper
-dies with the process that forked it. Users: a forest's trees
-(`forest.train_forest`) and the mixture search's EM fits
-(`gmm.select_generator`).
+every P-th item evens out items whose cost grows along the list.
+`each(fn, items, processes, alone)` takes no token: up to `processes`
+helpers of the block each run `fn(item)` for the next item as soon as they
+return a result, and the caller runs an item whose helper is lost or raised
+once the others are done. A helper tallies the block's tokens it holds
+(`holding`, `map`) in memory shared with its caller, which gives them back
+when it reaps the helper: a semaphore keeps what a killed process took.
+The results come back in item order, so they do not depend on which
+process ran an item; a helper that fails leaves its items to the caller,
+and a helper dies with the process that forked it. Users: a forest's
+trees (`forest.train_forest`), the mixture search's EM fits
+(`gmm.select_generator`) and a run's cells (`pipeline.run_cells`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import mmap
 import os
 import signal
 import sys
@@ -32,6 +39,7 @@ class Loan:
 
     tokens: object = None
     live: list = field(default_factory=list)            # (pid, its pipe end)
+    held: dict = field(default_factory=dict)    # pid: the tally of tokens it holds
     maps: int = 0                       # `map` calls a helper ran items of
     cpu_s: float = 0.0                  # the helpers' user + system CPU seconds
     peak_rss_mb: list = field(default_factory=list)    # one per helper reaped
@@ -40,6 +48,7 @@ class Loan:
         from multiprocessing.connection import Pipe     # only a lender pays its import
         here, there = Pipe()
         caller = os.getpid()
+        held = ctypes.c_int.from_buffer(mmap.mmap(-1, 4))  # its `_HELD`, shared with us
         try:
             pid = os.fork()
         except OSError:
@@ -47,6 +56,8 @@ class Loan:
             there.close()
             return False
         if pid == 0:                                # the helper
+            global _HELD
+            _HELD = held
             try:
                 _die_with(caller)
                 here.close()
@@ -56,44 +67,52 @@ class Loan:
                 with contextlib.suppress(EOFError):     # its caller closed the pipe
                     while True:
                         fn, shared, share = there.recv()
-                        there.send(fn(*shared, share))
+                        try:
+                            there.send((True, fn(*shared, share)))
+                        except Exception as exc:        # its caller runs the share
+                            there.send((False, f"{type(exc).__name__}: {exc}"))
             finally:
                 os._exit(0)
         there.close()
         self.live.append((pid, here))
+        self.held[pid] = held
         return True
 
-    def _exchange(self, helper, job=None):
-        """Send `job` to `helper` (True once sent), or with no job receive
-        its results; None, with the helper reaped, when it fails."""
+    def _result(self, helper) -> tuple:
+        """(True, what `helper` sent back), (False, the error its share
+        raised), or, with the helper lost and reaped, (False, how it ended)."""
         try:
-            if job is None:
-                return helper[1].recv()
-            helper[1].send(job)
-            return True
+            return helper[1].recv()
         except (OSError, EOFError):
-            self._reap(helper)
-            return None
+            return False, self._reap(helper)
 
-    def _reap(self, helper) -> None:
+    def _reap(self, helper) -> str:
+        """Kill and reap `helper`; says how it ended."""
         pid, conn = helper
         self.live.remove(helper)
         conn.close()
         os.kill(pid, signal.SIGKILL)        # a zombie takes it silently
-        _, _, usage = os.wait4(pid, 0)
+        _, status, usage = os.wait4(pid, 0)
+        for _ in range(self.held.pop(pid).value):   # what it held, even if killed
+            self.tokens.release()
         self.cpu_s += usage.ru_utime + usage.ru_stime
         self.peak_rss_mb.append(usage.ru_maxrss / 1024.0)   # KiB on Linux
+        code = os.waitstatus_to_exitcode(status)
+        return (f"process {pid} exited with status {code}" if code >= 0
+                else f"process {pid} killed by {signal.Signals(-code).name}")
 
 
 _LOANS = [Loan()]       # the open blocks' loans, innermost last; the first lends none
+_HELD = ctypes.c_int()  # the tokens this process holds; a helper's is shared (`_fork`)
 
 
 @contextlib.contextmanager
 def lending(tokens):
     """Let `map` calls in this block borrow `tokens`, a semaphore with one
-    token per free core (None lends none). Yields the block's `Loan`; its
-    helpers are killed and reaped when the block ends. Helpers are forked,
-    so lend only in a process that runs no other thread."""
+    token per free core (None lends none), and `each` calls fork into it.
+    Yields the block's `Loan`; its helpers are killed and reaped when the
+    block ends. Helpers are forked, so lend only in a process that runs no
+    other thread."""
     loan = Loan(tokens)
     _LOANS.append(loan)
     try:
@@ -115,24 +134,76 @@ def map(fn, shared: tuple, items) -> list:
     tokens = loan.tokens
     while tokens is not None and taken < len(items) - 1 and tokens.acquire(False):
         taken += 1
+        _HELD.value += 1        # from just after it is taken to just before it goes back
     try:
         while len(loan.live) < taken and loan._fork():
             pass
-        step = taken + 1
-        sent = {}
-        for p, helper in enumerate(loan.live[:taken], start=1):
-            if loan._exchange(helper, (fn, shared, items[p::step])) is not None:
-                sent[p] = helper
+        step, helping = taken + 1, loan.live[:taken]
+        for p, helper in enumerate(helping, start=1):
+            with contextlib.suppress(OSError):  # a lost helper's pipe reads as ended
+                helper[1].send((fn, shared, items[p::step]))
         results, helped = [None] * len(items), False
         for p in range(step):
-            got = loan._exchange(sent[p]) if p in sent else None
-            helped = helped or got is not None
-            results[p::step] = got if got is not None else fn(*shared, items[p::step])
+            ok, got = loan._result(helping[p - 1]) if 0 < p <= len(helping) else (False, None)
+            helped = helped or ok
+            results[p::step] = got if ok else fn(*shared, items[p::step])
         loan.maps += helped
         return results
     finally:
         for _ in range(taken):
+            _HELD.value -= 1
             tokens.release()
+
+
+@contextlib.contextmanager
+def holding(tokens):
+    """Hold one of `tokens` in this block, waiting for it if it is lent,
+    tallied as `map` tallies what it borrows. A helper holds only tokens of
+    the block it was forked in."""
+    with tokens:
+        _HELD.value += 1
+        try:
+            yield
+        finally:
+            _HELD.value -= 1
+
+
+def each(fn, items, processes: int, alone) -> list:
+    """fn(item) for every item of `items`, in item order. Up to `processes`
+    helpers of the innermost block, forked if it has fewer, each run the
+    next item as soon as they return a result. Once they are done, the
+    caller runs `alone(item, lost)` for an item whose helper was lost or
+    raised, `lost` saying how it ended or what it raised, and with `lost`
+    None every item once no helper is left, or all of them when `processes`
+    is below 2. `fn` and the items and results must pickle."""
+    from multiprocessing.connection import wait
+    loan, items = _LOANS[-1], list(items)
+    results, order, busy = [None] * len(items), iter(range(len(items))), {}
+    wanted = min(processes, len(items)) if processes > 1 else 0
+    while len(loan.live) < wanted and loan._fork():
+        pass
+
+    def give(helper):               # its next item, if any is left
+        at = next(order, None)
+        if at is not None:
+            with contextlib.suppress(OSError):  # a lost helper's pipe reads as ended
+                helper[1].send((fn, (), items[at]))
+            busy[helper[1]] = helper, at
+
+    for helper in loan.live[:wanted]:
+        give(helper)
+    lost = []                       # items whose result is how their helper failed
+    while busy:                     # wait([]) would block for good
+        for conn in wait(list(busy)):
+            helper, at = busy.pop(conn)
+            ok, results[at] = loan._result(helper)
+            if not ok:
+                lost.append(at)
+            if helper in loan.live:
+                give(helper)
+    for at in lost + list(order):   # an item never given out has None
+        results[at] = alone(items[at], results[at])
+    return results
 
 
 def _die_with(parent: int) -> None:

@@ -6,24 +6,26 @@ every imputer per degree and repetition, classifier/clustering/direct
 evaluation, and CSV report emission. Every stage draws from seed streams
 derived from one master seed, so a run is a pure function of its config.
 
-The cells run as two maps over work units on forked worker processes, one
-per usable core. Map 1 fills every imputer cell (induce, impute, direct
-scores) and sends its fill back, and trains every repetition's baseline
-classifier as one stack. Map 2 trains each repetition's filled cells as one
-stack and clusters each clustered fill as its own unit. The units depend
-only on the config and on which fills failed, never on the worker count.
-Results are merged in one fixed cell order, and a stacked network keeps the
-bits it would get alone, so neither the worker count nor the stacking moves
-a result.
+The cells run as two maps (`helpers.each`) over work units on worker
+processes, one per usable core: helpers that the run forks for map 1,
+reuses for map 2 and reaps when the cells end, also on an exception. Map 1
+fills every imputer cell (induce, impute, direct scores) and sends its fill
+back, and trains every repetition's baseline classifier as one stack. Map 2
+trains each repetition's filled cells as one stack and clusters each
+clustered fill as its own unit. The units depend only on the config and on
+which fills failed, never on the worker count. Results are merged in one
+fixed cell order, and a stacked network keeps the bits it would get alone,
+so neither the worker count nor the stacking moves a result.
 
 The workers share one semaphore with a token per usable core. A worker
 holds one token while it runs a unit, waiting for it if a forest has
-borrowed it. Each unit is a `helpers.lending` block whose forests borrow
+borrowed it; the block of the cells gives back the tokens of a lost
+worker. Each unit is a `helpers.lending` block whose forests borrow
 the free tokens and grow shares of their trees, with the same trees, in its
 helper processes, reaped when the unit ends. Units run in the main process,
-in a one-core run or after a lost worker, borrow nothing and wait on no
-token. Before the cells, the mixture search, a block of its own, lends every
-usable core but the main process's own to its EM fits.
+in a one-core run or when their own worker was lost, borrow nothing and
+wait on no token. Before the cells, the mixture search, a block of its
+own, lends every usable core but the main process's own to its EM fits.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .data import (ColumnSchema, Dataset, drop_incomplete_rows, extract_target,
                    fit_minmax, from_matrix, load_csv, load_schema_file, save_csv,
                    scaler_transform, split_indices, conform_to_schema, write_csv,
                    write_json)
-from .helpers import lending
+from .helpers import each, holding, lending
 from .forest import ForestSpec
 from .gmm import (COVARIANCE_KINDS, GmmConfig, GmmModel, sample, select_generator,
                   write_search_table)
@@ -641,7 +643,7 @@ class UnitResult:
     pid: int = field(default_factory=os.getpid)
     seconds: dict = field(default_factory=dict)         # wall seconds per stage
     peak_rss_mb: float = 0.0                            # its process's peak so far
-    lost_worker: str | None = None   # the error of a lost worker's future, rerun inline
+    lost_worker: str | None = None   # how its worker was lost or what it raised there
     rows: list[dict] = field(default_factory=list)      # its cells' rows
     direct: list[dict] = field(default_factory=list)
     clustering: list[dict] = field(default_factory=list)
@@ -778,13 +780,13 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def run_unit(inputs: CellInputs, unit: tuple) -> UnitResult:
+def run_unit(inputs: CellInputs, unit: tuple, tokens=None) -> UnitResult:
     """One work unit: ("impute", method, degree, rep), ("classify", cells,
-    fills) or ("cluster", method, fill). In a worker its forests may borrow
-    the cores that no unit holds; in the main process they borrow none."""
+    fills) or ("cluster", method, fill). Its forests may borrow `tokens`, a
+    worker's semaphore of the cores that no unit holds; inline, none."""
     kind, *args = unit
     run = {"impute": impute_cell, "classify": classify_cells, "cluster": cluster_fill}[kind]
-    with lending(_WORKER_CORES) as loan:
+    with lending(tokens) as loan:
         out = run(inputs, *args)
     out.peak_rss_mb = _peak_rss_mb()
     if kind == "impute":
@@ -793,47 +795,13 @@ def run_unit(inputs: CellInputs, unit: tuple) -> UnitResult:
     return out
 
 
-_WORKER_INPUTS: CellInputs | None = None   # set in forked workers only
-_WORKER_CORES = None     # in forked workers, the run's semaphore of free cores
-
-
-def _enter_worker(inputs: CellInputs, cores) -> None:
-    global _WORKER_INPUTS, _WORKER_CORES
-    _WORKER_INPUTS, _WORKER_CORES = inputs, cores
+_CELLS = None   # (CellInputs, the run's token semaphore), set before workers fork
 
 
 def _in_worker(unit: tuple) -> UnitResult:
-    with _WORKER_CORES:              # this unit's own core, waited for if lent
-        return run_unit(_WORKER_INPUTS, unit)
-
-
-def _map_units(executor, inputs: CellInputs, units: list[tuple]) -> list:
-    """run_unit(inputs, unit) for every unit, in order: in the executor's
-    workers, or inline without one. A unit whose future raises (a worker
-    died, so the pool is broken) runs again inline, as does every unit after
-    it, even one a live worker finished: a lost worker costs time, no result."""
-    from concurrent.futures.process import BrokenProcessPool
-    futures = [None] * len(units)
-    if executor is not None:
-        with contextlib.suppress(BrokenProcessPool):   # a worker died mid-submission
-            futures = [executor.submit(_in_worker, unit) for unit in units]
-    outs, lost = [], False
-    for future, unit in zip(futures, units):
-        outs.append(_outcome(future, inputs, unit, lost))
-        lost = lost or outs[-1].lost_worker is not None
-    return outs
-
-
-def _outcome(future, inputs: CellInputs, unit: tuple, lost: bool) -> UnitResult:
-    if future is None:
-        return run_unit(inputs, unit)
-    try:
-        out = future.result()
-    except Exception as exc:                 # its worker was lost
-        out = run_unit(inputs, unit)
-        out.lost_worker = f"{type(exc).__name__}: {exc}"
-        return out
-    return run_unit(inputs, unit) if lost else out
+    inputs, tokens = _CELLS
+    with holding(tokens):            # this unit's own core, waited for if lent
+        return run_unit(inputs, unit, tokens)
 
 
 def cell_units(cfg: ExperimentConfig) -> list[tuple]:
@@ -844,27 +812,33 @@ def cell_units(cfg: ExperimentConfig) -> list[tuple]:
             + [(m.lower(), degree, rep) for degree in cfg.degrees for m in cfg.imputers]]
 
 
-def run_cells(inputs: CellInputs, executor, report: RunReport) -> None:
-    """Steps 5 and 6 as two maps over work units. Map 1 fills every imputer
-    cell and trains every baseline classifier as one stack; map 2 trains
-    each repetition's filled cells as one stack (none when every fill of the
-    repetition failed) and clusters each clustered fill as its own unit. The
-    units depend only on the config and on which fills failed. Rows,
-    samples, failures and unit timings go into `report` in cell_units
-    order."""
+def run_cells(inputs: CellInputs, workers: int, report: RunReport) -> None:
+    """Steps 5 and 6 as two maps over work units on `workers` workers. Map 1
+    fills every imputer cell and trains every baseline classifier as one
+    stack; map 2 trains each repetition's filled cells as one stack (none
+    when every fill of the repetition failed) and clusters each clustered
+    fill as its own unit. The units depend only on the config and on which
+    fills failed; only a lost worker's unit reruns inline. Rows, samples,
+    failures and unit timings go into `report` in cell_units order."""
     cfg = inputs.cfg
     cells = cell_units(cfg)
     imputed = [cell for cell in cells if cell[0] != BASELINE_METHOD]
-    first = _map_units(executor, inputs, [
+
+    def alone(unit, lost):      # a unit without a worker, or whose worker was lost
+        out = run_unit(inputs, unit)
+        out.lost_worker = lost
+        return out
+
+    first = each(_in_worker, [
         ("classify", [cell for cell in cells if cell[0] == BASELINE_METHOD], None),
-        *[("impute", *cell) for cell in imputed]])
+        *[("impute", *cell) for cell in imputed]], workers, alone)
     fills = {cell: out.fill for cell, out in zip(imputed, first[1:])}
     stacks = [[cell for cell in imputed if cell[2] == rep and fills[cell] is not None]
               for rep in range(cfg.repetitions)]
     clustered = [cell for cell in imputed if cell[1:] == (clustering_degree(cfg), 0)]
-    second = _map_units(executor, inputs, [
+    second = each(_in_worker, [
         *[("classify", stack, [fills[cell] for cell in stack]) for stack in stacks if stack],
-        *[("cluster", cell[0], fills[cell]) for cell in clustered]])
+        *[("cluster", cell[0], fills[cell]) for cell in clustered]], workers, alone)
 
     units = first + second
     position = {cell: i for i, cell in enumerate(cells)}
@@ -886,21 +860,6 @@ def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _worker_pool(workers: int, cores: int, inputs: CellInputs):
-    """`workers` forked processes that inherit `inputs` and the parent's BLAS
-    setting (silhouette bits depend on its thread count), or for one worker
-    no executor, so that units run inline. The workers share a semaphore of
-    one token per usable core: each holds one while it runs a unit, and its
-    forests borrow the rest."""
-    if workers == 1:
-        return contextlib.nullcontext()
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    context = multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(workers, mp_context=context, initializer=_enter_worker,
-                               initargs=(inputs, context.Semaphore(cores)))
 
 
 def _check_writable(out_dir) -> None:
@@ -958,8 +917,13 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     cores = _usable_cores()
     workers = min(cores, len(cell_units(cfg)))
     cells_started = time.perf_counter()
-    with _worker_pool(workers, cores, inputs) as executor:
-        run_cells(inputs, executor, report)
+    # Forked workers inherit `inputs` and the BLAS thread count (silhouette bits depend on it).
+    global _CELLS
+    import multiprocessing
+    _CELLS = inputs, multiprocessing.get_context("fork").Semaphore(cores)
+    with lending(_CELLS[1]):        # it gives back what a lost worker held
+        run_cells(inputs, workers, report)
+    _CELLS = None
     report.timings["wall_s"] = time.perf_counter() - cells_started
     # Each process's peak, summed: a bound on the run's resident memory (the
     # peaks need not coincide, and pages shared since the fork count in each).

@@ -429,6 +429,15 @@ def edit_json(change):
     return damage
 
 
+def edit_npz(change):
+    def damage(path):
+        with np.load(path) as data:
+            arrays = dict(data)
+        change(arrays)
+        np.savez(path, **arrays)
+    return damage
+
+
 # case: (command, damaged file, damage)
 DAMAGED = {
     "report-empty-object": ("report", "report.json", edit_json(lambda r: r.clear())),
@@ -445,6 +454,10 @@ DAMAGED = {
                                lambda p: p.write_bytes(p.read_bytes()[:100])),
     "synth-generator-not-an-npz": ("synth", "generator.npz",
                                    lambda p: p.write_bytes(b"not an npz file\n")),
+    "synth-generator-weights-doubled": ("synth", "generator.npz",
+                                        edit_npz(lambda a: a.update(weights=2 * a["weights"]))),
+    "synth-scaler-two-mins": ("synth", "scaler.npz",
+                              edit_npz(lambda a: a.update(mins=a["mins"][:2]))),
 }
 
 
@@ -663,9 +676,10 @@ def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
 
 
 def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
-    # In map 2 the worker training the stack of repetition 1 dies. That
-    # stack and every unit after it run again in the main process, so the
-    # run loses no row and its tables match those of a one-process run.
+    # In map 2 the worker training the stack of repetition 1 dies. Only that
+    # stack runs again in the main process, and the unit after it keeps a
+    # live worker, so the run loses no row and its tables match those of a
+    # one-process run.
     from misslab import pipeline
     parent, classify = os.getpid(), pipeline.classify
 
@@ -691,9 +705,9 @@ def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
         encoding="utf-8"))["timings"]["units"]
     at = next(i for i, u in enumerate(units) if u["unit"] == "classify" and
               {"method": "mean", "degree": 0.2, "repetition": 1} in u["cells"])
-    assert units[at]["lost_worker"].startswith("BrokenProcessPool")
+    assert units[at]["lost_worker"].endswith("exited with status 3")
     assert [u["unit"] for u in units[at:]] == ["classify", "cluster"]
-    assert {u["pid"] for u in units[at:]} == {parent}
+    assert [u["pid"] == parent for u in units[at:]] == [True, False]
     assert parent not in {u["pid"] for u in units[:3]}       # map 1 ran in workers
     assert tables[2] == tables[1]
 
@@ -751,7 +765,7 @@ def _alive(pid: int) -> bool:
 def test_a_worker_killed_while_its_helper_grows_leaves_no_process(tmp_path, monkeypatch):
     # The worker of the missforest cell is killed, with no cleanup, while
     # its helper grows a share of trees that would take a minute. The helper
-    # dies with it at once, the pool sees the loss, the cell runs again in
+    # dies with it at once, the run sees the loss, the cell runs again in
     # the main process, and the tables are those of a one-core run.
     import time
 
@@ -775,11 +789,92 @@ def test_a_worker_killed_while_its_helper_grows_leaves_no_process(tmp_path, monk
             units = json.loads((out / "report.json").read_text(encoding="utf-8"))
             forest_unit = next(u for u in units["timings"]["units"] if u["unit"] == "impute"
                                and u["cells"][0]["method"] == "missforest")
-            assert forest_unit["lost_worker"].startswith("BrokenProcessPool")
+            assert forest_unit["lost_worker"].endswith("killed by SIGKILL")
             assert forest_unit["pid"] == parent
     assert len(tables[1]) == 12 and tables[5] == tables[1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_a_worker_killed_holding_both_tokens_gives_them_back(tmp_path, monkeypatch):
+    # On two cores a missforest cell and the baseline classifiers fill map 1.
+    # Once the classifiers are done, the cell's forest borrows the idle
+    # worker's core, and its worker is killed holding both tokens. They come
+    # back when it is reaped, so map 2's workers get a core each: the run
+    # ends in time, in workers, with the tables of a one-core run.
+    import signal
+    import time
+
+    from misslab import forest
+    parent = os.getpid()
+    monkeypatch.setattr(sys.modules[__name__], "_DYING",
+                        (parent, forest._grow_trees, tmp_path / "helpers"))
+    monkeypatch.setattr(forest, "_grow_trees", _dying_grow)
+
+    def hung(signum, frame):
+        raise TimeoutError("the run still waits")
+
+    tables, previous = {}, signal.signal(signal.SIGALRM, hung)
+    try:
+        for cores in (2, 1):
+            monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
+            out = tmp_path / f"c{cores}"
+            cfg = write_cfg(tmp_path, out, name=f"c{cores}.cfg",
+                            extra=ITERATIVE_LIKE.replace("mice, missforest, dae", "missforest"))
+            started = time.monotonic()
+            signal.alarm(60)
+            assert main(["run", "--config", str(cfg)]) == 0
+            assert time.monotonic() - started < 30
+            tables[cores] = {p.name: p.read_bytes() for p in out.glob("*.csv")}
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    units = json.loads((tmp_path / "c2" / "report.json").read_text(
+        encoding="utf-8"))["timings"]["units"]
+    assert units[1]["lost_worker"].endswith("killed by SIGKILL") and units[1]["pid"] == parent
+    assert [u["unit"] for u in units[2:]] == ["classify", "cluster"]
+    assert parent not in {u["pid"] for u in units[2:]}
+    assert len(tables[1]) == 12 and tables[2] == tables[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux")
+                    or len(os.sched_getaffinity(0)) < 2, reason="reads /proc, 2 workers")
+def test_a_killed_run_leaves_no_worker(tmp_path):
+    # A run killed with no cleanup during its cells, whose classifiers train
+    # for seconds, takes both workers with it. One mixture fit forks no
+    # search helper, so the run's first two children are its workers.
+    import signal
+    import time
+
+    cfg = write_cfg(tmp_path, tmp_path / "out", extra="classifier.epochs = 20000\n"
+                    "classifier.patience = 20000")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(os.path.dirname(__file__), "..", "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.Popen([sys.executable, "-m", "misslab.cli", "run", "--config", str(cfg)],
+                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    workers = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers) < 2 and run.poll() is None and time.monotonic() < deadline:
+            with open(f"/proc/{run.pid}/task/{run.pid}/children", encoding="ascii") as kids:
+                workers = [int(pid) for pid in kids.read().split()]
+            time.sleep(0.01)
+        assert len(workers) == 2
+        run.send_signal(signal.SIGKILL)
+        run.wait(10)
+        deadline = time.monotonic() + 5
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        run.kill()
+        run.wait(10)
+        for pid in filter(_alive, workers):       # a worker the run left behind
+            os.kill(pid, signal.SIGKILL)
 
 
 _DYING = None      # (the test's pid, the real grower, the helper pid file)
@@ -836,8 +931,9 @@ def test_impute_borrows_spare_cores_and_writes_the_same_files(tmp_path, monkeypa
 def test_cli_import_leaves_scipy_linalg_out():
     # Only the full and tied mixture kinds need scipy.linalg; they import it.
     # logsumexp, expit and bisect are written in misslab itself. scipy (the
-    # manifest's version), tempfile and the process pool are imported only
-    # by `run`; a module that the interpreter loaded at start-up does not count.
+    # manifest's version) and tempfile are imported only by `run`, and no
+    # module imports concurrent.futures; a module that the interpreter loaded
+    # at start-up does not count.
     heavy = ("scipy", "scipy.special", "scipy.optimize", "scipy.linalg", "tempfile",
              "concurrent.futures")
     code = ("import sys; before = set(sys.modules); import misslab.cli; "

@@ -644,30 +644,6 @@ def test_setup_stages_record_their_seconds_and_the_search_helpers(tmp_path, monk
             unit["peak_rss_mb"] for unit in timings["units"])
 
 
-def test_every_unit_after_a_lost_worker_runs_inline(monkeypatch):
-    # Unit "b" finished in a live worker before the pool saw the loss of
-    # unit "a"'s worker; it still runs again in the main process. Each unit
-    # whose own future raised records the loss.
-    from concurrent.futures import Future
-    from concurrent.futures.process import BrokenProcessPool
-
-    from misslab import pipeline
-    monkeypatch.setattr("misslab.pipeline.run_unit",
-                        lambda inputs, unit: pipeline.UnitResult({"unit": unit}))
-    lost, done = Future(), Future()
-    lost.set_exception(BrokenProcessPool("a worker died"))
-    done.set_result(pipeline.UnitResult({"unit": "b"}, pid=-1))
-
-    class Pool:
-        def submit(self, fn, unit):
-            return {"a": lost, "b": done, "c": lost}[unit]
-
-    outs = pipeline._map_units(Pool(), None, ["a", "b", "c"])
-    assert [out.pid for out in outs] == [os.getpid()] * 3
-    assert [out.lost_worker for out in outs] == [
-        "BrokenProcessPool: a worker died", None, "BrokenProcessPool: a worker died"]
-
-
 def test_a_fill_that_is_not_fully_observed_fails_alone(tmp_path, monkeypatch):
     # The knn fills keep a NaN in an observed cell: they pass the direct
     # scores, then fail the classifier's "fully observed" check. Each such
