@@ -76,15 +76,18 @@ def impute_mean(holed: np.ndarray, names: list[str] | None = None) -> Imputation
 def impute_knn(holed: np.ndarray, k: int = 5,
                names: list[str] | None = None) -> ImputationResult:
     """Fill each missing cell with the mean of that column over the k nearest
-    rows (partial distance) that observe it; ties keep the lower row index.
+    rows (partial distance) that observe it; ties of the computed distance
+    keep the lower row index. That distance is one fused product, so on
+    rounded, tie-heavy data a fill may differ from the old four-product one.
 
     Falls back to the column mean when no comparable candidate row exists;
     uses every available candidate when fewer than k qualify.
 
-    Rows needing a fill go in slabs of CHUNK. Each row of a slab gets one
-    candidate list, its K nearest rows over all rows (`smallest`), with K
-    from k and the observed fraction. A column's k nearest donors are the
-    first k candidates that observe it, exact when the k-th lies strictly
+    Rows needing a fill go in slabs of CHUNK, by missing pattern and then row
+    index, so a run of one pattern shares one scale row. Each row of a slab
+    gets one candidate list, its K nearest rows over all rows (`smallest`),
+    with K from k and the observed fraction. A column's k nearest donors are
+    the first k candidates that observe it, exact when the k-th lies strictly
     below the list's last distance. A row that finds fewer, or whose k-th
     pick ties or passes that distance, takes the exact per-column `nearest`.
     """
@@ -96,6 +99,7 @@ def impute_knn(holed: np.ndarray, k: int = 5,
     missing = np.isnan(x)
     observes = np.ascontiguousarray(~missing.T)
     need_rows = np.flatnonzero(missing.any(axis=1))
+    need_rows = need_rows[np.lexsort(missing[need_rows].T[::-1])]
     donors = [np.flatnonzero(row) for row in observes]
     span = _candidate_count(k, float(observes.mean()))
     for rows, dist in slabs(need_rows, partial_distances(x)):

@@ -4,13 +4,15 @@ k-smallest selection and one slab loop.
 
 Callers that compare every row with every other row take their distances
 from `slabs`, CHUNK query rows at a time, so memory grows with CHUNK x rows,
-never rows^2. A slab function overwrites its buffers on every call (two
-slab-size arrays for `partial_distances`, one for `pairwise_squared`, and
-temporaries of at most BLOCK entries), so a caller such as `imputers._donors`
-must finish with a slab before asking for the next. `partial_distances` also
-takes more than CHUNK rows at once. Slabs keep the bits of the plain
-expression and its order of operations; they stay at CHUNK rows, since BLAS
-products can round differently at another row count.
+never rows^2. A slab function overwrites its one slab-size buffer on every
+call (it also makes temporaries of at most BLOCK entries or one row), so a
+caller such as `imputers._donors` must finish with a slab before asking for
+the next. `partial_distances` also takes more than CHUNK rows at once, in
+any order. `pairwise_squared` slabs keep the bits of the plain expression
+and its order of operations; `partial_distances` slabs are one fused
+product, and the KNN imputer hands them its rows in missing-pattern order.
+Slabs stay at CHUNK rows, since BLAS products can round differently at
+another row count.
 
 `smallest` gives the KNN imputer its candidate lists: each row's K smallest
 entries, ordered by (value, index). Every entry below the list's last value
@@ -81,33 +83,33 @@ def partial_distances(x: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
         dist(i, j) = sqrt( d / n_shared * sum_shared (x_i - x_j)^2 ),
 
-    infinite when the rows share no observed coordinate, and to itself. The
-    masks and squares of x are computed once, here, for every slab.
+    infinite when the rows share no observed coordinate, and to itself. With
+    x0 the table with 0 in missing cells and o its observed mask, the sum is
+    one product of inner width 3d, [x0_i^2, o_i, x0_i] . [o_j, x0_j^2, -2 x0_j],
+    whose factors are built once, here, for every slab. n_shared = o_i . o_j
+    depends only on row i's missing pattern, so each run of query rows with
+    one pattern takes its row of counts once; it is exact in any order.
     """
     n, d = x.shape
     observed = (~np.isnan(x)).astype(np.float64)
     x0 = np.where(np.isnan(x), 0.0, x)
-    sq = x0 * x0
-    held = []                                  # one (2, rows, n) buffer, grown on demand
+    left = np.hstack([x0 * x0, observed, x0])
+    right = np.hstack([observed, x0 * x0, -2.0 * x0])
+    held = []                                  # one (rows, n) buffer, grown on demand
 
     def slab(rows: np.ndarray) -> np.ndarray:
-        if not held or held[0].shape[1] < rows.size:
-            held[:] = [np.empty((2, rows.size, n))]
-        dist, buf = held[0][:, :rows.size]
-        seen = observed[rows]
-        np.matmul(sq[rows], observed.T, out=dist)      # sum_shared x_i^2
-        np.matmul(seen, sq.T, out=buf)
-        dist += buf                                    # + sum_shared x_j^2
-        np.matmul(x0[rows], x0.T, out=buf)
-        buf *= 2.0
-        dist -= buf                                    # - 2 sum_shared x_i x_j
+        if not held or held[0].shape[0] < rows.size:
+            held[:] = [np.empty((rows.size, n))]
+        dist = np.matmul(left[rows], right.T, out=held[0][:rows.size])
         np.maximum(dist, 0.0, out=dist)
-        shared = np.matmul(seen, observed.T, out=buf)
-        none = shared == 0.0
-        np.maximum(shared, 1.0, out=shared)
-        np.divide(d, shared, out=shared)
-        dist *= shared
-        dist[none] = np.inf
+        seen = observed[rows]
+        edges = list(np.flatnonzero(np.any(seen[1:] != seen[:-1], axis=1)) + 1)
+        for start, stop in zip([0] + edges, edges + [rows.size]):
+            shared = observed @ seen[start]
+            none = shared == 0.0
+            np.divide(d, np.maximum(shared, 1.0), out=shared)
+            dist[start:stop] *= shared
+            dist[start:stop, none] = np.inf
         np.sqrt(dist, out=dist)
         dist[np.arange(rows.size), rows] = np.inf
         return dist

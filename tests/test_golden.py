@@ -1,8 +1,8 @@
 """Behaviour lock: every table the desk run writes, byte for byte, and every
-table of a small iterative-like run.
+table of a small iterative-like run and of a small KNN-like run.
 
 The digests were recorded from `misslab run` on configs/desk.cfg, and on
-`ITERATIVE_LIKE` below, with BLAS pinned to one thread
+`ITERATIVE_LIKE` and `KNN_LIKE` below, with BLAS pinned to one thread
 (silhouette_samples.csv changes in its last digits with the BLAS thread
 count). Regenerate them only in a change that alters these tables on
 purpose, and name the rows that moved. The worker count must not move them:
@@ -13,6 +13,7 @@ Desk pins the mean and KNN imputers and stacks of two or more classifiers.
 The iterative-like run pins MICE, missforest and the DAE under MAR, and its
 one repetition trains its baseline classifier alone; on two cores its
 missforest forests borrow the core that the other worker leaves idle.
+The KNN-like run pins the KNN imputer on three slabs of tied distances.
 """
 
 import hashlib
@@ -77,6 +78,40 @@ ITERATIVE_DIGESTS = {
 }
 
 
+# KNN only at MCAR 0.4 on a 1,500-row pool: about 1,430 rows need a fill, so
+# three 512-row slabs. A 30-row source clips about 7% of the pool's values to
+# its bounds, so about 9% of fills tie at their k-th donor. Recorded from the
+# four-product partial distance, before the one fused product replaced it.
+KNN_LIKE = "\n".join([
+    "builtin.rows = 30", "builtin.features = 6", "builtin.components = 2",
+    "gmm.k_range = 2", "gmm.kinds = spherical", "gmm.restarts = 1", "gmm.max_iter = 60",
+    "synth.n = 1500", "synth.reserve = 100", "repetitions = 1", "copies = 1",
+    "imputers = knn", "knn.k = 5", "missing.scheme = mcar", "missing.degrees = 0.4",
+    "clustering.degree = 0.4", "classifier.hidden = 6", "classifier.epochs = 8",
+    "classifier.patience = 3", "classifier.batch = 64", "classifier.lr = 0.05",
+    "generator.epochs = 6", "generator.patience = 6", "clusters = 2", "seed = 3",
+    "output = knn-like-output"])
+
+KNN_DIGESTS = {
+    "accuracy.csv": "3a014a713131e47d3688b09619bdc21a3d62d01d83a8fe0906b0e49bb85937af",
+    "loss.csv": "a7d86dfb4dfb7d11235c42ff0d4d4afe291aa11eb05d2868211fbf93f64a08df",
+    "direct.csv": "2ef037d8a19c2f44bedf07f9740f632645a7c735313ddd362af4c519ab24706f",
+    "clustering.csv":
+        "e07a99d85a8764a8b25826f70c9b92bf5ec4dfa5f397c6c1c7231da86a2758d6",
+    "metrics.csv": "f4419f4815f4b0c511982c610c85af8cf14e13ea44d577c10336a05f8a1cc24b",
+    "silhouette_samples.csv":
+        "ed7eaf3f376bb62ac87923168a1e12a190c3582da923161db8739b73526b3a94",
+    "clean.csv": "3c150c0767212f5028653722577a9e98639066ac02279168c7b34cc818fc6604",
+    "synthetic.csv": "bbaa9e08404dcdaeabfe64e5b61cc9cd79cd5acd3406913a00a16b371a6a5203",
+    "reserved.csv": "412ac2c427209a64eead38905a830e59d7eb9eaba881e147d103e81d2258ae22",
+    "gmm_search.csv":
+        "d7724430d85dc8a74ca492620b5928b63c61cd3a3833d3d82000784ba6fe271e",
+    "generator_components.csv":
+        "1bf13652dcc1b0d087a38e91cd3d23be450408cf4ef10feed6055c16afe91522",
+    "target_history.csv":
+        "2202b6efdf033c40ab8f00a8511d64efb7d531c90f1478033db34b7dd83e7429",}
+
+
 CORES = sorted(os.sched_getaffinity(0))
 
 
@@ -110,6 +145,12 @@ def iterative_digests(tmp_path, cores: int) -> dict:
     return run_digests(tmp_path, config, "iterative-output", ITERATIVE_DIGESTS, cores)
 
 
+def knn_digests(tmp_path, cores: int) -> dict:
+    config = tmp_path / "knn.cfg"
+    config.write_text(KNN_LIKE, encoding="utf-8")
+    return run_digests(tmp_path, config, "knn-like-output", KNN_DIGESTS, cores)
+
+
 def test_desk_tables_match_recorded_digests(tmp_path):
     assert desk_digests(tmp_path, cores=1) == DIGESTS
 
@@ -126,3 +167,12 @@ def test_iterative_tables_match_recorded_digests(tmp_path):
 @pytest.mark.skipif(len(CORES) < 2, reason="needs two usable cores")
 def test_iterative_tables_match_recorded_digests_with_two_workers(tmp_path):
     assert iterative_digests(tmp_path, cores=2) == ITERATIVE_DIGESTS
+
+
+def test_knn_tables_match_recorded_digests(tmp_path):
+    assert knn_digests(tmp_path, cores=1) == KNN_DIGESTS
+
+
+@pytest.mark.skipif(len(CORES) < 2, reason="needs two usable cores")
+def test_knn_tables_match_recorded_digests_with_two_workers(tmp_path):
+    assert knn_digests(tmp_path, cores=2) == KNN_DIGESTS

@@ -1,7 +1,15 @@
-"""KNN imputation and the nearest-row search, bit for bit against the code
-they replaced: a partial distance built from seven fresh temporaries, one
-dist[takers, donors] gather and one `nearest` per column, and a full stable
-argsort for every tied row. The oracle below is that code, kept as it was.
+"""KNN imputation and the nearest-row search, bit for bit against oracles
+written from the formula: a partial distance from one fused product of
+inner width 3d in fresh temporaries, rows in slabs in missing-pattern order,
+one dist[takers, donors] gather and one `nearest` per column, and a full
+stable argsort for every tied row.
+
+"Ties to the lower index" means ties of the computed distance. The fused
+product rounds differently from the four-product expression it replaced
+(a + b - 2g, each of inner width d), so on rounded, tie-heavy tables a fill
+can differ from that expression's, where two donors tie in one and not in
+the other. The four-product oracle is kept; on integer-valued tables both
+expansions are exact, and the imputer still agrees with it bit for bit.
 """
 
 import os
@@ -21,24 +29,42 @@ NAN = np.nan
 
 
 # ---------------------------------------------------------------------------
-# The oracle
+# The oracles
 # ---------------------------------------------------------------------------
 
-def oracle_partial_distances(x, rows):
+def scaled_distances(x, rows, raw):
+    """sqrt(d / n_shared * raw) from the squared sums `raw` of `rows`: infinite
+    where a pair shares no coordinate, and from each row to itself."""
     d = x.shape[1]
+    observed = (~np.isnan(x)).astype(np.float64)
+    shared = observed[rows] @ observed.T
+    raw = np.maximum(raw, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = np.where(shared > 0, raw * (d / np.maximum(shared, 1.0)), np.inf)
+    dist = np.sqrt(scaled)
+    dist[np.arange(rows.size), rows] = np.inf
+    return dist
+
+
+def oracle_partial_distances(x, rows):
+    """sum_shared (x_i - x_j)^2 = [x0_i^2, o_i, x0_i] . [o_j, x0_j^2, -2 x0_j]."""
+    observed = (~np.isnan(x)).astype(np.float64)
+    x0 = np.where(np.isnan(x), 0.0, x)
+    left = np.concatenate([x0 * x0, observed, x0], axis=1)
+    right = np.concatenate([observed, x0 * x0, -2.0 * x0], axis=1)
+    return scaled_distances(x, rows, left[rows] @ right.T)
+
+
+def four_product_partial_distances(x, rows):
+    """The expression before the fused product: a + b - 2g from three products
+    of inner width d; the shared counts are the fourth."""
     observed = (~np.isnan(x)).astype(np.float64)
     x0 = np.where(np.isnan(x), 0.0, x)
     sq = x0 * x0
     a = sq[rows] @ observed.T
     b = observed[rows] @ sq.T
     g = x0[rows] @ x0.T
-    shared = observed[rows] @ observed.T
-    raw = np.maximum(a + b - 2.0 * g, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(shared > 0, raw * (d / np.maximum(shared, 1.0)), np.inf)
-    dist = np.sqrt(scaled)
-    dist[np.arange(rows.size), rows] = np.inf
-    return dist
+    return scaled_distances(x, rows, a + b - 2.0 * g)
 
 
 def oracle_nearest(dist, k):
@@ -54,15 +80,16 @@ def oracle_nearest(dist, k):
     return out
 
 
-def oracle_impute_knn(x, k, chunk=512):
+def knn_fills(x, k, need_rows, distances, chunk):
+    """Each missing cell's mean over its k nearest donors, the rows that need a
+    fill taken in `need_rows` order, `chunk` at a time."""
     means = _column_means(x)
     out = x.copy()
     missing = np.isnan(x)
-    need_rows = np.flatnonzero(missing.any(axis=1))
     donors = [np.flatnonzero(~missing[:, j]) for j in range(x.shape[1])]
     for start in range(0, need_rows.size, chunk):
         rows = need_rows[start:start + chunk]
-        dist = oracle_partial_distances(x, rows)
+        dist = distances(x, rows)
         for j, cand in enumerate(donors):
             takers = np.flatnonzero(missing[rows, j])
             if takers.size == 0:
@@ -77,6 +104,21 @@ def oracle_impute_knn(x, k, chunk=512):
                 filled[hit] = np.mean(values[hit, :m], axis=1)
             out[rows[takers], j] = filled
     return out
+
+
+def oracle_impute_knn(x, k, chunk=512):
+    """Fused distances; rows in order of their missing pattern as a tuple of
+    flags, ties by row index."""
+    missing = np.isnan(x)
+    need = [i for i in range(x.shape[0]) if missing[i].any()]
+    need_rows = np.array(sorted(need, key=lambda i: tuple(missing[i])), dtype=np.intp)
+    return knn_fills(x, k, need_rows, oracle_partial_distances, chunk)
+
+
+def four_product_impute_knn(x, k, chunk=512):
+    """The imputer before the fused product: four-product distances, rows by index."""
+    need_rows = np.flatnonzero(np.isnan(x).any(axis=1))
+    return knn_fills(x, k, need_rows, four_product_partial_distances, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +191,86 @@ def test_partial_distance_slabs_match_the_oracle():
         rows = np.flatnonzero(np.isnan(holed).any(axis=1))
         got = partial_distances(holed)(rows)
         assert got.tobytes() == oracle_partial_distances(holed, rows).tobytes(), seed
+
+
+def test_knn_on_integer_tables_matches_the_four_product_oracle():
+    # Small integers keep both expansions exact, so the distances, their ties
+    # and the fills agree whatever the product and the row order. The 0/1
+    # table has three slabs, each holding other rows than by row index.
+    for seed in range(3, 400, 4):
+        holed, k = random_case(seed)
+        got = impute_knn(holed, k=k).copies[0]
+        assert got.tobytes() == four_product_impute_knn(holed, k).tobytes(), seed
+    rng = np.random.default_rng(9)
+    binary = rng.integers(0, 2, size=(1300, 6)).astype(np.float64)
+    holed = np.where(rng.random(binary.shape) < 0.4, NAN, binary)
+    for k in (1, 5, 12):
+        got = impute_knn(holed, k=k).copies[0]
+        assert got.tobytes() == four_product_impute_knn(holed, k).tobytes(), k
+
+
+# ---------------------------------------------------------------------------
+# Runs of one missing pattern
+# ---------------------------------------------------------------------------
+
+def one_long_pattern():
+    """150 x 5 rows; rows 20 to 119 all miss column 1 alone."""
+    rng = np.random.default_rng(31)
+    x = np.round(rng.normal(size=(150, 5)), 1)
+    holed = np.where(rng.random(x.shape) < 0.3, NAN, x)
+    holed[20:120] = x[20:120]
+    holed[20:120, 1] = NAN
+    return holed
+
+
+def own_patterns():
+    """200 x 8 rows, each with its own missing pattern."""
+    rng = np.random.default_rng(32)
+    x = np.clip(rng.normal(size=(200, 8)), -1.0, 1.0)
+    codes = rng.permutation(np.arange(1, 255))[:200]
+    missing = (codes[:, None] >> np.arange(8)) & 1 == 1
+    return np.where(missing, NAN, x)
+
+
+def with_empty_rows():
+    """120 x 4 rows at degree 0.5, rows 0, 7 and 119 missing every cell."""
+    rng = np.random.default_rng(33)
+    x = rng.integers(0, 4, size=(120, 4)) + 0.5 * rng.random((120, 4))
+    holed = np.where(rng.random(x.shape) < 0.5, NAN, x)
+    holed[[0, 7, 119]] = NAN
+    return holed
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_pattern_runs_match_the_oracle(monkeypatch, chunk):
+    monkeypatch.setattr("misslab.neighbors.CHUNK", chunk)
+    long_run, own, empty = one_long_pattern(), own_patterns(), with_empty_rows()
+    missing = np.isnan(long_run)
+    order = sorted(np.flatnonzero(missing.any(axis=1)), key=lambda i: tuple(missing[i]))
+    at = [place for place, i in enumerate(order) if (missing[i] == missing[20]).all()]
+    assert len(at) >= 100 and at[0] // chunk < at[-1] // chunk      # crosses a slab
+    patterns = np.unique(np.isnan(own), axis=0)
+    assert len(patterns) == len(own)
+    for holed in (long_run, own, empty):
+        for k in (1, 3, 7):
+            got = impute_knn(holed, k=k).copies[0]
+            assert got.tobytes() == oracle_impute_knn(holed, k, chunk).tobytes(), k
+    # A row missing every cell shares no coordinate: its fills are the means.
+    got = impute_knn(empty, k=3).copies[0]
+    assert np.array_equal(got[[0, 7, 119]], np.tile(_column_means(empty), (3, 1)))
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 64])
+def test_partial_distances_of_rows_in_any_order_match_the_oracle(chunk):
+    # Shuffled rows break every pattern run into runs of about one row.
+    rng = np.random.default_rng(chunk)
+    for holed in (one_long_pattern(), own_patterns(), with_empty_rows()):
+        rows = rng.permutation(np.flatnonzero(np.isnan(holed).any(axis=1)))
+        slab = partial_distances(holed)
+        for start in range(0, rows.size, chunk):
+            part = rows[start:start + chunk]
+            want = oracle_partial_distances(holed, part)
+            assert slab(part).tobytes() == want.tobytes(), start
 
 
 # ---------------------------------------------------------------------------

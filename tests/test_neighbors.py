@@ -163,14 +163,17 @@ def table(seed):
     return np.random.default_rng(seed).normal(size=(ROWS, 10))
 
 
-def test_knn_pass_holds_two_slabs_and_a_half():
-    # Two slab buffers for the partial distances, then a boolean slab and
+def test_knn_pass_holds_a_slab_and_a_half():
+    # One slab buffer for the partial distances, the two (n, 3d) factors and
     # row blocks of temporaries. On the 0/1 table nearly every missing cell ties
     # its k-th pick and takes the exact path over every donor of its column.
+    # At degree 0.6 a slab holds up to about 200 missing patterns, each with
+    # its own row of counts; a table of them all would be more than a slab.
     binary = np.random.default_rng(0).integers(0, 2, size=(ROWS, 10)).astype(np.float64)
-    for x in (table(0), binary):
-        holed = np.where(np.random.default_rng(1).random(x.shape) < 0.3, np.nan, x)
-        assert peak_slabs(impute_knn, holed, 5) < 2.5
+    for degree in (0.3, 0.6):
+        for x in (table(0), binary):
+            holed = np.where(np.random.default_rng(1).random(x.shape) < degree, np.nan, x)
+            assert peak_slabs(impute_knn, holed, 5) < 1.5, degree
 
 
 def test_silhouette_pass_holds_a_slab_and_a_quarter():
