@@ -8,10 +8,11 @@ to len(items) - 1 free tokens without waiting; with P - 1 taken, process p
 of P runs `fn(*shared, items[p::P])`: the caller is process 0, and each
 other share goes to a helper of the block, forked on first need. Taking
 every P-th item evens out items whose cost grows along the list.
-`each(fn, items, processes, alone)` takes no token: up to `processes`
+`each(fn, items, processes, alone, then)` takes no token: up to `processes`
 helpers of the block each run `fn(item)` for the next item as soon as they
-return a result, and the caller runs an item whose helper is lost or raised
-once the others are done. A helper tallies the block's tokens it holds
+return a result, the items growing by what `then` makes of each result
+(given out first), and the caller runs an item whose helper is lost or
+raised once none is busy. A helper tallies the block's tokens it holds
 (`holding`, `map`) in memory shared with its caller, which gives them back
 when it reaps the helper: a semaphore keeps what a killed process took.
 The results come back in item order, so they do not depend on which
@@ -168,42 +169,54 @@ def holding(tokens):
             _HELD.value -= 1
 
 
-def each(fn, items, processes: int, alone) -> list:
-    """fn(item) for every item of `items`, in item order. Up to `processes`
-    helpers of the innermost block, forked if it has fewer, each run the
-    next item as soon as they return a result. Once they are done, the
-    caller runs `alone(item, lost)` for an item whose helper was lost or
-    raised, `lost` saying how it ended or what it raised, and with `lost`
-    None every item once no helper is left, or all of them when `processes`
-    is below 2. `fn` and the items and results must pickle."""
+def each(fn, items, processes: int, alone, then=lambda item, result: ()) -> list:
+    """fn(item) for every item of `items`, in item order, the list growing
+    by what `then(item, result)` returns as each result arrives; those added
+    items are given out first, in the order added, and an item is dropped
+    once its result is in. Up to `processes` helpers of the innermost block,
+    at most one per first item, each run the next item as soon as they
+    return a result. When none is busy, the caller runs `alone(item, lost)`
+    for an item whose helper was lost or raised, `lost` saying how, and,
+    with `lost` None, the next item once no helper is left, or every item
+    when `processes` is below 2. `fn` and the items and results must pickle."""
     from multiprocessing.connection import wait
-    loan, items = _LOANS[-1], list(items)
-    results, order, busy = [None] * len(items), iter(range(len(items))), {}
+    loan, items, results = _LOANS[-1], list(items), {}
     wanted = min(processes, len(items)) if processes > 1 else 0
     while len(loan.live) < wanted and loan._fork():
         pass
+    idle, busy, lost = loan.live[:wanted], {}, []       # lost: to run alone
+    first, added = list(range(len(items))), []          # not yet given out
 
-    def give(helper):               # its next item, if any is left
-        at = next(order, None)
-        if at is not None:
+    def arrived(at):                # drop the item, add those its result lets start
+        more = then(items[at], results[at])
+        items[at] = None
+        added.extend(range(len(items), len(items) + len(more)))
+        items.extend(more)
+
+    while True:
+        while idle and (added or first):
+            helper, at = idle.pop(0), (added or first).pop(0)
             with contextlib.suppress(OSError):  # a lost helper's pipe reads as ended
                 helper[1].send((fn, (), items[at]))
             busy[helper[1]] = helper, at
-
-    for helper in loan.live[:wanted]:
-        give(helper)
-    lost = []                       # items whose result is how their helper failed
-    while busy:                     # wait([]) would block for good
-        for conn in wait(list(busy)):
-            helper, at = busy.pop(conn)
-            ok, results[at] = loan._result(helper)
-            if not ok:
-                lost.append(at)
-            if helper in loan.live:
-                give(helper)
-    for at in lost + list(order):   # an item never given out has None
-        results[at] = alone(items[at], results[at])
-    return results
+        if not (busy or lost) and (added or first):     # no helper is left
+            lost.append((added or first).pop(0))
+        if busy:                    # wait([]) would block for good
+            for conn in wait(list(busy)):
+                helper, at = busy.pop(conn)
+                ok, results[at] = loan._result(helper)
+                if helper in loan.live:
+                    idle.append(helper)
+                if ok:
+                    arrived(at)
+                else:
+                    lost.append(at)
+        elif lost:
+            at = lost.pop(0)
+            results[at] = alone(items[at], results.get(at))
+            arrived(at)
+        else:
+            return [results[at] for at in range(len(items))]
 
 
 def _die_with(parent: int) -> None:

@@ -6,16 +6,17 @@ every imputer per degree and repetition, classifier/clustering/direct
 evaluation, and CSV report emission. Every stage draws from seed streams
 derived from one master seed, so a run is a pure function of its config.
 
-The cells run as two maps (`helpers.each`) over work units on worker
-processes, one per usable core: helpers that the run forks for map 1,
-reuses for map 2 and reaps when the cells end, also on an exception. Map 1
-fills every imputer cell (induce, impute, direct scores) and sends its fill
-back, and trains every repetition's baseline classifier as one stack. Map 2
-trains each repetition's filled cells as one stack and clusters each
-clustered fill as its own unit. The units depend only on the config and on
-which fills failed, never on the worker count. Results are merged in one
-fixed cell order, and a stacked network keeps the bits it would get alone,
-so neither the worker count nor the stacking moves a result.
+The cells run as one graph of work units (`helpers.each`) on worker
+processes, one per usable core, forked when the cells start and reaped when
+they end, also on an exception. SMOTE/ENN, the set-up writes and every
+imputer cell (induce, impute, direct scores) are queued at once; each
+result adds the units it completes, ahead of the queue: the edited set the
+baseline stack, a repetition's last fill its stack, a clustered fill its
+clustering. After the leakage check the main process only dispatches,
+merges and reports, and it drops each fill once its readers return. The
+units depend only on the config and on which fills failed. Results are
+merged in one fixed order, and a stacked network keeps the bits it would
+get alone, so neither the worker count nor the stacking moves a result.
 
 The workers share one semaphore with a token per usable core. A worker
 holds one token while it runs a unit, waiting for it if a forest has
@@ -528,15 +529,11 @@ def label_pool(cfg: ExperimentConfig, src: PreparedSource,
                        components=components, history=target_gen.training_history)
 
 
-def save_pool(out_dir, pool: LabeledPool, names: list[str]) -> dict[str, str]:
-    """Write the labeled pool and reserve as synthetic.csv and reserved.csv;
-    returns {file name: path}."""
-    paths = {}
+def save_pool(out_dir, pool: LabeledPool, names: list[str]) -> None:
+    """Write the labeled pool and reserve as synthetic.csv and reserved.csv."""
     for fname, x, y in (("synthetic.csv", pool.x_synth, pool.y_synth),
                         ("reserved.csv", pool.x_reserve, pool.y_reserve)):
-        paths[fname] = os.path.join(out_dir, fname)
-        save_csv(paths[fname], np.column_stack([x, y]), names + ["label"])
-    return paths
+        save_csv(os.path.join(out_dir, fname), np.column_stack([x, y]), names + ["label"])
 
 
 def check_no_leakage(pool: LabeledPool, src: PreparedSource) -> None:
@@ -627,12 +624,14 @@ def clustering_degree(cfg: ExperimentConfig) -> float:
 
 @dataclass
 class CellInputs:
-    """What every work unit reads. Forked workers inherit it unpickled."""
+    """What the work units read. Forked workers inherit it unpickled."""
 
     cfg: ExperimentConfig
+    src: PreparedSource
     pool: LabeledPool
-    names: list[str]
-    eval_sets: dict
+    search_table: list             # the mixture search's, for gmm_search.csv
+    eval_sets: dict                # every set but edited_nn, which a unit makes
+    started: float                 # the cells' start, on time.perf_counter's clock
 
 
 @dataclass
@@ -644,19 +643,23 @@ class UnitResult:
     seconds: dict = field(default_factory=dict)         # wall seconds per stage
     peak_rss_mb: float = 0.0                            # its process's peak so far
     lost_worker: str | None = None   # how its worker was lost or what it raised there
+    start_s: float = 0.0             # its start and end, seconds after the cells start
+    end_s: float = 0.0
     rows: list[dict] = field(default_factory=list)      # its cells' rows
     direct: list[dict] = field(default_factory=list)
     clustering: list[dict] = field(default_factory=list)
     plot: list[list] = field(default_factory=list)      # silhouette sample rows
     failures: list[dict] = field(default_factory=list)
     fill: np.ndarray | None = None                      # an imputer cell's pooled fill
+    edited: tuple | None = None                         # SMOTE/ENN's (features, target)
     diagnostics: list[dict] | None = None               # its imputer's, one per copy
     classifiers: list[dict] | None = None               # per trained cell, its record
     helpers: dict | None = None      # an impute unit's: what its borrowed cores cost
 
     def timing(self) -> dict:
         record = {**self.key, "pid": self.pid, "seconds": self.seconds,
-                  "peak_rss_mb": self.peak_rss_mb, "lost_worker": self.lost_worker}
+                  "peak_rss_mb": self.peak_rss_mb, "lost_worker": self.lost_worker,
+                  "start_s": self.start_s, "end_s": self.end_s}
         if self.diagnostics is not None:
             record["diagnostics"] = self.diagnostics
         if self.classifiers is not None:
@@ -694,7 +697,7 @@ def impute_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> Uni
         stage, seed = "impute+classify", _cell_seed(cfg, method, degree, rep)
         with _timed(out.seconds, "impute"):
             result = run_imputer(induced.holed, _imputer_spec(cfg, method, seed),
-                                 inputs.names)
+                                 inputs.src.names)
             fill = pool_copies(result)
         out.diagnostics = result.diagnostics
         mask = induced.mask
@@ -707,17 +710,18 @@ def impute_cell(inputs: CellInputs, method: str, degree: float, rep: int) -> Uni
     return out
 
 
-def classify_cells(inputs: CellInputs, cells: list[tuple],
-                   fills: list[np.ndarray] | None) -> UnitResult:
+def classify_cells(inputs: CellInputs, cells: list[tuple], fills: list[np.ndarray] | None,
+                   edited: tuple) -> UnitResult:
     """The classifiers of `cells`, trained as one stack and scored (see
-    `classify`): baseline cells on the pool (`fills` None), imputer cells on
-    their fills. A failed cell is recorded alone."""
+    `classify`, with SMOTE/ENN's `edited` set as edited_nn): baseline cells
+    on the pool (`fills` None), imputer cells on their fills. A failed cell
+    is recorded alone."""
     cfg = inputs.cfg
     out = UnitResult({"unit": "classify", "cells": [_cell_key(*cell) for cell in cells]},
                      classifiers=[])
     features = fills or [inputs.pool.x_synth] * len(cells)
     with _timed(out.seconds, "classify"):
-        results = classify(cfg, cells, features, inputs.eval_sets)
+        results = classify(cfg, cells, features, {**inputs.eval_sets, "edited_nn": edited})
     for cell, result in zip(cells, results):
         seed = _cell_seed(cfg, *cell)
         if isinstance(result, Exception):
@@ -775,19 +779,48 @@ def cluster_fill(inputs: CellInputs, method: str, data: np.ndarray | None) -> Un
     return out
 
 
+def resample_source(inputs: CellInputs) -> UnitResult:
+    """SMOTE/ENN on the clean source: the edited_nn set of every classifier,
+    sent back in `edited`. An error here is the run's: it raises."""
+    cfg = inputs.cfg
+    out = UnitResult({"unit": "smote_enn", "cells": []})
+    with _timed(out.seconds, "smote_enn"):
+        edited = smote_enn(from_matrix(*inputs.eval_sets["original"]),
+                           ResampleSpec(smote_k=cfg.smote_k, enn_k=cfg.enn_k,
+                                        target_ratio=cfg.resample_ratio,
+                                        seed=child_seed(cfg.master_seed, "resample")))
+    out.edited = edited.features, edited.target
+    return out
+
+
+def write_setup(inputs: CellInputs) -> UnitResult:
+    """The set-up tables: gmm_search.csv, clean.csv, synthetic.csv and
+    reserved.csv. An error here is the run's: it raises."""
+    out_dir, names = inputs.cfg.output_dir, inputs.src.names
+    out = UnitResult({"unit": "write", "cells": []})
+    with _timed(out.seconds, "write"):
+        write_search_table(os.path.join(out_dir, "gmm_search.csv"), inputs.search_table)
+        save_csv(os.path.join(out_dir, "clean.csv"), inputs.src.clean.features, names)
+        save_pool(out_dir, inputs.pool, names)
+    return out
+
+
 def _peak_rss_mb() -> float:
     """This process's peak resident set size (ru_maxrss is in KiB on Linux)."""
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def run_unit(inputs: CellInputs, unit: tuple, tokens=None) -> UnitResult:
-    """One work unit: ("impute", method, degree, rep), ("classify", cells,
-    fills) or ("cluster", method, fill). Its forests may borrow `tokens`, a
-    worker's semaphore of the cores that no unit holds; inline, none."""
+    """One work unit: ("smote_enn",), ("write",), ("impute", method, degree,
+    rep), ("classify", cells, fills, edited) or ("cluster", method, fill). Its
+    forests may borrow `tokens`, the cores that no unit holds; inline, none."""
     kind, *args = unit
-    run = {"impute": impute_cell, "classify": classify_cells, "cluster": cluster_fill}[kind]
+    run = {"smote_enn": resample_source, "write": write_setup, "impute": impute_cell,
+           "classify": classify_cells, "cluster": cluster_fill}[kind]
+    start = time.perf_counter()
     with lending(tokens) as loan:
         out = run(inputs, *args)
+    out.start_s, out.end_s = start - inputs.started, time.perf_counter() - inputs.started
     out.peak_rss_mb = _peak_rss_mb()
     if kind == "impute":
         out.helpers = {"helper_forests": loan.maps, "helper_cpu_s": loan.cpu_s,
@@ -813,43 +846,59 @@ def cell_units(cfg: ExperimentConfig) -> list[tuple]:
 
 
 def run_cells(inputs: CellInputs, workers: int, report: RunReport) -> None:
-    """Steps 5 and 6 as two maps over work units on `workers` workers. Map 1
-    fills every imputer cell and trains every baseline classifier as one
-    stack; map 2 trains each repetition's filled cells as one stack (none
-    when every fill of the repetition failed) and clusters each clustered
-    fill as its own unit. The units depend only on the config and on which
-    fills failed; only a lost worker's unit reruns inline. Rows, samples,
-    failures and unit timings go into `report` in cell_units order."""
+    """Steps 5 and 6 as one graph of work units on `workers` workers (see
+    the module docstring): a unit is added once its inputs are in, and a
+    fill is dropped once its readers are. Only a lost worker's unit reruns
+    inline. Rows, samples and failures go into `report` in cell_units
+    order, unit records in `planned` order."""
     cfg = inputs.cfg
     cells = cell_units(cfg)
     imputed = [cell for cell in cells if cell[0] != BASELINE_METHOD]
+    clustered = [cell for cell in imputed if cell[1:] == (clustering_degree(cfg), 0)]
+    waiting = {rep: {cell for cell in imputed if cell[2] == rep}
+               for rep in range(cfg.repetitions)}          # fills not yet in
+    fills, edited = {}, None
+
+    def stack(rep):             # once its fills and the edited set are in; they go with it
+        if edited is None or waiting[rep]:
+            return []
+        kept = [cell for cell in imputed if cell[2] == rep and fills[cell] is not None]
+        return [("classify", kept, [fills.pop(cell) for cell in kept], edited)] if kept else []
+
+    def then(unit, out):        # the units whose inputs `out` completes
+        nonlocal edited
+        if unit[0] == "smote_enn":
+            edited = out.edited
+            return [("classify", [cell for cell in cells if cell[0] == BASELINE_METHOD],
+                     None, edited), *[more for rep in waiting for more in stack(rep)]]
+        if unit[0] != "impute":
+            return []
+        cell = tuple(unit[1:])
+        fills[cell], out.fill = out.fill, None
+        waiting[cell[2]].discard(cell)
+        more = [("cluster", cell[0], fills[cell])] if cell in clustered else []
+        return more + stack(cell[2])
 
     def alone(unit, lost):      # a unit without a worker, or whose worker was lost
         out = run_unit(inputs, unit)
         out.lost_worker = lost
         return out
 
-    first = each(_in_worker, [
-        ("classify", [cell for cell in cells if cell[0] == BASELINE_METHOD], None),
-        *[("impute", *cell) for cell in imputed]], workers, alone)
-    fills = {cell: out.fill for cell, out in zip(imputed, first[1:])}
-    stacks = [[cell for cell in imputed if cell[2] == rep and fills[cell] is not None]
-              for rep in range(cfg.repetitions)]
-    clustered = [cell for cell in imputed if cell[1:] == (clustering_degree(cfg), 0)]
-    second = each(_in_worker, [
-        *[("classify", stack, [fills[cell] for cell in stack]) for stack in stacks if stack],
-        *[("cluster", cell[0], fills[cell]) for cell in clustered]], workers, alone)
-
-    units = first + second
     position = {cell: i for i, cell in enumerate(cells)}
 
-    def in_cell_order(records):
-        return sorted(records, key=lambda r: position[r["method"], r["degree"],
-                                                      r["repetition"]])
+    def place(record):          # its cell's place in cell_units
+        return position[record["method"], record["degree"], record["repetition"]]
 
-    report.cells += in_cell_order(row for out in units for row in out.rows)
-    report.direct_cells += in_cell_order(row for out in units for row in out.direct)
-    report.failures += in_cell_order(f for out in units for f in out.failures)
+    def planned(out):           # baseline stack, imputer cells, stacks, clustered fills, set-up
+        at = [place(cell) for cell in out.key["cells"]]
+        return ("baseline", "impute", "classify", "cluster", "smote_enn", "write").index(
+            "baseline" if at[:1] == [0] else out.key["unit"]), at
+
+    units = sorted(each(_in_worker, [("smote_enn",), *[("impute", *cell) for cell in imputed],
+                                     ("write",)], workers, alone, then), key=planned)
+    report.cells += sorted((row for out in units for row in out.rows), key=place)
+    report.direct_cells += sorted((row for out in units for row in out.direct), key=place)
+    report.failures += sorted((f for out in units for f in out.failures), key=place)
     for out in units:
         report.clustering_rows += out.clustering
         report.plot["silhouette_samples"] += out.plot
@@ -881,42 +930,26 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     _check_writable(out_dir)
 
     # Wall seconds of each set-up step; the search's record has its helpers' cost.
-    stages = {name: {} for name in ("prepare", "search", "pool", "smote_enn", "write")}
+    stages = {name: {} for name in ("prepare", "search", "pool")}
     with _timed(stages["prepare"], "seconds"):
         src = prepare_source(cfg)
         cfg.validate(columns=len(src.names))
     with _timed(stages["search"], "seconds"):
         generator, gen_report, search_table, loan = fit_generator(cfg, src)
     stages["search"].update(helper_cpu_s=loan.cpu_s, helper_peak_rss_mb=loan.peak_rss_mb)
-    with _timed(stages["write"], "seconds"):
-        write_search_table(os.path.join(out_dir, "gmm_search.csv"), search_table)
     with _timed(stages["pool"], "seconds"):
         pool = label_pool(cfg, src, generator)
         check_no_leakage(pool, src)
 
-    # Rebalanced variant of the clean original subset.
-    with _timed(stages["smote_enn"], "seconds"):
-        edited = smote_enn(from_matrix(src.x_orig, src.y_orig),
-                           ResampleSpec(smote_k=cfg.smote_k, enn_k=cfg.enn_k,
-                                        target_ratio=cfg.resample_ratio,
-                                        seed=child_seed(cfg.master_seed, "resample")))
-    eval_sets = {"synthetic": (pool.x_synth, pool.y_synth),
-                 "testing": (pool.x_reserve, pool.y_reserve),
-                 "original": (src.x_orig, src.y_orig),
-                 "edited_nn": (edited.features, edited.target)}
-
-    artifacts = {"clean.csv": os.path.join(out_dir, "clean.csv")}
-    with _timed(stages["write"], "seconds"):
-        save_csv(artifacts["clean.csv"], src.clean.features, src.names)
-        artifacts.update(save_pool(out_dir, pool, src.names))
-
     report = RunReport(manifest={}, cells=[], direct_cells=[], clustering_rows=[],
                        failures=[], plot={**pool.plot_rows(), "silhouette_samples": []},
                        timings={"stages": stages, "units": []})
-    inputs = CellInputs(cfg, pool, src.names, eval_sets)
+    eval_sets = {"synthetic": (pool.x_synth, pool.y_synth),
+                 "testing": (pool.x_reserve, pool.y_reserve),
+                 "original": (src.x_orig, src.y_orig)}
+    inputs = CellInputs(cfg, src, pool, search_table, eval_sets, time.perf_counter())
     cores = _usable_cores()
     workers = min(cores, len(cell_units(cfg)))
-    cells_started = time.perf_counter()
     # Forked workers inherit `inputs` and the BLAS thread count (silhouette bits depend on it).
     global _CELLS
     import multiprocessing
@@ -924,13 +957,13 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
     with lending(_CELLS[1]):        # it gives back what a lost worker held
         run_cells(inputs, workers, report)
     _CELLS = None
-    report.timings["wall_s"] = time.perf_counter() - cells_started
+    report.timings["wall_s"] = time.perf_counter() - inputs.started
     # Each process's peak, summed: a bound on the run's resident memory (the
     # peaks need not coincide, and pages shared since the fork count in each).
     peaks = {}
     for unit in report.timings["units"]:
         peaks[unit["pid"]] = max(peaks.get(unit["pid"], 0.0), unit["peak_rss_mb"])
-    peaks[os.getpid()] = _peak_rss_mb()
+    peaks[os.getpid()] = report.timings["main_peak_rss_mb"] = _peak_rss_mb()
     report.timings["summed_peak_rss_mb"] = sum(peaks.values()) + sum(
         sum(record.get("helper_peak_rss_mb", []))
         for record in [stages["search"], *report.timings["units"]])
@@ -944,7 +977,8 @@ def run_pipeline(cfg: ExperimentConfig) -> RunReport:
         "config": {key: repr(getattr(cfg, attr)) for key, (attr, _) in
                    _CONFIG_KEYS.items()},
         "clustering_degree": clustering_degree(cfg),
-        "artifacts": artifacts,
+        "artifacts": {name: os.path.join(out_dir, name)
+                      for name in ("clean.csv", "synthetic.csv", "reserved.csv")},
         "n_cells": len(report.cells), "n_failures": len(report.failures),
         "workers": workers, "blas_threads": {var: os.environ.get(var) for var in (
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},

@@ -675,10 +675,27 @@ def test_cell_failures_exit_two(tmp_path, capsys, monkeypatch):
     assert first["traceback"][-1] == "ValueError: injected k-means fault"
 
 
+@pytest.mark.parametrize("cores", [2, 1])
+def test_a_smote_enn_error_exits_one_with_its_message(tmp_path, capsys, monkeypatch, cores):
+    # In a worker, the error comes back, SMOTE/ENN runs again in the main
+    # process and raises there; on one core it raises at once.
+    def broken_smote_enn(*args):
+        raise ValueError("injected resampling fault")
+
+    monkeypatch.setattr("misslab.pipeline.smote_enn", broken_smote_enn)
+    monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_cfg(tmp_path, out))]) == 1
+    assert capsys.readouterr().err == "error: injected resampling fault\n"
+    assert not (out / "accuracy.csv").exists()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
-    # In map 2 the worker training the stack of repetition 1 dies. Only that
-    # stack runs again in the main process, and the unit after it keeps a
-    # live worker, so the run loses no row and its tables match those of a
+    # The worker training the stack of repetition 1 dies. Only that stack
+    # runs again in the main process, and the units after it keep a live
+    # worker, so the run loses no row and its tables match those of a
     # one-process run.
     from misslab import pipeline
     parent, classify = os.getpid(), pipeline.classify
@@ -706,9 +723,9 @@ def test_lost_worker_units_rerun_inline(tmp_path, monkeypatch):
     at = next(i for i, u in enumerate(units) if u["unit"] == "classify" and
               {"method": "mean", "degree": 0.2, "repetition": 1} in u["cells"])
     assert units[at]["lost_worker"].endswith("exited with status 3")
-    assert [u["unit"] for u in units[at:]] == ["classify", "cluster"]
-    assert [u["pid"] == parent for u in units[at:]] == [True, False]
-    assert parent not in {u["pid"] for u in units[:3]}       # map 1 ran in workers
+    assert [u["unit"] for u in units[at:]] == ["classify", "cluster", "smote_enn", "write"]
+    assert [u["pid"] == parent for u in units[at:]] == [True, False, False, False]
+    assert parent not in {u["pid"] for u in units[:3]}       # the other units ran in workers
     assert tables[2] == tables[1]
 
 
@@ -798,11 +815,12 @@ def test_a_worker_killed_while_its_helper_grows_leaves_no_process(tmp_path, monk
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
 def test_a_worker_killed_holding_both_tokens_gives_them_back(tmp_path, monkeypatch):
-    # On two cores a missforest cell and the baseline classifiers fill map 1.
-    # Once the classifiers are done, the cell's forest borrows the idle
-    # worker's core, and its worker is killed holding both tokens. They come
-    # back when it is reaped, so map 2's workers get a core each: the run
-    # ends in time, in workers, with the tables of a one-core run.
+    # On two cores a missforest cell runs beside SMOTE/ENN, the set-up
+    # writes and the baseline classifiers. Once these are done, the cell's
+    # forest borrows the idle worker's core, and its worker is killed holding
+    # both tokens. They come back when it is reaped, so the units after it
+    # get a core: the run ends in time, in workers, with the tables of a
+    # one-core run.
     import signal
     import time
 
@@ -833,7 +851,7 @@ def test_a_worker_killed_holding_both_tokens_gives_them_back(tmp_path, monkeypat
     units = json.loads((tmp_path / "c2" / "report.json").read_text(
         encoding="utf-8"))["timings"]["units"]
     assert units[1]["lost_worker"].endswith("killed by SIGKILL") and units[1]["pid"] == parent
-    assert [u["unit"] for u in units[2:]] == ["classify", "cluster"]
+    assert [u["unit"] for u in units[2:]] == ["classify", "cluster", "smote_enn", "write"]
     assert parent not in {u["pid"] for u in units[2:]}
     assert len(tables[1]) == 12 and tables[2] == tables[1]
     with pytest.raises(ChildProcessError):

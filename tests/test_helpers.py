@@ -183,3 +183,57 @@ def test_each_runs_an_item_that_raised_alone_and_keeps_its_helper():
     assert [item for item, *_ in got] == list(range(6))
     assert len(pids) == 2 and {pid for _, pid in got[:2] + got[3:]} <= pids
     assert loan.peak_rss_mb and len(loan.peak_rss_mb) == 2       # reaped at the end
+
+
+def _spans(item):
+    """(item, pid, start, end) on the monotonic clock, which every process
+    shares; item 0 takes half a second, the others a moment."""
+    start = time.monotonic()
+    time.sleep(0.5 if item == 0 else 0.02)
+    return item, os.getpid(), start, time.monotonic()
+
+
+def _spans_alone(item, lost):
+    return _spans(item)
+
+
+def _after_one(item, result):
+    """Item 1's result lets items 10 and 11 start; no other result adds any."""
+    return [10, 11] if item == 1 else []
+
+
+def test_each_serves_appended_items_on_idle_helpers_while_others_run():
+    # Items 10 and 11 exist only once item 1's result is in. The helper that
+    # ran item 1 serves them, before items 2 and 3 of the first list, while
+    # item 0 still runs on the other; every result comes back in item order.
+    with lending(None):
+        got = helpers.each(_spans, range(4), 2, _alone, _after_one)
+    assert [item for item, *_ in got] == [0, 1, 2, 3, 10, 11]
+    (_, slow, _, slow_end), *quick = got
+    assert all(pid != slow and end < slow_end for _, pid, _, end in quick)
+    started = {item: start for item, _, start, _ in got}
+    assert started[1] < started[10] < started[11] < started[2] < started[3]
+    # One process walks the same list in the same order.
+    with lending(None):
+        alone = helpers.each(_spans, range(4), 1, _spans_alone, _after_one)
+    assert [item for item, *_ in alone] == [0, 1, 2, 3, 10, 11]
+    started = {item: start for item, _, start, _ in alone}
+    assert sorted(started, key=started.get) == [0, 1, 10, 11, 2, 3]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _after_two(item, result):
+    return [20] if item == 2 else []
+
+
+def test_each_appends_what_an_item_rerun_alone_lets_start():
+    # Item 2 raises in its helper and runs again in this process; item 20,
+    # which needs its result, is still appended and runs on a helper.
+    here = os.getpid()
+    with lending(None) as loan:
+        got = helpers.each(_raises_on_two, range(4), 2, _alone, _after_two)
+        pids = {pid for pid, _ in loan.live}
+    assert got[2] == (2, here, "ValueError: item two")
+    assert [item for item, *_ in got] == [0, 1, 2, 3, 20]
+    assert got[4][1] in pids

@@ -505,11 +505,11 @@ def test_failed_cells_recorded_not_fatal(tmp_path, monkeypatch):
         ("knn", 0.2, 0, "no imputed matrix available",
          child_seed(cfg.master_seed, "cluster", "knn", k)) for k in cfg.clusters]
     assert report.manifest["n_failures"] == len(report.failures)
-    # Map 1 imputed the cell and failed it, so no stack of map 2 trained it;
-    # its cluster unit still ran, to record each k.
+    # The cell was imputed and failed, so no stack trained it; its cluster
+    # unit still ran, to record each k.
     units = [(u["unit"], [c["method"] for c in u["cells"]]) for u in report.timings["units"]]
     assert units == [("classify", [BASELINE_METHOD]), ("impute", ["knn"]),
-                     ("cluster", ["knn"])]
+                     ("cluster", ["knn"]), ("smote_enn", []), ("write", [])]
     # Emission still works off the surviving baseline cells.
     emit_report(report, tmp_path / "broken-report")
 
@@ -565,9 +565,9 @@ def test_a_failed_k_is_recorded_alone_and_the_other_k_still_score(tmp_path, monk
 
 
 def test_timings_list_every_unit_once(desk_run):
-    # Map 1: the baseline stack, then one unit per imputer cell. Map 2: one
-    # stack per repetition (two repetitions fill two workers), then one
-    # cluster unit per clustered fill. Each cell is imputed, classified and
+    # In plan order: the baseline stack, one unit per imputer cell, one
+    # stack per repetition, one cluster unit per clustered fill, then
+    # SMOTE/ENN and the set-up writes. Each cell is imputed, classified and
     # (at rep 0 and the clustering degree) clustered exactly once.
     cfg, report = desk_run
     timings = report.timings
@@ -577,16 +577,19 @@ def test_timings_list_every_unit_once(desk_run):
     clustered = [(m, clustering_degree(cfg), 0) for m in cfg.imputers]
     assert [u["unit"] for u in units] == (["classify"] + ["impute"] * len(imputed)
                                           + ["classify"] * cfg.repetitions
-                                          + ["cluster"] * len(clustered))
+                                          + ["cluster"] * len(clustered)
+                                          + ["smote_enn", "write"])
     served = [[(c["method"], c["degree"], c["repetition"]) for c in u["cells"]]
               for u in units]
     assert served[0] == [c for c in cells if c[0] == BASELINE_METHOD]
     assert sum(served[1:1 + len(imputed)], []) == imputed
     stacks = served[1 + len(imputed):1 + len(imputed) + cfg.repetitions]
     assert stacks == [[c for c in imputed if c[2] == rep] for rep in range(cfg.repetitions)]
-    assert sum(served[-len(clustered):], []) == clustered
+    assert sum(served[-2 - len(clustered):-2], []) == clustered
+    assert served[-2:] == [[], []]
     stages = {"impute": {"induce", "impute"}, "classify": {"classify"},
-              "cluster": {"kmeans", "silhouette"}}
+              "cluster": {"kmeans", "silhouette"}, "smote_enn": {"smote_enn"},
+              "write": {"write"}}
     for unit, cells_served in zip(units, served):
         assert set(unit["seconds"]) == stages[unit["unit"]]
         assert 0.0 < unit["peak_rss_mb"] <= timings["summed_peak_rss_mb"]
@@ -621,6 +624,59 @@ def test_unit_plan_does_not_depend_on_the_core_count(tmp_path, monkeypatch):
             == getattr(reports[4], name)
 
 
+def test_a_stack_starts_while_a_slow_cell_of_another_repetition_runs(tmp_path, monkeypatch):
+    # On two cores one imputer cell of repetition 1 sleeps for a second.
+    # Repetition 0's stack reads none of its fill, so it starts while that
+    # cell still runs; repetition 1's stack starts once the fill is in. No
+    # unit runs in the main process, SMOTE/ENN and the set-up writes included.
+    import time
+
+    from misslab import pipeline
+    run_imputer = pipeline.run_imputer
+    cfg = desk_config(tmp_path / "slow")
+    slow = child_seed(cfg.master_seed, "impute", "mean", repr(0.3), 1)
+
+    def slow_imputer(holed, spec, names):
+        if spec.seed == slow:
+            time.sleep(1.0)
+        return run_imputer(holed, spec, names)
+
+    monkeypatch.setattr("misslab.pipeline.run_imputer", slow_imputer)
+    monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: 2)
+    timings = run_pipeline(cfg).timings
+    units = timings["units"]
+    (cell,) = [u for u in units if u["unit"] == "impute"
+               and u["cells"] == [{"method": "mean", "degree": 0.3, "repetition": 1}]]
+    stacks = {u["cells"][0]["repetition"]: u for u in units
+              if u["unit"] == "classify" and u["cells"][0]["method"] != BASELINE_METHOD}
+    assert stacks[0]["start_s"] < cell["end_s"] < stacks[1]["start_s"]
+    assert all(0.0 <= u["start_s"] <= u["end_s"] <= timings["wall_s"] for u in units)
+    assert os.getpid() not in {u["pid"] for u in units}
+    assert timings["main_peak_rss_mb"] > 0.0
+
+
+def test_no_fill_stays_in_the_merged_unit_results(tmp_path, monkeypatch):
+    # Each fill leaves the main process with the units that read it: none is
+    # left in the results that `each` hands back, on one core or two.
+    from misslab import pipeline
+    each, merged = pipeline.each, []
+
+    def keeping(*args):
+        merged.append(each(*args))
+        return merged[-1]
+
+    monkeypatch.setattr("misslab.pipeline.each", keeping)
+    for cores in (1, 2):
+        monkeypatch.setattr("misslab.pipeline._usable_cores", lambda: cores)
+        cfg = desk_config(tmp_path / f"c{cores}")
+        assert run_pipeline(cfg).failures == []
+    imputed = len(cell_units(cfg)) - cfg.repetitions
+    assert len(merged) == 2        # one `each` call per run
+    for units in merged:
+        assert sum(out.key["unit"] == "impute" for out in units) == imputed
+        assert all(out.fill is None for out in units)
+
+
 def test_setup_stages_record_their_seconds_and_the_search_helpers(tmp_path, monkeypatch):
     # Each set-up step records its wall seconds. With 2 free tokens the
     # search's 3 fits run on 3 processes, and its record carries the
@@ -632,7 +688,7 @@ def test_setup_stages_record_their_seconds_and_the_search_helpers(tmp_path, monk
         cfg.gmm_k_range, cfg.repetitions = [1, 2, 3], 1
         timings = run_pipeline(cfg).timings
         stages = timings["stages"]
-        assert list(stages) == ["prepare", "search", "pool", "smote_enn", "write"]
+        assert list(stages) == ["prepare", "search", "pool"]
         assert all(stage["seconds"] > 0.0 for stage in stages.values())
         search = stages["search"]
         assert len(search["helper_peak_rss_mb"]) == cores - 1
